@@ -5,7 +5,6 @@ threshold calibration and batch-shaping machinery around it, and a toy
 symmetric-InfoNCE trainer that exercises the full mask-to-gradient path.
 """
 
-from ._kernels import ACTIVE_IMPL
 from .batch_shaping import ShapedBatch, shape_batch, visible_slots
 from .calibration import CalibrationReport, calibrate_threshold, mean_mask_ratio
 from .cluster_masker import (
@@ -39,7 +38,6 @@ from .toy_contrastive import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ACTIVE_IMPL",
     "CalibrationReport",
     "ConfigError",
     "ConvergenceError",

@@ -1,40 +1,22 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Hot numeric kernels of the maskers, one numpy function each.
 
-The numba path is used when numba imports successfully, unless the
-environment variable ``PATCHMASK_NO_NUMBA=1`` forces the numpy path.
-``ACTIVE_IMPL`` reports which path was bound at import time. Both
-implementations of every kernel stay importable (``*_numpy`` /
-``*_numba``) so tests and ``benchmarks/bench_kernels.py`` can compare
-them directly.
-
-One exception by measurement: ``pairwise_cosine`` is a Gram matrix, and
-BLAS beats the explicit loops by an order of magnitude at ViT-B/16 sizes
-(see the benchmark), so the numpy version is bound on both paths; the
-loop version stays available for comparison.
-
-Kernels are deliberately free of fastmath so results are IEEE-exact and
-reproducible run to run; the two paths may still differ by last-ulp
-rounding where summation order differs (e.g. BLAS dot products).
+``cluster_masker`` and ``similarity`` import these names, so a faster
+kernel keeps its name and signature and replaces the body here. Results
+are deterministic run to run.
 """
-
-import os
 
 import numpy as np
 
 COSINE_EPS = 1e-8  # denominator guard; zero vectors get similarity 0
 
 
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-
-
-def pairwise_cosine_numpy(vectors):
+def pairwise_cosine(vectors):
     """All-pairs epsilon-guarded cosine similarity of the rows of (L, d)."""
     norms = np.sqrt(np.einsum("ij,ij->i", vectors, vectors))
     return (vectors @ vectors.T) / (np.outer(norms, norms) + COSINE_EPS)
 
 
-def masked_by_anchors_numpy(sim, anchors, threshold):
+def masked_by_anchors(sim, anchors, threshold):
     """Boolean mask: anchors plus every index j with sim[a, j] >= threshold."""
     masked = np.zeros(sim.shape[0], dtype=np.bool_)
     if anchors.size:
@@ -43,7 +25,7 @@ def masked_by_anchors_numpy(sim, anchors, threshold):
     return masked
 
 
-def nearest_centroids_numpy(points, centroids):
+def nearest_centroids(points, centroids):
     """Nearest centroid per point by squared Euclidean distance.
 
     Returns (labels, distances) where distances[i] is the squared
@@ -55,119 +37,9 @@ def nearest_centroids_numpy(points, centroids):
     return labels, d2[np.arange(points.shape[0]), labels]
 
 
-def centroid_sums_numpy(points, labels, k):
+def centroid_sums(points, labels, k):
     """Per-cluster coordinate sums and member counts."""
     sums = np.zeros((k, points.shape[1]), dtype=np.float64)
     np.add.at(sums, labels, points)
     counts = np.bincount(labels, minlength=k).astype(np.int64)
     return sums, counts
-
-
-# ---------------------------------------------------------------------------
-# numba implementations (loop bodies compiled with @njit when available)
-
-
-def _pairwise_cosine_loops(vectors):
-    n, d = vectors.shape
-    norms = np.empty(n, dtype=np.float64)
-    for i in range(n):
-        acc = 0.0
-        for t in range(d):
-            acc += vectors[i, t] * vectors[i, t]
-        norms[i] = np.sqrt(acc)
-    out = np.empty((n, n), dtype=np.float64)
-    for i in range(n):
-        for j in range(i, n):
-            dot = 0.0
-            for t in range(d):
-                dot += vectors[i, t] * vectors[j, t]
-            value = dot / (norms[i] * norms[j] + COSINE_EPS)
-            out[i, j] = value
-            out[j, i] = value
-    return out
-
-
-def _masked_by_anchors_loops(sim, anchors, threshold):
-    n = sim.shape[0]
-    masked = np.zeros(n, dtype=np.bool_)
-    for j in range(n):
-        for idx in range(anchors.shape[0]):
-            if sim[anchors[idx], j] >= threshold:
-                masked[j] = True
-                break
-    for idx in range(anchors.shape[0]):
-        masked[anchors[idx]] = True
-    return masked
-
-
-def _nearest_centroids_loops(points, centroids):
-    n, d = points.shape
-    k = centroids.shape[0]
-    labels = np.empty(n, dtype=np.int64)
-    best = np.empty(n, dtype=np.float64)
-    for i in range(n):
-        best_j = 0
-        best_d = np.inf
-        for j in range(k):
-            acc = 0.0
-            for t in range(d):
-                diff = points[i, t] - centroids[j, t]
-                acc += diff * diff
-            if acc < best_d:
-                best_d = acc
-                best_j = j
-        labels[i] = best_j
-        best[i] = best_d
-    return labels, best
-
-
-def _centroid_sums_loops(points, labels, k):
-    n, d = points.shape
-    sums = np.zeros((k, d), dtype=np.float64)
-    counts = np.zeros(k, dtype=np.int64)
-    for i in range(n):
-        lab = labels[i]
-        counts[lab] += 1
-        for t in range(d):
-            sums[lab, t] += points[i, t]
-    return sums, counts
-
-
-# ---------------------------------------------------------------------------
-# path selection
-
-_want_numba = os.environ.get("PATCHMASK_NO_NUMBA", "").strip().lower() not in {
-    "1",
-    "true",
-    "yes",
-}
-
-pairwise_cosine_numba = None
-masked_by_anchors_numba = None
-nearest_centroids_numba = None
-centroid_sums_numba = None
-
-if _want_numba:
-    try:
-        from numba import njit
-    except ImportError:
-        _want_numba = False
-
-if _want_numba:
-    pairwise_cosine_numba = njit(cache=True)(_pairwise_cosine_loops)
-    masked_by_anchors_numba = njit(cache=True)(_masked_by_anchors_loops)
-    nearest_centroids_numba = njit(cache=True)(_nearest_centroids_loops)
-    centroid_sums_numba = njit(cache=True)(_centroid_sums_loops)
-
-    ACTIVE_IMPL = "numba"
-    masked_by_anchors = masked_by_anchors_numba
-    nearest_centroids = nearest_centroids_numba
-    centroid_sums = centroid_sums_numba
-else:
-    ACTIVE_IMPL = "numpy"
-    masked_by_anchors = masked_by_anchors_numpy
-    nearest_centroids = nearest_centroids_numpy
-    centroid_sums = centroid_sums_numpy
-
-# BLAS wins this one on both paths (see module docstring)
-pairwise_cosine = pairwise_cosine_numpy

@@ -88,8 +88,10 @@ def calibrate_threshold(
         rng = np.random.default_rng(0)
     if not sample:
         raise ConfigError("calibration sample must be nonempty")
-    if tolerance <= 0.0:
+    if not tolerance > 0.0:
         raise ConfigError(f"tolerance must be positive, got {tolerance}")
+    if max_iters < 1:
+        raise ConfigError(f"max_iters must be >= 1, got {max_iters}")
     if not anchor_ratio < target_ratio < 1.0:
         raise ConfigError(
             f"target_ratio must lie in (anchor_ratio, 1), got {target_ratio}"

@@ -7,6 +7,7 @@ convergence failure. A JSON config file may supply any long-option value
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -46,14 +47,36 @@ def _load_config_file(path):
     return config
 
 
+def _file_value(config, key, default):
+    """Config-file value if present, else default.
+
+    A file value must have the type of its default: an int default takes
+    an int but not a bool, a float default a finite int or float, a str
+    default a str and a bool default a bool.
+    """
+    if key not in config:
+        return default
+    value = config[key]
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if isinstance(default, bool):
+        ok, kind = isinstance(value, bool), "a boolean"
+    elif isinstance(default, int):
+        ok, kind = number and isinstance(value, int), "an integer"
+    elif isinstance(default, float):
+        ok, kind = number and math.isfinite(value), "a finite number"
+    else:
+        ok, kind = isinstance(value, str), "a string"
+    if not ok:
+        raise ConfigError(f"config key {key!r} must be {kind}, got {value!r}")
+    return value
+
+
 def _resolve(args, config, key, default):
     """CLI flag if given, else config-file value, else default."""
     value = getattr(args, key, None)
     if value is not None:
         return value
-    if key in config:
-        return config[key]
-    return default
+    return _file_value(config, key, default)
 
 
 def _check_config_keys(config, allowed):
@@ -104,22 +127,21 @@ def _cmd_mask(args):
     beta = _resolve(args, config, "beta", 0.5)
     patch_size = _resolve(args, config, "patch_size", 16)
     alpha = _resolve(args, config, "alpha", 1.0)
-    render = bool(args.render or config.get("render", False))
+    render = args.render or _file_value(config, "render", False)
 
     paths, images = _input_images(args.in_dir)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     masks = []
     for idx, image in enumerate(images):
         rng = np.random.default_rng((masker.seed, _NS_CLI_MASK, idx))
         masks.append(mask_image(image, patch_size, masker, rng, alpha))
+    # shape before opening any output, so a data error leaves nothing behind
+    shaped = shape_batch(masks, beta, np.random.default_rng((masker.seed, _NS_CLI_SHAPE)))
 
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     with open(out / "masks.txt", "w", encoding="ascii") as fh:
         for mask in masks:
             fh.write(mask.to_line() + "\n")
-
-    shaped = shape_batch(masks, beta, np.random.default_rng((masker.seed, _NS_CLI_SHAPE)))
     with open(out / "batch.txt", "w", encoding="ascii") as fh:
         fh.write(shaped.to_debug_text())
 
@@ -152,6 +174,10 @@ def _cmd_calibrate(args):
 
     _, images = _input_images(args.in_dir)
     sample_size = _resolve(args, config, "sample_size", min(1024, len(images)))
+    if sample_size < 1:
+        raise ConfigError(f"sample_size must be >= 1, got {sample_size}")
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     sample = []
     for image in images[:sample_size]:
         sample.append(cosine_matrix(pixel_normalize(patchify(image, patch_size))))
@@ -206,11 +232,12 @@ def _cmd_train(args):
     if epochs < 1:
         raise ConfigError(f"epochs must be >= 1, got {epochs}")
 
+    patch_size = _file_value(dataset_cfg, "patch_size", 8)
     images, bags = color_block_dataset(
-        count=dataset_cfg.get("n_images", 16),
-        image_size=dataset_cfg.get("image_size", 32),
-        patch_size=dataset_cfg.get("patch_size", 8),
-        n_colors=dataset_cfg.get("n_colors", 8),
+        count=_file_value(dataset_cfg, "n_images", 16),
+        image_size=_file_value(dataset_cfg, "image_size", 32),
+        patch_size=patch_size,
+        n_colors=_file_value(dataset_cfg, "n_colors", 8),
         seed=masker.seed,
     )
     _, rows = train_loop(
@@ -218,7 +245,7 @@ def _cmd_train(args):
         bags,
         masker,
         epochs=epochs,
-        patch_size=dataset_cfg.get("patch_size", 8),
+        patch_size=patch_size,
         beta=beta,
         learning_rate=learning_rate,
         embed_dim=embed_dim,

@@ -54,8 +54,7 @@ class MaskerConfig:
                 f"unknown strategy {self.strategy!r}; choose from "
                 f"{[s.value for s in Strategy]}"
             )
-        if not 0.0 < self.anchor_ratio <= 0.5:
-            raise ConfigError(f"anchor_ratio must lie in (0, 0.5], got {self.anchor_ratio}")
+        _check_anchor_ratio(self.anchor_ratio)
         if not -1.0 <= self.threshold_r <= THRESHOLD_MAX:
             raise ConfigError(
                 f"threshold_r must lie in [-1, {THRESHOLD_MAX}], got {self.threshold_r}"
@@ -105,8 +104,15 @@ def _round_half_up(x):
     return int(math.floor(x + 0.5))
 
 
+def _check_anchor_ratio(anchor_ratio):
+    """Raise ConfigError unless anchor_ratio lies in (0, 0.5]."""
+    if not 0.0 < anchor_ratio <= 0.5:
+        raise ConfigError(f"anchor_ratio must lie in (0, 0.5], got {anchor_ratio}")
+
+
 def anchor_count(anchor_ratio, length):
     """Number of anchors: max(1, round(anchor_ratio * L)), half rounded up."""
+    _check_anchor_ratio(anchor_ratio)
     return max(1, _round_half_up(anchor_ratio * length))
 
 
@@ -127,8 +133,6 @@ def cluster_mask_from_anchors(sim, anchors, threshold_r):
 
 def cluster_mask(sim, anchor_ratio, threshold_r, rng):
     """Anchor-cluster mask with anchors sampled uniformly without replacement."""
-    if not 0.0 < anchor_ratio < 1.0:
-        raise ConfigError(f"anchor_ratio must lie in (0, 1), got {anchor_ratio}")
     length = np.asarray(sim).shape[0]
     anchors = rng.choice(length, size=anchor_count(anchor_ratio, length), replace=False)
     return cluster_mask_from_anchors(sim, anchors, threshold_r)

@@ -11,6 +11,7 @@ image content and same-color blocks cluster cleanly under cosine.
 
 import numpy as np
 
+from .errors import ConfigError
 from .patch_grid import Image
 
 _NS_IMAGE = 10
@@ -87,10 +88,14 @@ def color_block_dataset(count, image_size, patch_size, n_colors=8, seed=0):
 
     Returns (images, bags) with bags of shape (count, n_colors).
     """
+    if count < 1:
+        raise ConfigError(f"count must be >= 1, got {count}")
     if not 2 <= n_colors <= PALETTE.shape[0]:
-        raise ValueError(f"n_colors must lie in [2, {PALETTE.shape[0]}], got {n_colors}")
-    if image_size % patch_size:
-        raise ValueError("patch_size must divide image_size")
+        raise ConfigError(f"n_colors must lie in [2, {PALETTE.shape[0]}], got {n_colors}")
+    if patch_size < 1 or image_size < patch_size or image_size % patch_size:
+        raise ConfigError(
+            f"patch_size must be >= 1 and divide image_size, got {patch_size} and {image_size}"
+        )
     blocks = image_size // patch_size
 
     textures = []

@@ -259,6 +259,10 @@ def train_loop(
     encoders and one StepResult-shaped log row (step, loss, alpha,
     mean_mask_ratio) per step.
     """
+    if steps_per_epoch < 1:
+        raise ConfigError(f"steps_per_epoch must be >= 1, got {steps_per_epoch}")
+    if embed_dim < 1:
+        raise ConfigError(f"embed_dim must be >= 1, got {embed_dim}")
     bags = np.asarray(bags, dtype=np.float64)
     patch_dim = patchify(images[0], patch_size).patch_dim
     encoders = init_encoders(patch_dim, bags.shape[1], embed_dim, config.seed)

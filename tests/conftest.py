@@ -1,8 +1,13 @@
 import os
+from pathlib import Path
 
 # pin BLAS pools before numpy loads so timed tests run single-threaded
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
+
+# `python -m patchmask` child processes import the package under test
+_paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, _paths))
 
 import numpy as np
 import pytest
@@ -15,6 +20,6 @@ def rng():
 
 def random_similarity(rng, length, dim=8):
     """Similarity matrix of random unit-ish vectors (realistic cosine structure)."""
-    from patchmask._kernels import pairwise_cosine_numpy
+    from patchmask._kernels import pairwise_cosine
 
-    return pairwise_cosine_numpy(rng.standard_normal((length, dim)))
+    return pairwise_cosine(rng.standard_normal((length, dim)))

@@ -94,6 +94,12 @@ class TestCalibrateThreshold:
             calibrate_threshold(sample, 0.1, 1.2, rng=np.random.default_rng(0))
         with pytest.raises(ConfigError):
             calibrate_threshold(sample, 0.1, 0.5, tolerance=0.0, rng=np.random.default_rng(0))
+        with pytest.raises(ConfigError):
+            calibrate_threshold(sample, 0.1, 0.5, tolerance=float("nan"))
+        with pytest.raises(ConfigError):
+            calibrate_threshold(sample, 0.1, 0.5, max_iters=0)
+        with pytest.raises(ConfigError):
+            calibrate_threshold(sample, 0.7, 0.9)
 
     def test_report_json_fields(self, rng):
         import json

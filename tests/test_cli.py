@@ -156,6 +156,56 @@ class TestTrainCommand:
         assert len((out / "train_log.csv").read_text().splitlines()) == 3
 
 
+class TestConfigErrors:
+    @pytest.mark.parametrize(
+        "command, config, flags",
+        [
+            ("mask", {"patch_size": "16"}, []),
+            ("mask", {"anchor_ratio": None}, []),
+            ("mask", {"seed": 1.5}, []),
+            ("mask", {"kmeans_k": True}, []),
+            ("mask", {"strategy": 3}, []),
+            ("mask", {"render": 1}, []),
+            ("mask", {"threshold_r": float("inf")}, []),
+            ("train", {"dataset": {"n_images": "4"}}, []),
+            ("train", {"dataset": {"n_images": 0}}, []),
+            ("train", {"dataset": {"patch_size": 0}}, []),
+            ("train", {"dataset": {"patch_size": 3}}, []),
+            ("train", {"dataset": {"n_colors": 1}}, []),
+            ("train", {"steps_per_epoch": 0}, []),
+            ("train", {"embed_dim": 0}, []),
+            ("calibrate", {"sample_size": -1}, []),
+            ("calibrate", {"seed": -1}, []),
+            ("calibrate", {"max_iters": 0}, []),
+            ("calibrate", {"tolerance": float("nan")}, []),
+            ("calibrate", {}, ["--tolerance", "nan"]),
+            ("calibrate", {"anchor_ratio": -1}, []),
+            ("calibrate", {"anchor_ratio": 0}, []),
+            ("calibrate", {"anchor_ratio": 0.7, "target": 0.9}, []),
+        ],
+    )
+    def test_bad_value_exits_2(self, image_dir, tmp_path, capsys, command, config, flags):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        args = [command, "--config", path, *flags]
+        if command != "train":
+            args += ["--in", image_dir]
+        if command != "calibrate":
+            args += ["--out", tmp_path / "out"]
+        assert run_cli(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Traceback" not in err
+
+    def test_mixed_image_sizes_write_nothing(self, tmp_path):
+        directory = tmp_path / "imgs"
+        directory.mkdir()
+        save_image(smoothed_noise_images(1, 32, 32, 3, seed=1)[0], directory / "a.ppm")
+        save_image(smoothed_noise_images(1, 16, 16, 3, seed=2)[0], directory / "b.ppm")
+        out = tmp_path / "out"
+        assert run_cli(["mask", "--in", directory, "--out", out]) == 3
+        assert not out.exists()
+
+
 class TestStatsCommand:
     def test_reads_mask_lines(self, tmp_path, capsys):
         masks = tmp_path / "masks.txt"

@@ -48,10 +48,10 @@ class TestClusterMask:
         assert mask.masked.all()
 
     def test_four_patch_hand_case(self):
-        from patchmask._kernels import pairwise_cosine_numpy
+        from patchmask._kernels import pairwise_cosine
 
         vectors = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
-        sim = pairwise_cosine_numpy(vectors)
+        sim = pairwise_cosine(vectors)
         mask = cluster_mask_from_anchors(sim, [0], 0.5)
         assert set(np.flatnonzero(mask.masked)) == {0, 1}
         assert set(np.flatnonzero(mask.masked)) == brute_force_members(sim, [0], 0.5)
@@ -219,3 +219,12 @@ class TestMaskImage:
             MaskerConfig(seed=-1)
         with pytest.raises(ConfigError):
             MaskerConfig(threshold_r=1.2)
+
+    def test_cluster_mask_and_anchor_count_share_the_anchor_bound(self, rng):
+        sim = random_similarity(rng, 16)
+        assert anchor_count(0.5, 16) == 8
+        for bad in (0.0, -1.0, 0.7, float("nan")):
+            with pytest.raises(ConfigError):
+                anchor_count(bad, 16)
+            with pytest.raises(ConfigError):
+                cluster_mask(sim, bad, 0.5, rng)

@@ -1,79 +1,70 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
-import pytest
 
 from patchmask import _kernels
+from patchmask.cluster_masker import cluster_mask_from_anchors
 
 
-numba_missing = _kernels.pairwise_cosine_numba is None
+def loop_nearest(points, centroids):
+    """Reference: exact per-pair squared distances, first minimum wins."""
+    labels, best = [], []
+    for p in points:
+        d2 = [float(((p - c) ** 2).sum()) for c in centroids]
+        j = min(range(len(d2)), key=lambda i: (d2[i], i))
+        labels.append(j)
+        best.append(d2[j])
+    return np.array(labels), np.array(best)
 
 
-@pytest.mark.skipif(numba_missing, reason="numba path not active")
-class TestPathAgreement:
-    def test_pairwise_cosine(self, rng):
-        vectors = np.ascontiguousarray(rng.standard_normal((50, 24)))
-        fast = _kernels.pairwise_cosine_numba(vectors)
-        plain = _kernels.pairwise_cosine_numpy(vectors)
-        np.testing.assert_allclose(fast, plain, atol=1e-12)
+class TestNearestCentroids:
+    def test_matches_per_pair_loop(self, rng):
+        for _ in range(20):
+            points = rng.standard_normal((40, 6))
+            centroids = rng.standard_normal((5, 6)) * 2
+            labels, dists = _kernels.nearest_centroids(points, centroids)
+            ref_labels, ref_dists = loop_nearest(points, centroids)
+            np.testing.assert_array_equal(labels, ref_labels)
+            np.testing.assert_allclose(dists, ref_dists, rtol=1e-12, atol=0)
 
-    def test_masked_by_anchors_is_bit_identical(self, rng):
-        for _ in range(50):
-            sim = _kernels.pairwise_cosine_numpy(rng.standard_normal((30, 6)))
-            anchors = rng.choice(30, size=4, replace=False).astype(np.int64)
-            threshold = float(rng.uniform(-1.1, 1.1))
-            np.testing.assert_array_equal(
-                _kernels.masked_by_anchors_numba(sim, anchors, threshold),
-                _kernels.masked_by_anchors_numpy(sim, anchors, threshold),
-            )
+    def test_equidistant_point_takes_lower_index(self):
+        points = np.array([[0.0, 0.0], [0.0, 1.0]])
+        centroids = np.array([[2.0, 0.0], [1.0, 0.0], [-1.0, 0.0]])
+        labels, _ = _kernels.nearest_centroids(points, centroids)
+        np.testing.assert_array_equal(labels, [1, 1])
+        labels, _ = _kernels.nearest_centroids(points, centroids[::-1].copy())
+        np.testing.assert_array_equal(labels, [0, 0])
 
-    def test_nearest_centroids(self, rng):
-        points = np.ascontiguousarray(rng.standard_normal((60, 5)))
-        centroids = np.ascontiguousarray(rng.standard_normal((7, 5)) * 3)
-        fast_labels, fast_d = _kernels.nearest_centroids_numba(points, centroids)
-        plain_labels, plain_d = _kernels.nearest_centroids_numpy(points, centroids)
-        np.testing.assert_array_equal(fast_labels, plain_labels)
-        np.testing.assert_allclose(fast_d, plain_d, atol=1e-12)
-
-    def test_centroid_sums(self, rng):
-        points = np.ascontiguousarray(rng.standard_normal((60, 5)))
-        labels = rng.integers(0, 6, size=60).astype(np.int64)
-        fast_s, fast_c = _kernels.centroid_sums_numba(points, labels, 6)
-        plain_s, plain_c = _kernels.centroid_sums_numpy(points, labels, 6)
-        np.testing.assert_array_equal(fast_c, plain_c)
-        np.testing.assert_allclose(fast_s, plain_s, atol=1e-12)
+    def test_distance_is_squared_distance_to_assigned_centroid(self, rng):
+        points = rng.standard_normal((30, 4))
+        centroids = rng.standard_normal((7, 4))
+        labels, dists = _kernels.nearest_centroids(points, centroids)
+        expected = ((points - centroids[labels]) ** 2).sum(axis=1)
+        np.testing.assert_allclose(dists, expected, rtol=1e-12, atol=0)
 
 
-class TestPathSelection:
-    def test_env_flag_forces_numpy(self):
-        env = dict(os.environ, PATCHMASK_NO_NUMBA="1")
-        out = subprocess.run(
-            [sys.executable, "-c", "from patchmask import _kernels; print(_kernels.ACTIVE_IMPL)"],
-            capture_output=True, text=True, env=env,
-        )
-        assert out.returncode == 0
-        assert out.stdout.strip() == "numpy"
+class TestCentroidSums:
+    def test_matches_per_label_sum(self, rng):
+        points = rng.standard_normal((50, 5))
+        labels = rng.integers(0, 6, size=50)
+        sums, counts = _kernels.centroid_sums(points, labels, 6)
+        for j in range(6):
+            members = points[labels == j]
+            assert counts[j] == len(members)
+            np.testing.assert_allclose(sums[j], members.sum(axis=0), rtol=1e-12, atol=1e-12)
 
-    def test_numpy_path_produces_same_masks_in_subprocess(self, tmp_path):
-        # a full mask run on both paths must write identical bytes
-        script = tmp_path / "gen.py"
-        script.write_text(
-            "import numpy as np, sys\n"
-            "from patchmask.cluster_masker import cluster_mask\n"
-            "from patchmask._kernels import pairwise_cosine\n"
-            "vec = np.random.default_rng(0).standard_normal((40, 12))\n"
-            "sim = pairwise_cosine(np.ascontiguousarray(vec))\n"
-            "mask = cluster_mask(sim, 0.1, 0.2, np.random.default_rng(1))\n"
-            "sys.stdout.write(mask.to_line())\n"
-        )
-        outputs = []
-        for flag in ("0", "1"):
-            env = dict(os.environ, PATCHMASK_NO_NUMBA=flag)
-            proc = subprocess.run(
-                [sys.executable, str(script)], capture_output=True, text=True, env=env
-            )
-            assert proc.returncode == 0, proc.stderr
-            outputs.append(proc.stdout)
-        assert outputs[0] == outputs[1]
+    def test_absent_label_has_zero_count_and_row(self, rng):
+        points = rng.standard_normal((20, 3))
+        labels = np.where(rng.integers(0, 2, size=20) == 0, 0, 3)
+        sums, counts = _kernels.centroid_sums(points, labels, 4)
+        assert counts.dtype == np.int64
+        np.testing.assert_array_equal(counts[[1, 2]], [0, 0])
+        np.testing.assert_array_equal(sums[[1, 2]], np.zeros((2, 3)))
+        assert counts.sum() == 20
+
+
+class TestMaskedByAnchors:
+    def test_no_anchors_masks_nothing(self, rng):
+        sim = _kernels.pairwise_cosine(rng.standard_normal((12, 4)))
+        mask = cluster_mask_from_anchors(sim, [], -1.5)
+        assert mask.length == 12
+        assert not mask.masked.any()
+        assert mask.anchors.size == 0
