@@ -1,11 +1,29 @@
 """Command-line entry points: mask, calibrate, train, stats.
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4
-convergence failure. A JSON config file may supply any long-option value
-(keys use underscores); explicit command-line flags win over the file.
+Exit codes: 0 success, 2 configuration error, 3 data error (running out
+of memory included), 4 convergence failure.
+
+A JSON config file (--config) may set any of a command's config keys;
+a flag given on the command line wins over the file. The keys are
+
+  mask       strategy, anchor_ratio, threshold_r (--threshold), kmeans_k,
+             kmeans_max_iters (--kmeans-iters), kmeans_mask_fraction
+             (--kmeans-fraction), random_mask_ratio (--random-ratio),
+             seed, beta, patch_size, alpha, render
+  calibrate  anchor_ratio, target, tolerance, max_iters, patch_size,
+             sample_size, seed
+  train      mask's keys from strategy to beta, then epochs,
+             steps_per_epoch, learning_rate, temperature, alpha_exponent,
+             embed_dim, and dataset: an object with the keys n_images,
+             image_size, patch_size and n_colors. Only epochs and seed
+             have flags.
+
+A key without a flag in parentheses has the flag of its name with dashes
+for underscores.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -51,8 +69,8 @@ def _file_value(config, key, default):
     """Config-file value if present, else default.
 
     A file value must have the type of its default: an int default takes
-    an int but not a bool, a float default a finite int or float, a str
-    default a str and a bool default a bool.
+    an int but not a bool, a float default a finite int or float, a dict
+    default an object, a str default a str and a bool default a bool.
     """
     if key not in config:
         return default
@@ -64,6 +82,8 @@ def _file_value(config, key, default):
         ok, kind = number and isinstance(value, int), "an integer"
     elif isinstance(default, float):
         ok, kind = number and math.isfinite(value), "a finite number"
+    elif isinstance(default, dict):
+        ok, kind = isinstance(value, dict), "an object"
     else:
         ok, kind = isinstance(value, str), "a string"
     if not ok:
@@ -71,18 +91,46 @@ def _file_value(config, key, default):
     return value
 
 
-def _resolve(args, config, key, default):
-    """CLI flag if given, else config-file value, else default."""
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    return _file_value(config, key, default)
+def _options(args, config, defaults):
+    """Value of each key in a command's table: the flag if given, else
+    the config-file value, else the table's default.
 
-
-def _check_config_keys(config, allowed):
-    unknown = set(config) - allowed
+    A config key the table lacks is a ConfigError; args may be None for a
+    sub-table that has no flags.
+    """
+    unknown = set(config) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    options = {}
+    for key, default in defaults.items():
+        flag = getattr(args, key, None)
+        options[key] = _file_value(config, key, default) if flag is None else flag
+    return options
+
+
+# One table per command, from config key to default: the only place that
+# names a command's config keys.
+_MASKER = {field.name: field.default for field in dataclasses.fields(MaskerConfig)}
+_MASK = {**_MASKER, "beta": 0.5, "patch_size": 16, "alpha": 1.0, "render": False}
+_CALIBRATE = {
+    **{key: _MASK[key] for key in ("anchor_ratio", "patch_size", "seed")},
+    "target": 0.5,
+    "tolerance": DEFAULT_TOLERANCE,
+    "max_iters": DEFAULT_MAX_ITERS,
+    "sample_size": 1024,
+}
+# keyword arguments of train_loop
+_TRAIN_LOOP = {
+    "beta": _MASK["beta"],
+    "epochs": 20,
+    "steps_per_epoch": 1,
+    "learning_rate": 0.5,
+    "temperature": 0.07,
+    "alpha_exponent": 1.0,
+    "embed_dim": 16,
+}
+_DATASET = {"n_images": 16, "image_size": 32, "patch_size": 8, "n_colors": 8}
+_TRAIN = {**_MASKER, **_TRAIN_LOOP, "dataset": _DATASET}
 
 
 def _input_images(directory):
@@ -95,47 +143,20 @@ def _input_images(directory):
     return paths, [load_image(p) for p in paths]
 
 
-def _masker_config(args, config):
-    return MaskerConfig(
-        strategy=_resolve(args, config, "strategy", Strategy.CLUSTER_RGB.value),
-        anchor_ratio=_resolve(args, config, "anchor_ratio", 0.03),
-        threshold_r=_resolve(args, config, "threshold_r", 0.5),
-        kmeans_k=_resolve(args, config, "kmeans_k", 12),
-        kmeans_max_iters=_resolve(args, config, "kmeans_max_iters", 10),
-        kmeans_mask_fraction=_resolve(args, config, "kmeans_mask_fraction", 0.5),
-        random_mask_ratio=_resolve(args, config, "random_mask_ratio", 0.5),
-        seed=_resolve(args, config, "seed", 0),
-    )
-
-
-_MASKER_KEYS = {
-    "strategy",
-    "anchor_ratio",
-    "threshold_r",
-    "kmeans_k",
-    "kmeans_max_iters",
-    "kmeans_mask_fraction",
-    "random_mask_ratio",
-    "seed",
-}
-
-
 def _cmd_mask(args):
-    config = _load_config_file(args.config)
-    _check_config_keys(config, _MASKER_KEYS | {"beta", "patch_size", "render", "alpha"})
-    masker = _masker_config(args, config)
-    beta = _resolve(args, config, "beta", 0.5)
-    patch_size = _resolve(args, config, "patch_size", 16)
-    alpha = _resolve(args, config, "alpha", 1.0)
-    render = args.render or _file_value(config, "render", False)
+    options = _options(args, _load_config_file(args.config), _MASK)
+    masker = MaskerConfig(**{key: options[key] for key in _MASKER})
+    patch_size = options["patch_size"]
 
     paths, images = _input_images(args.in_dir)
     masks = []
     for idx, image in enumerate(images):
         rng = np.random.default_rng((masker.seed, _NS_CLI_MASK, idx))
-        masks.append(mask_image(image, patch_size, masker, rng, alpha))
+        masks.append(mask_image(image, patch_size, masker, rng, options["alpha"]))
     # shape before opening any output, so a data error leaves nothing behind
-    shaped = shape_batch(masks, beta, np.random.default_rng((masker.seed, _NS_CLI_SHAPE)))
+    shaped = shape_batch(
+        masks, options["beta"], np.random.default_rng((masker.seed, _NS_CLI_SHAPE))
+    )
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -145,7 +166,7 @@ def _cmd_mask(args):
     with open(out / "batch.txt", "w", encoding="ascii") as fh:
         fh.write(shaped.to_debug_text())
 
-    if render:
+    if options["render"]:
         for path, image, mask in zip(paths, images, masks):
             save_image(render_mask(image, mask, patch_size), out / f"{path.stem}_masked{path.suffix}")
     if args.dump_sim:
@@ -160,34 +181,24 @@ def _cmd_mask(args):
 
 
 def _cmd_calibrate(args):
-    config = _load_config_file(args.config)
-    _check_config_keys(
-        config,
-        {"anchor_ratio", "target", "tolerance", "max_iters", "patch_size", "seed", "sample_size"},
-    )
-    anchor_ratio = _resolve(args, config, "anchor_ratio", 0.03)
-    target = _resolve(args, config, "target", 0.5)
-    tolerance = _resolve(args, config, "tolerance", DEFAULT_TOLERANCE)
-    max_iters = _resolve(args, config, "max_iters", DEFAULT_MAX_ITERS)
-    patch_size = _resolve(args, config, "patch_size", 16)
-    seed = _resolve(args, config, "seed", 0)
+    options = _options(args, _load_config_file(args.config), _CALIBRATE)
+    sample_size, seed = options["sample_size"], options["seed"]
 
     _, images = _input_images(args.in_dir)
-    sample_size = _resolve(args, config, "sample_size", min(1024, len(images)))
     if sample_size < 1:
         raise ConfigError(f"sample_size must be >= 1, got {sample_size}")
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
     sample = []
     for image in images[:sample_size]:
-        sample.append(cosine_matrix(pixel_normalize(patchify(image, patch_size))))
+        sample.append(cosine_matrix(pixel_normalize(patchify(image, options["patch_size"]))))
 
     report = calibrate_threshold(
         sample,
-        anchor_ratio=anchor_ratio,
-        target_ratio=target,
-        tolerance=tolerance,
-        max_iters=max_iters,
+        anchor_ratio=options["anchor_ratio"],
+        target_ratio=options["target"],
+        tolerance=options["tolerance"],
+        max_iters=options["max_iters"],
         rng=np.random.default_rng((seed, _NS_CLI_CALIBRATE)),
     )
     if args.calibration_out:
@@ -200,58 +211,24 @@ def _cmd_calibrate(args):
     return 0 if report.converged else 4
 
 
-_TRAIN_KEYS = _MASKER_KEYS | {
-    "beta",
-    "epochs",
-    "steps_per_epoch",
-    "learning_rate",
-    "temperature",
-    "alpha_exponent",
-    "embed_dim",
-    "dataset",
-}
-_DATASET_KEYS = {"n_images", "image_size", "patch_size", "n_colors"}
-
-
 def _cmd_train(args):
-    config = _load_config_file(args.config)
-    _check_config_keys(config, _TRAIN_KEYS)
-    dataset_cfg = config.get("dataset", {})
-    if not isinstance(dataset_cfg, dict):
-        raise ConfigError("dataset config must be a JSON object")
-    _check_config_keys(dataset_cfg, _DATASET_KEYS)
+    options = _options(args, _load_config_file(args.config), _TRAIN)
+    dataset = _options(None, options["dataset"], _DATASET)
+    masker = MaskerConfig(**{key: options[key] for key in _MASKER})
 
-    masker = _masker_config(args, config)
-    beta = _resolve(args, config, "beta", 0.5)
-    epochs = _resolve(args, config, "epochs", 20)
-    steps_per_epoch = _resolve(args, config, "steps_per_epoch", 1)
-    learning_rate = _resolve(args, config, "learning_rate", 0.5)
-    temperature = _resolve(args, config, "temperature", 0.07)
-    alpha_exponent = _resolve(args, config, "alpha_exponent", 1.0)
-    embed_dim = _resolve(args, config, "embed_dim", 16)
-    if epochs < 1:
-        raise ConfigError(f"epochs must be >= 1, got {epochs}")
-
-    patch_size = _file_value(dataset_cfg, "patch_size", 8)
     images, bags = color_block_dataset(
-        count=_file_value(dataset_cfg, "n_images", 16),
-        image_size=_file_value(dataset_cfg, "image_size", 32),
-        patch_size=patch_size,
-        n_colors=_file_value(dataset_cfg, "n_colors", 8),
+        count=dataset["n_images"],
+        image_size=dataset["image_size"],
+        patch_size=dataset["patch_size"],
+        n_colors=dataset["n_colors"],
         seed=masker.seed,
     )
     _, rows = train_loop(
         images,
         bags,
         masker,
-        epochs=epochs,
-        patch_size=patch_size,
-        beta=beta,
-        learning_rate=learning_rate,
-        embed_dim=embed_dim,
-        steps_per_epoch=steps_per_epoch,
-        alpha_exponent=alpha_exponent,
-        temperature=temperature,
+        patch_size=dataset["patch_size"],
+        **{key: options[key] for key in _TRAIN_LOOP},
     )
 
     out = Path(args.out_dir)
@@ -301,7 +278,8 @@ def build_parser():
     mask.add_argument("--alpha", type=float,
                       help="pixel-cosine weight for the cluster-embedding strategy")
     mask.add_argument("--seed", type=int)
-    mask.add_argument("--render", action="store_true", help="write mask overlay images")
+    mask.add_argument("--render", action="store_true", default=None,
+                      help="write mask overlay images")
     mask.add_argument("--dump-sim", action="store_true", help="write similarity TSVs")
     mask.set_defaults(func=_cmd_mask)
 
@@ -342,7 +320,7 @@ def main(argv=None):
     except ConvergenceError as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
         return 4
-    except (DataError, OSError) as exc:
+    except (DataError, OSError, MemoryError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
 

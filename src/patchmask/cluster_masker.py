@@ -17,7 +17,7 @@ import numpy as np
 from ._kernels import centroid_sums, masked_by_anchors, nearest_centroids
 from .errors import ConfigError, DataError
 from .patch_grid import PatchGrid, patchify, pixel_normalize
-from .similarity import blend, cosine_matrix, toy_patch_embedding
+from .similarity import blend, check_alpha, cosine_matrix, toy_patch_embedding
 
 # calibration may push the threshold slightly above the cosine maximum so
 # the anchors-only regime is reachable; configs accept the same range
@@ -234,9 +234,11 @@ def mask_image(image, patch_size, config, rng, alpha=1.0):
     """Generate a mask for one image under the configured strategy.
 
     alpha weights the RGB similarity against the embedding similarity and
-    only matters for the cluster-embedding strategy; the embedding
-    projection is frozen per run, seeded from config.seed.
+    only matters for the cluster-embedding strategy, but every strategy
+    rejects a value outside [0, 1]; the embedding projection is frozen per
+    run, seeded from config.seed.
     """
+    check_alpha(alpha)
     grid = patchify(image, patch_size)
     if config.strategy is Strategy.RANDOM:
         return random_mask(grid.n_patches, config.random_mask_ratio, rng)

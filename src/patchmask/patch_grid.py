@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 # patches with population std below this are treated as constant and
 # normalize to the all-zero vector
@@ -72,10 +72,12 @@ def patchify(image, patch_size):
 
     patch_size must divide both image dimensions; patch (i, j) holds
     exactly the pixels of spatial block (i, j), flattened in the fixed
-    order documented at module level. The result is unnormalized.
+    order documented at module level. The result is unnormalized. A
+    patch_size below 1 is a ConfigError, one that does not divide the
+    image a DataError.
     """
     if patch_size < 1:
-        raise DataError(f"patch_size must be positive, got {patch_size}")
+        raise ConfigError(f"patch_size must be positive, got {patch_size}")
     h, w, c = image.data.shape
     if h % patch_size or w % patch_size:
         raise DataError(

@@ -17,6 +17,7 @@ __all__ = [
     "COSINE_EPS",
     "FeatureGrid",
     "blend",
+    "check_alpha",
     "cosine_matrix",
     "sincos_position_encoding",
     "toy_patch_embedding",
@@ -62,14 +63,19 @@ def cosine_matrix(grid):
     return pairwise_cosine(np.ascontiguousarray(vectors, dtype=np.float64))
 
 
+def check_alpha(alpha):
+    """Raise ConfigError unless the blend weight alpha lies in [0, 1]."""
+    if not 0.0 <= alpha <= 1.0:
+        raise ConfigError(f"blend alpha must lie in [0, 1], got {alpha}")
+
+
 def blend(rgb, emb, alpha):
     """Weighted sum alpha * rgb + (1 - alpha) * emb of two similarity matrices."""
     rgb = np.asarray(rgb, dtype=np.float64)
     emb = np.asarray(emb, dtype=np.float64)
     if rgb.shape != emb.shape:
         raise DataError(f"similarity size mismatch: {rgb.shape} vs {emb.shape}")
-    if not 0.0 <= alpha <= 1.0:
-        raise ConfigError(f"blend alpha must lie in [0, 1], got {alpha}")
+    check_alpha(alpha)
     return alpha * rgb + (1.0 - alpha) * emb
 
 

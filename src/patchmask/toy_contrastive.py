@@ -8,13 +8,14 @@ representation quality. Gradients are analytic and full-batch, no
 momentum, so every step is deterministic given (inputs, seed, step).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .batch_shaping import shape_batch
 from .cluster_masker import mask_image, mask_ratio
-from .errors import ConfigError, DataError
+from .errors import ConfigError, ConvergenceError, DataError
 from .patch_grid import patchify
 
 _NORM_GUARD = 1e-12
@@ -257,20 +258,24 @@ def train_loop(
 
     The blend coefficient advances once per epoch. Returns the final
     encoders and one StepResult-shaped log row (step, loss, alpha,
-    mean_mask_ratio) per step.
+    mean_mask_ratio) per step. A step whose loss is not finite, as after
+    a learning rate large enough to overflow the weights, raises
+    ConvergenceError.
     """
     if steps_per_epoch < 1:
         raise ConfigError(f"steps_per_epoch must be >= 1, got {steps_per_epoch}")
     if embed_dim < 1:
         raise ConfigError(f"embed_dim must be >= 1, got {embed_dim}")
-    bags = np.asarray(bags, dtype=np.float64)
-    patch_dim = patchify(images[0], patch_size).patch_dim
-    encoders = init_encoders(patch_dim, bags.shape[1], embed_dim, config.seed)
+    if not learning_rate > 0.0:
+        raise ConfigError(f"learning_rate must be positive, got {learning_rate}")
     state = TrainState(
         epoch_total=epochs,
         alpha_exponent=alpha_exponent,
         temperature=temperature,
     )
+    bags = np.asarray(bags, dtype=np.float64)
+    patch_dim = patchify(images[0], patch_size).patch_dim
+    encoders = init_encoders(patch_dim, bags.shape[1], embed_dim, config.seed)
     rows = []
     for epoch in range(epochs):
         state.epoch_current = epoch
@@ -278,6 +283,8 @@ def train_loop(
             encoders, result = train_step(
                 encoders, images, bags, config, state, patch_size, beta, learning_rate
             )
+            if not math.isfinite(result.loss):
+                raise ConvergenceError(f"loss is {result.loss} at step {state.step}")
             rows.append((state.step, result.loss, result.alpha, result.mean_mask_ratio))
             state.step += 1
     return encoders, rows

@@ -1,11 +1,16 @@
 import json
 import subprocess
 import sys
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from patchmask.cli import main
+from patchmask.cli import _CALIBRATE, _DATASET, _MASK, _TRAIN, main
 from patchmask.pnm import save_image
 from patchmask.synthetic import smoothed_noise_images
 
@@ -155,6 +160,28 @@ class TestTrainCommand:
         assert run_cli(["train", "--config", config, "--out", out, "--epochs", "2"]) == 0
         assert len((out / "train_log.csv").read_text().splitlines()) == 3
 
+    def test_overflowing_learning_rate_exits_4(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "learning_rate": 1e308, "epochs": 3,
+            "dataset": {"n_images": 4, "image_size": 16, "patch_size": 4},
+        }))
+        out = tmp_path / "log"
+        with pytest.warns(RuntimeWarning):
+            assert run_cli(["train", "--config", config, "--out", out]) == 4
+        assert not (out / "train_log.csv").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("convergence failure: loss is nan") and "Traceback" not in err
+
+    def test_out_of_memory_is_data_error(self, tmp_path, capsys):
+        # 10**12 x 192 float64 weights exceed the address space, so the
+        # allocation fails before anything is allocated
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"embed_dim": 10**12}))
+        assert run_cli(["train", "--config", config, "--out", tmp_path / "log"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1
+
 
 class TestConfigErrors:
     @pytest.mark.parametrize(
@@ -182,6 +209,13 @@ class TestConfigErrors:
             ("calibrate", {"anchor_ratio": -1}, []),
             ("calibrate", {"anchor_ratio": 0}, []),
             ("calibrate", {"anchor_ratio": 0.7, "target": 0.9}, []),
+            ("mask", {"alpha": 2}, []),
+            ("mask", {}, ["--alpha", "nan"]),
+            ("mask", {"patch_size": 0}, []),
+            ("calibrate", {"patch_size": -4}, []),
+            ("train", {"epochs": 0}, []),
+            ("train", {"learning_rate": -1}, []),
+            ("train", {"dataset": 3}, []),
         ],
     )
     def test_bad_value_exits_2(self, image_dir, tmp_path, capsys, command, config, flags):
@@ -194,7 +228,7 @@ class TestConfigErrors:
             args += ["--out", tmp_path / "out"]
         assert run_cli(args) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: ") and "Traceback" not in err
+        assert err.startswith("config error: ") and err.count("\n") == 1
 
     def test_mixed_image_sizes_write_nothing(self, tmp_path):
         directory = tmp_path / "imgs"
@@ -204,6 +238,61 @@ class TestConfigErrors:
         out = tmp_path / "out"
         assert run_cli(["mask", "--in", directory, "--out", out]) == 3
         assert not out.exists()
+
+
+# config values: wrong types, null, bools, NaN, small and boundary numbers
+_VALUES = st.sampled_from(
+    [None, True, False, "16", "kmeans", [1], {}, float("nan"), -1, 0, 0.5, 1, 1.5, 2, 3]
+)
+_HEADER_TOKENS = [b"", b"P3", b"P5", b"P6", b"-1", b"0", b"1", b"8", b"16", b"17",
+                  b"255", b"256", b"65535", b"65536", b"x", b"#"]
+
+
+def _configs(table, values):
+    return st.dictionaries(st.sampled_from(sorted(table) + ["bogus"]), values, max_size=4)
+
+
+_CONFIGS = {
+    "mask": _configs(_MASK, _VALUES),
+    "calibrate": _configs(_CALIBRATE, _VALUES),
+    "train": _configs(_TRAIN, st.one_of(_VALUES, _configs(_DATASET, _VALUES))),
+}
+# keeps a drawn train run to a few tiny steps
+_SMALL_TRAIN = {"epochs": 2, "dataset": {"n_images": 4, "image_size": 16, "patch_size": 4}}
+
+
+@st.composite
+def _ppm_16x16(draw):
+    """A 16x16 P6 file with one header token replaced."""
+    tokens = [b"P6", b"16", b"16", b"255"]
+    tokens[draw(st.integers(0, 3))] = draw(st.sampled_from(_HEADER_TOKENS))
+    return b"\n".join(tokens) + b"\n" + bytes(range(256)) * 3
+
+
+class TestExitCodeContract:
+    @pytest.mark.parametrize("command", sorted(_CONFIGS))
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_any_config_or_header_exits_0_2_3_or_4(self, command, data):
+        config = data.draw(_CONFIGS[command])
+        if command == "train":
+            dataset = config.get("dataset", {})
+            if isinstance(dataset, dict):
+                config["dataset"] = {**_SMALL_TRAIN["dataset"], **dataset}
+            config = {**_SMALL_TRAIN, **config}
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+            # a warning (K-Means reducing k on a flat image) is no exit
+            warnings.simplefilter("ignore")
+            root = Path(tmp)
+            (root / "cfg.json").write_text(json.dumps(config))
+            (root / "imgs").mkdir()
+            (root / "imgs" / "a.ppm").write_bytes(data.draw(_ppm_16x16()))
+            args = [command, "--config", root / "cfg.json"]
+            if command != "train":
+                args += ["--in", root / "imgs"]
+            if command != "calibrate":
+                args += ["--out", root / "out"]
+            assert run_cli(args) in (0, 2, 3, 4)
 
 
 class TestStatsCommand:

@@ -208,6 +208,14 @@ class TestMaskImage:
         else:
             assert a.anchors.size == 0
 
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_every_strategy_rejects_alpha_outside_unit_interval(self, rng, strategy):
+        image = Image(data=rng.random((32, 32, 3)))
+        config = MaskerConfig(strategy=strategy, kmeans_k=4)
+        for bad in (-0.5, 2.0, float("nan")):
+            with pytest.raises(ConfigError):
+                mask_image(image, 8, config, rng, alpha=bad)
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             MaskerConfig(anchor_ratio=0.7)
