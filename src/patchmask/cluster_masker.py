@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._kernels import centroid_sums, masked_by_anchors, nearest_centroids
+from ._kernels import centroid_sums, distinct_rows, masked_by_anchors, nearest_centroids
 from .errors import ConfigError, DataError
 from .patch_grid import PatchGrid, patchify, pixel_normalize
 from .similarity import blend, check_alpha, cosine_matrix, toy_patch_embedding
@@ -154,7 +154,7 @@ def kmeans_cluster(vectors, k, max_iters, rng):
     n = vectors.shape[0]
     if n < k:
         raise DataError(f"need at least k={k} patches, got {n}")
-    distinct = np.unique(vectors, axis=0)
+    distinct = distinct_rows(vectors)
     if distinct.shape[0] < k:
         warnings.warn(
             f"only {distinct.shape[0]} distinct patch vectors; reducing k from {k}",

@@ -233,11 +233,14 @@ def train_step(encoders, images, bags, config, state, patch_size, beta, learning
     advances state.step / state.epoch_current between calls.
     """
     inputs = prepare_step_inputs(images, config, state, patch_size, beta)
-    loss, d_wi, d_wt = loss_and_grads(inputs.pooled, bags, encoders, state.temperature)
-    updated = ToyEncoders(
-        w_image=encoders.w_image - learning_rate * d_wi,
-        w_text=encoders.w_text - learning_rate * d_wt,
-    )
+    # weights that overflow make the loss non-finite, which train_loop
+    # reports; numpy's warnings on the way would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss, d_wi, d_wt = loss_and_grads(inputs.pooled, bags, encoders, state.temperature)
+        updated = ToyEncoders(
+            w_image=encoders.w_image - learning_rate * d_wi,
+            w_text=encoders.w_text - learning_rate * d_wt,
+        )
     return updated, StepResult(loss=loss, alpha=inputs.alpha, mean_mask_ratio=inputs.mean_mask_ratio)
 
 

@@ -11,6 +11,12 @@ os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, _paths))
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# every run draws the same examples, and no example database replays
+# earlier failures in a different order
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture

@@ -167,11 +167,13 @@ class TestTrainCommand:
             "dataset": {"n_images": 4, "image_size": 16, "patch_size": 4},
         }))
         out = tmp_path / "log"
-        with pytest.warns(RuntimeWarning):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             assert run_cli(["train", "--config", config, "--out", out]) == 4
+        assert [str(w.message) for w in caught] == []
         assert not (out / "train_log.csv").exists()
         err = capsys.readouterr().err
-        assert err.startswith("convergence failure: loss is nan") and "Traceback" not in err
+        assert err.startswith("convergence failure: loss is nan") and err.count("\n") == 1
 
     def test_out_of_memory_is_data_error(self, tmp_path, capsys):
         # 10**12 x 192 float64 weights exceed the address space, so the

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_similarity
+from patchmask import cluster_masker
 from patchmask.cluster_masker import (
     Mask,
     MaskerConfig,
@@ -21,7 +23,8 @@ from patchmask.cluster_masker import (
     random_mask,
 )
 from patchmask.errors import ConfigError, DataError
-from patchmask.patch_grid import Image
+from patchmask.patch_grid import Image, patchify, pixel_normalize
+from patchmask.synthetic import smoothed_noise_images
 
 
 def brute_force_members(sim, anchors, threshold):
@@ -151,6 +154,98 @@ class TestKMeansMask:
     def test_fewer_points_than_k(self, rng):
         with pytest.raises(DataError):
             kmeans_cluster(rng.standard_normal((3, 2)), 5, 10, rng)
+
+
+def frozen_kmeans_cluster(vectors, k, max_iters, rng):
+    """kmeans_cluster as it was before the screened kernels, with its
+    kernels inlined: np.unique for the distinct rows, the broadcast
+    distance formula and np.add.at sums. Also returns how many centroid
+    updates ran."""
+    vectors = np.ascontiguousarray(vectors, dtype=np.float64)
+    distinct = np.unique(vectors, axis=0)
+    k = min(k, distinct.shape[0])
+    centroids = np.ascontiguousarray(distinct[rng.choice(distinct.shape[0], size=k, replace=False)])
+
+    def nearest(c):
+        d2 = ((vectors[:, None, :] - c[None, :, :]) ** 2).sum(axis=2)
+        labels = np.argmin(d2, axis=1)
+        return labels, d2[np.arange(vectors.shape[0]), labels]
+
+    labels, dists = nearest(centroids)
+    updates = 0
+    for _ in range(max_iters):
+        updates += 1
+        sums = np.zeros((k, vectors.shape[1]))
+        np.add.at(sums, labels, vectors)
+        counts = np.bincount(labels, minlength=k)
+        occupied = counts > 0
+        centroids = np.where(occupied[:, None], sums / np.maximum(counts, 1)[:, None], centroids)
+        if not occupied.all():
+            farness = dists.copy()
+            for j in np.flatnonzero(~occupied):
+                far = int(np.argmax(farness))
+                centroids[j] = vectors[far]
+                farness[far] = -1.0
+        centroids = np.ascontiguousarray(centroids)
+        new_labels, new_dists = nearest(centroids)
+        if np.array_equal(new_labels, labels):
+            break
+        labels, dists = new_labels, new_dists
+    return labels, centroids, updates
+
+
+def frozen_kmeans_mask_detail(vectors, k, max_iters, mask_fraction, rng):
+    labels, centroids, updates = frozen_kmeans_cluster(vectors, k, max_iters, rng)
+    k_eff = centroids.shape[0]
+    chosen = np.sort(rng.choice(k_eff, size=math.ceil(mask_fraction * k_eff - 1e-9), replace=False))
+    return labels, centroids, chosen, updates
+
+
+def regression_images():
+    """Seeded smooth noise, a flat image, repeated blocks (fewer distinct
+    patches than k) and noise with a flat and a repeated region, 96x96."""
+    rng = np.random.default_rng(4242)
+    noise, mixed = (smoothed_noise_images(1, 96, 96, 3, seed=s)[0].data for s in (3, 5))
+    blocks = np.tile(rng.random((8, 8, 3)), (12, 12, 1))
+    blocks[:8, :8] = rng.random((8, 8, 3))
+    blocks[8:16, :8] = rng.random((8, 8, 3))
+    mixed[:24, :24] = 0.4
+    mixed[48:, 48:] = np.tile(rng.random((8, 8, 3)), (6, 6, 1))
+    return {"noise": noise, "flat": np.full((96, 96, 3), 0.7), "blocks": blocks, "mixed": mixed}
+
+
+class TestKMeansRegression:
+    """kmeans_mask_detail returns bit for bit what it returned before the
+    screened kernels, and calls nearest_centroids once per centroid update
+    plus once for the initial assignment."""
+
+    @pytest.mark.parametrize("name", ["noise", "flat", "blocks", "mixed"])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_matches_frozen_kmeans(self, monkeypatch, name, seed):
+        grid = pixel_normalize(patchify(Image(data=regression_images()[name]), 8))
+        nearest_centroids = cluster_masker.nearest_centroids
+        calls = []
+
+        def counted(points, centroids):
+            calls.append(centroids.shape[0])
+            return nearest_centroids(points, centroids)
+
+        monkeypatch.setattr(cluster_masker, "nearest_centroids", counted)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # k shrinks on flat and blocks
+            mask, labels, centroids, chosen = kmeans_mask_detail(
+                grid, 12, 10, 0.5, np.random.default_rng(seed)
+            )
+            ref_labels, ref_centroids, ref_chosen, updates = frozen_kmeans_mask_detail(
+                grid.patches, 12, 10, 0.5, np.random.default_rng(seed)
+            )
+        np.testing.assert_array_equal(labels, ref_labels)
+        np.testing.assert_array_equal(centroids.view(np.uint64), ref_centroids.view(np.uint64))
+        np.testing.assert_array_equal(chosen, ref_chosen)
+        np.testing.assert_array_equal(mask.masked, np.isin(ref_labels, ref_chosen))
+        assert len(calls) == updates + 1
+        if name in ("flat", "blocks"):
+            assert centroids.shape[0] < 12
 
 
 class TestRandomMask:
