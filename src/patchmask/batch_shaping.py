@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cluster_masker import mask_image
 from .errors import ConfigError, DataError
 
 
@@ -82,3 +83,11 @@ def shape_batch(masks, beta, rng):
         kept[i, : visible.size] = visible
         attention[i, : visible.size] = True
     return ShapedBatch(kept_indices=kept, attention=attention, length=length, beta=float(beta))
+
+
+def mask_batch(grids, config, beta, alpha, mask_key, shape_key):
+    """Mask grid i with mask_image and default_rng((*mask_key, i)), then shape
+    the masks with default_rng(shape_key). Returns (masks, shaped batch)."""
+    masks = [mask_image(grid, config, np.random.default_rng((*mask_key, i)), alpha)
+             for i, grid in enumerate(grids)]
+    return masks, shape_batch(masks, beta, np.random.default_rng(shape_key))

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cluster_masker import anchor_count, cluster_mask_from_anchors, mask_ratio
+from .cluster_masker import cluster_mask_from_anchors, draw_anchors, mask_ratio
 from .errors import ConfigError, ConvergenceError
 
 R_MIN = -1.0
@@ -47,12 +47,8 @@ class CalibrationReport:
 
 
 def draw_anchor_sets(sample, anchor_ratio, rng):
-    """One frozen anchor set per similarity matrix in the sample."""
-    sets = []
-    for sim in sample:
-        length = sim.shape[0]
-        sets.append(rng.choice(length, size=anchor_count(anchor_ratio, length), replace=False))
-    return sets
+    """One frozen anchor set per similarity matrix, drawn as cluster_mask draws."""
+    return [draw_anchors(sim.shape[0], anchor_ratio, rng) for sim in sample]
 
 
 def mean_mask_ratio(sample, anchor_sets, r):

@@ -31,14 +31,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .batch_shaping import shape_batch
+from .batch_shaping import mask_batch
 from .calibration import DEFAULT_MAX_ITERS, DEFAULT_TOLERANCE, calibrate_threshold
-from .cluster_masker import Mask, MaskerConfig, Strategy, mask_image
+from .cluster_masker import Mask, MaskerConfig, Strategy
 from .errors import ConfigError, ConvergenceError, DataError
-from .patch_grid import patchify, pixel_normalize
+from .patch_grid import patchify, pixel_normalize, unpatchify
 from .pnm import load_image, save_image
 from .render import render_mask
-from .similarity import cosine_matrix
+from .similarity import check_alpha, cosine_matrix
 from .stats import stats_report
 from .synthetic import color_block_dataset
 from .toy_contrastive import train_loop
@@ -133,29 +133,29 @@ _DATASET = {"n_images": 16, "image_size": 32, "patch_size": 8, "n_colors": 8}
 _TRAIN = {**_MASKER, **_TRAIN_LOOP, "dataset": _DATASET}
 
 
-def _input_images(directory):
+def _input_grids(directory, patch_size, limit=None):
+    """The first limit image paths in directory by name (all by default) and
+    their patch grids; no image is held beyond its patchify."""
     root = Path(directory)
     if not root.is_dir():
         raise DataError(f"input directory not found: {directory}")
-    paths = sorted(p for p in root.iterdir() if p.suffix.lower() in _IMAGE_SUFFIXES)
+    paths = sorted(p for p in root.iterdir() if p.suffix.lower() in _IMAGE_SUFFIXES)[:limit]
     if not paths:
         raise DataError(f"no .ppm/.pgm/.pnm files in {directory}")
-    return paths, [load_image(p) for p in paths]
+    return paths, [patchify(load_image(p), patch_size) for p in paths]
 
 
 def _cmd_mask(args):
     options = _options(args, _load_config_file(args.config), _MASK)
     masker = MaskerConfig(**{key: options[key] for key in _MASKER})
     patch_size = options["patch_size"]
+    check_alpha(options["alpha"])  # a bad alpha is reported before any image loads
 
-    paths, images = _input_images(args.in_dir)
-    masks = []
-    for idx, image in enumerate(images):
-        rng = np.random.default_rng((masker.seed, _NS_CLI_MASK, idx))
-        masks.append(mask_image(image, patch_size, masker, rng, options["alpha"]))
+    paths, grids = _input_grids(args.in_dir, patch_size)
     # shape before opening any output, so a data error leaves nothing behind
-    shaped = shape_batch(
-        masks, options["beta"], np.random.default_rng((masker.seed, _NS_CLI_SHAPE))
+    masks, shaped = mask_batch(
+        grids, masker, options["beta"], options["alpha"],
+        (masker.seed, _NS_CLI_MASK), (masker.seed, _NS_CLI_SHAPE),
     )
 
     out = Path(args.out_dir)
@@ -167,11 +167,12 @@ def _cmd_mask(args):
         fh.write(shaped.to_debug_text())
 
     if options["render"]:
-        for path, image, mask in zip(paths, images, masks):
+        for path, grid, mask in zip(paths, grids, masks):
+            image = unpatchify(grid)
             save_image(render_mask(image, mask, patch_size), out / f"{path.stem}_masked{path.suffix}")
     if args.dump_sim:
-        for path, image in zip(paths, images):
-            sim = cosine_matrix(pixel_normalize(patchify(image, patch_size)))
+        for path, grid in zip(paths, grids):
+            sim = cosine_matrix(pixel_normalize(grid))
             with open(out / f"{path.stem}_sim.tsv", "w", encoding="ascii") as fh:
                 for row in sim:
                     fh.write("\t".join(f"{v:.10g}" for v in row) + "\n")
@@ -183,15 +184,13 @@ def _cmd_mask(args):
 def _cmd_calibrate(args):
     options = _options(args, _load_config_file(args.config), _CALIBRATE)
     sample_size, seed = options["sample_size"], options["seed"]
-
-    _, images = _input_images(args.in_dir)
     if sample_size < 1:
         raise ConfigError(f"sample_size must be >= 1, got {sample_size}")
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
-    sample = []
-    for image in images[:sample_size]:
-        sample.append(cosine_matrix(pixel_normalize(patchify(image, options["patch_size"]))))
+
+    _, grids = _input_grids(args.in_dir, options["patch_size"], sample_size)
+    sample = [cosine_matrix(pixel_normalize(grid)) for grid in grids]
 
     report = calibrate_threshold(
         sample,

@@ -16,7 +16,7 @@ import numpy as np
 
 from ._kernels import centroid_sums, distinct_rows, masked_by_anchors, nearest_centroids
 from .errors import ConfigError, DataError
-from .patch_grid import PatchGrid, patchify, pixel_normalize
+from .patch_grid import PatchGrid, pixel_normalize
 from .similarity import blend, check_alpha, cosine_matrix, toy_patch_embedding
 
 # calibration may push the threshold slightly above the cosine maximum so
@@ -131,10 +131,15 @@ def cluster_mask_from_anchors(sim, anchors, threshold_r):
     return Mask(masked=masked, anchors=np.sort(anchors))
 
 
+def draw_anchors(length, anchor_ratio, rng):
+    """anchor_count(anchor_ratio, length) positions drawn uniformly without
+    replacement, in draw order: the anchor draw of masking and calibration."""
+    return rng.choice(length, size=anchor_count(anchor_ratio, length), replace=False)
+
+
 def cluster_mask(sim, anchor_ratio, threshold_r, rng):
     """Anchor-cluster mask with anchors sampled uniformly without replacement."""
-    length = np.asarray(sim).shape[0]
-    anchors = rng.choice(length, size=anchor_count(anchor_ratio, length), replace=False)
+    anchors = draw_anchors(np.asarray(sim).shape[0], anchor_ratio, rng)
     return cluster_mask_from_anchors(sim, anchors, threshold_r)
 
 
@@ -191,12 +196,7 @@ def kmeans_mask_detail(grid, k, max_iters, mask_fraction, rng):
     ceil(mask_fraction * k) clusters chosen uniformly at random.
     Returns (mask, labels, centroids, chosen_clusters).
     """
-    if isinstance(grid, PatchGrid):
-        vectors = grid.patches
-    elif hasattr(grid, "features"):
-        vectors = grid.features
-    else:
-        vectors = np.asarray(grid, dtype=np.float64)
+    vectors = grid.patches if isinstance(grid, PatchGrid) else np.asarray(grid, dtype=np.float64)
     if not 0.0 < mask_fraction < 1.0:
         raise ConfigError(f"mask_fraction must lie in (0, 1), got {mask_fraction}")
     labels, centroids = kmeans_cluster(vectors, k, max_iters, rng)
@@ -230,8 +230,8 @@ def mask_ratio(mask):
     return float(mask.masked.sum()) / mask.length
 
 
-def mask_image(image, patch_size, config, rng, alpha=1.0):
-    """Generate a mask for one image under the configured strategy.
+def mask_image(grid, config, rng, alpha=1.0):
+    """Mask one image's unnormalized patch grid under the configured strategy.
 
     alpha weights the RGB similarity against the embedding similarity and
     only matters for the cluster-embedding strategy, but every strategy
@@ -239,7 +239,6 @@ def mask_image(image, patch_size, config, rng, alpha=1.0):
     run, seeded from config.seed.
     """
     check_alpha(alpha)
-    grid = patchify(image, patch_size)
     if config.strategy is Strategy.RANDOM:
         return random_mask(grid.n_patches, config.random_mask_ratio, rng)
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batch_shaping import shape_batch
-from .cluster_masker import mask_image, mask_ratio
+from .batch_shaping import mask_batch
+from .cluster_masker import mask_ratio
 from .errors import ConfigError, ConvergenceError, DataError
 from .patch_grid import patchify
 
@@ -185,9 +185,8 @@ def pool_visible_patches(grids, shaped):
 
 @dataclass
 class StepInputs:
-    """Everything train_step derives from the images before the loss."""
+    """Everything train_step derives from the grids before the loss."""
 
-    grids: list
     masks: list
     shaped: object
     pooled: np.ndarray
@@ -195,22 +194,20 @@ class StepInputs:
     mean_mask_ratio: float
 
 
-def prepare_step_inputs(images, config, state, patch_size, beta):
+def prepare_step_inputs(grids, config, state, beta):
     """Masks, shaped batch, and pooled features for one training step.
 
+    grids are the images' unnormalized patch grids, made once per run.
     Masks are regenerated per step with sub-seeds derived from
     (config.seed, step, image index), so repeating a step is bit-exact
     while successive steps see fresh masks.
     """
     alpha = alpha_schedule(state)
-    grids, masks = [], []
-    for i, image in enumerate(images):
-        rng = np.random.default_rng((config.seed, _NS_MASK, state.step, i))
-        masks.append(mask_image(image, patch_size, config, rng, alpha))
-        grids.append(patchify(image, patch_size))
-    shaped = shape_batch(masks, beta, np.random.default_rng((config.seed, _NS_SHAPE, state.step)))
+    masks, shaped = mask_batch(
+        grids, config, beta, alpha,
+        (config.seed, _NS_MASK, state.step), (config.seed, _NS_SHAPE, state.step),
+    )
     return StepInputs(
-        grids=grids,
         masks=masks,
         shaped=shaped,
         pooled=pool_visible_patches(grids, shaped),
@@ -226,13 +223,13 @@ class StepResult:
     mean_mask_ratio: float
 
 
-def train_step(encoders, images, bags, config, state, patch_size, beta, learning_rate):
+def train_step(encoders, grids, bags, config, state, beta, learning_rate):
     """One full-batch gradient-descent step on the symmetric loss.
 
     Returns (updated encoders, StepResult). The caller owns the state and
     advances state.step / state.epoch_current between calls.
     """
-    inputs = prepare_step_inputs(images, config, state, patch_size, beta)
+    inputs = prepare_step_inputs(grids, config, state, beta)
     # weights that overflow make the loss non-finite, which train_loop
     # reports; numpy's warnings on the way would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -261,9 +258,11 @@ def train_loop(
 
     The blend coefficient advances once per epoch. Returns the final
     encoders and one StepResult-shaped log row (step, loss, alpha,
-    mean_mask_ratio) per step. A step whose loss is not finite, as after
-    a learning rate large enough to overflow the weights, raises
-    ConvergenceError.
+    mean_mask_ratio) per step. Each image is patchified once per run. A
+    step whose loss is not finite, as after a learning rate large enough
+    to overflow the weights, raises ConvergenceError, and so do
+    non-finite weights after the last step (earlier ones make the next
+    step's loss non-finite).
     """
     if steps_per_epoch < 1:
         raise ConfigError(f"steps_per_epoch must be >= 1, got {steps_per_epoch}")
@@ -277,17 +276,17 @@ def train_loop(
         temperature=temperature,
     )
     bags = np.asarray(bags, dtype=np.float64)
-    patch_dim = patchify(images[0], patch_size).patch_dim
-    encoders = init_encoders(patch_dim, bags.shape[1], embed_dim, config.seed)
+    grids = [patchify(image, patch_size) for image in images]
+    encoders = init_encoders(grids[0].patch_dim, bags.shape[1], embed_dim, config.seed)
     rows = []
     for epoch in range(epochs):
         state.epoch_current = epoch
         for _ in range(steps_per_epoch):
-            encoders, result = train_step(
-                encoders, images, bags, config, state, patch_size, beta, learning_rate
-            )
+            encoders, result = train_step(encoders, grids, bags, config, state, beta, learning_rate)
             if not math.isfinite(result.loss):
                 raise ConvergenceError(f"loss is {result.loss} at step {state.step}")
             rows.append((state.step, result.loss, result.alpha, result.mean_mask_ratio))
             state.step += 1
+    if not (np.isfinite(encoders.w_image).all() and np.isfinite(encoders.w_text).all()):
+        raise ConvergenceError(f"weights are not finite after step {state.step - 1}")
     return encoders, rows

@@ -1,4 +1,5 @@
 import os
+import sys
 from pathlib import Path
 
 # pin BLAS pools before numpy loads so timed tests run single-threaded
@@ -29,3 +30,21 @@ def random_similarity(rng, length, dim=8):
     from patchmask._kernels import pairwise_cosine
 
     return pairwise_cosine(rng.standard_normal((length, dim)))
+
+
+@pytest.fixture
+def patchify_calls(monkeypatch):
+    """List that records every patchify call's patch size, wherever in the
+    package patchify is bound."""
+    from patchmask import patch_grid
+
+    original, calls = patch_grid.patchify, []
+
+    def counting(image, patch_size):
+        calls.append(patch_size)
+        return original(image, patch_size)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "patchmask" and getattr(module, "patchify", None) is original:
+            monkeypatch.setattr(module, "patchify", counting)
+    return calls

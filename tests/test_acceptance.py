@@ -175,7 +175,7 @@ def test_criterion_06_attention_mask_correctness():
             )
             state = TrainState(epoch_total=10, step=trial)
             encoders = init_encoders(patch_dim, bags.shape[1], 8, seed=trial)
-            inputs = prepare_step_inputs(images, config, state, 4, 0.5)
+            inputs = prepare_step_inputs([patchify(im, 4) for im in images], config, state, 0.5)
             baseline, _, _ = loss_and_grads(inputs.pooled, bags, encoders, state.temperature)
 
             target = int(rng.integers(0, len(images)))
@@ -193,8 +193,9 @@ def test_criterion_06_attention_mask_correctness():
             config = MaskerConfig(strategy=Strategy.RANDOM, seed=int(rng.integers(1000)))
             state = TrainState(epoch_total=10, step=trial)
             encoders = init_encoders(patch_dim, bags.shape[1], 8, seed=trial + 100)
-            inputs = prepare_step_inputs(images, config, state, 4, 0.5)
-            _, base = train_step(encoders, images, bags, config, state, 4, 0.5, 0.1)
+            grids = [patchify(im, 4) for im in images]
+            inputs = prepare_step_inputs(grids, config, state, 0.5)
+            _, base = train_step(encoders, grids, bags, config, state, 0.5, 0.1)
 
             target = int(rng.integers(0, len(images)))
             masked_positions = np.flatnonzero(inputs.masks[target].masked)
@@ -202,7 +203,8 @@ def test_criterion_06_attention_mask_correctness():
             cols = patchify(images[target], 4).cols
             touched = list(images)
             touched[target] = perturb(images[target], pick, float(rng.random()), cols)
-            _, replay = train_step(encoders, touched, bags, config, state, 4, 0.5, 0.1)
+            touched_grids = [patchify(im, 4) for im in touched]
+            _, replay = train_step(encoders, touched_grids, bags, config, state, 0.5, 0.1)
             assert replay.loss == base.loss
 
 

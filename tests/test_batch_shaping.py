@@ -3,9 +3,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from patchmask.batch_shaping import shape_batch, visible_slots
-from patchmask.cluster_masker import Mask, random_mask
+from patchmask.batch_shaping import mask_batch, shape_batch, visible_slots
+from patchmask.cli import _NS_CLI_MASK, _NS_CLI_SHAPE
+from patchmask.cluster_masker import (
+    Mask,
+    MaskerConfig,
+    Strategy,
+    anchor_count,
+    cluster_mask_from_anchors,
+    kmeans_mask,
+    random_mask,
+)
 from patchmask.errors import ConfigError, DataError
+from patchmask.patch_grid import Image, patchify, pixel_normalize
+from patchmask.similarity import blend, check_alpha, cosine_matrix, toy_patch_embedding
+from patchmask.synthetic import smoothed_noise_images
+from patchmask.toy_contrastive import (
+    _NS_MASK,
+    _NS_SHAPE,
+    TrainState,
+    alpha_schedule,
+    pool_visible_patches,
+    prepare_step_inputs,
+)
 
 
 def mask_with_visible(length, visible_count, rng):
@@ -114,3 +134,130 @@ class TestShapeBatch:
         assert lines[0].startswith("kept: ")
         assert lines[1].startswith("attn: ")
         assert len(lines[1].split(" ")[1]) == shaped.slots
+
+
+# Frozen copies of the two mask-then-shape loops that mask_batch replaced,
+# with the mask_image they called (it patchified the image itself and drew
+# its anchors inline). They pin mask_batch to the outputs of before.
+
+
+def frozen_mask_image(image, patch_size, config, rng, alpha=1.0):
+    check_alpha(alpha)
+    grid = patchify(image, patch_size)
+    if config.strategy is Strategy.RANDOM:
+        return random_mask(grid.n_patches, config.random_mask_ratio, rng)
+    normalized = pixel_normalize(grid)
+    if config.strategy is Strategy.KMEANS:
+        return kmeans_mask(
+            normalized, config.kmeans_k, config.kmeans_max_iters,
+            config.kmeans_mask_fraction, rng,
+        )
+    sim = cosine_matrix(normalized)
+    if config.strategy is Strategy.CLUSTER_EMBEDDING:
+        sim = blend(sim, cosine_matrix(toy_patch_embedding(grid, config.seed)), alpha)
+    length = sim.shape[0]
+    anchors = rng.choice(length, size=anchor_count(config.anchor_ratio, length), replace=False)
+    return cluster_mask_from_anchors(sim, anchors, config.threshold_r)
+
+
+def frozen_cli_mask(images, patch_size, masker, beta, alpha):
+    masks = []
+    for idx, image in enumerate(images):
+        rng = np.random.default_rng((masker.seed, _NS_CLI_MASK, idx))
+        masks.append(frozen_mask_image(image, patch_size, masker, rng, alpha))
+    shaped = shape_batch(masks, beta, np.random.default_rng((masker.seed, _NS_CLI_SHAPE)))
+    return masks, shaped
+
+
+def frozen_prepare_step_inputs(images, config, state, patch_size, beta):
+    alpha = alpha_schedule(state)
+    grids, masks = [], []
+    for i, image in enumerate(images):
+        rng = np.random.default_rng((config.seed, _NS_MASK, state.step, i))
+        masks.append(frozen_mask_image(image, patch_size, config, rng, alpha))
+        grids.append(patchify(image, patch_size))
+    shaped = shape_batch(masks, beta, np.random.default_rng((config.seed, _NS_SHAPE, state.step)))
+    return masks, shaped, pool_visible_patches(grids, shaped), alpha
+
+
+def regression_images():
+    """Smooth noise, one image with a flat block (zero vectors after
+    normalization) and one with a repeated patch."""
+    images = smoothed_noise_images(5, 32, 32, 3, seed=41)
+    flat = images[1].data.copy()
+    flat[8:24, 8:24] = 0.25
+    repeated = images[2].data.copy()
+    repeated[0:8, 8:16] = repeated[0:8, 0:8]
+    return [images[0], Image(data=flat), Image(data=repeated), *images[3:]]
+
+
+def assert_same_batch(masks, shaped, ref_masks, ref_shaped):
+    assert len(masks) == len(ref_masks)
+    for mask, ref in zip(masks, ref_masks):
+        np.testing.assert_array_equal(mask.masked, ref.masked)
+        np.testing.assert_array_equal(mask.anchors, ref.anchors)
+    np.testing.assert_array_equal(shaped.kept_indices, ref_shaped.kept_indices)
+    np.testing.assert_array_equal(shaped.attention, ref_shaped.attention)
+    assert (shaped.length, shaped.beta) == (ref_shaped.length, ref_shaped.beta)
+
+
+def has_drops(masks, shaped):
+    return any((~mask.masked).sum() > shaped.slots for mask in masks)
+
+
+def small_config(strategy, threshold_r, seed):
+    # a quarter of the K-Means clusters and a fifth of the random patches
+    # leave more visible patches than beta's slots, so shaping drops some
+    return MaskerConfig(strategy=strategy, threshold_r=threshold_r, anchor_ratio=0.15,
+                        kmeans_k=4, kmeans_mask_fraction=0.25, random_mask_ratio=0.2,
+                        seed=seed)
+
+
+class TestMaskBatch:
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    @pytest.mark.parametrize("seed", [0, 9])
+    def test_cli_keys_match_the_old_cli_loop(self, strategy, seed):
+        images = regression_images()
+        grids = [patchify(image, 8) for image in images]
+        drops = False
+        for threshold_r in (0.35, 0.8):
+            config = small_config(strategy, threshold_r, seed)
+            for alpha in (1.0, 0.4):
+                masks, shaped = mask_batch(grids, config, 0.5, alpha,
+                                           (seed, _NS_CLI_MASK), (seed, _NS_CLI_SHAPE))
+                assert_same_batch(masks, shaped, *frozen_cli_mask(images, 8, config, 0.5, alpha))
+                drops |= has_drops(masks, shaped)
+        assert drops
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_training_steps_match_the_old_prepare_step_inputs(self, strategy):
+        images = regression_images()
+        config = small_config(strategy, 0.6, 3)
+        grids = [patchify(image, 8) for image in images]
+        alphas, drops = [], False
+        for step in range(4):
+            # alpha moves with the epoch: 0, 1/16, 1/4, 9/16
+            state = TrainState(epoch_total=4, epoch_current=step, alpha_exponent=2.0, step=step)
+            inputs = prepare_step_inputs(grids, config, state, 0.3)
+            ref_masks, ref_shaped, ref_pooled, ref_alpha = frozen_prepare_step_inputs(
+                images, config, state, 8, 0.3
+            )
+            assert_same_batch(inputs.masks, inputs.shaped, ref_masks, ref_shaped)
+            np.testing.assert_array_equal(inputs.pooled, ref_pooled)
+            assert inputs.alpha == ref_alpha
+            alphas.append(inputs.alpha)
+            drops |= has_drops(inputs.masks, inputs.shaped)
+        assert len(set(alphas)) == 4 and drops
+
+    def test_draws_follow_the_seed_keys(self):
+        grids = [patchify(image, 8) for image in regression_images()]
+        config = MaskerConfig(strategy=Strategy.RANDOM)
+        masks, shaped = mask_batch(grids, config, 0.5, 1.0, (1, 2), (1, 3))
+        again, _ = mask_batch(grids, config, 0.5, 1.0, (1, 2), (1, 4))
+        other, _ = mask_batch(grids, config, 0.5, 1.0, (1, 5), (1, 3))
+        for i, mask in enumerate(masks):
+            alone = random_mask(16, 0.5, np.random.default_rng((1, 2, i)))
+            np.testing.assert_array_equal(mask.masked, alone.masked)
+            np.testing.assert_array_equal(again[i].masked, mask.masked)
+        assert any(not np.array_equal(a.masked, b.masked) for a, b in zip(masks, other))
+        assert shaped.batch == len(grids)

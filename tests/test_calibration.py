@@ -37,6 +37,15 @@ class TestObjective:
         frozen = cluster_mask_from_anchors(sim, via_rng.anchors, 0.25)
         np.testing.assert_array_equal(frozen.masked, via_rng.masked)
 
+    @pytest.mark.parametrize("length, ratio", [(30, 0.1), (196, 0.03), (7, 0.5), (1, 0.2)])
+    def test_calibration_freezes_the_anchors_masking_draws(self, rng, length, ratio):
+        # both draw through draw_anchors, so equal generator states give
+        # the same anchor set
+        sim = random_similarity(rng, length)
+        masked = cluster_mask(sim, ratio, 0.3, np.random.default_rng(77))
+        frozen = draw_anchor_sets([sim], ratio, np.random.default_rng(77))[0]
+        np.testing.assert_array_equal(masked.anchors, np.sort(frozen))
+
 
 class TestCalibrateThreshold:
     def test_converges_on_random_sample(self, rng):

@@ -11,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from patchmask.cli import _CALIBRATE, _DATASET, _MASK, _TRAIN, main
-from patchmask.pnm import save_image
+from patchmask.cluster_masker import Mask
+from patchmask.pnm import load_image, save_image
+from patchmask.render import render_mask
 from patchmask.synthetic import smoothed_noise_images
 
 
@@ -98,6 +100,40 @@ class TestMaskCommand:
         assert run_cli(["mask", "--in", image_dir, "--out", tmp_path / "o",
                         "--config", config]) == 2
 
+    @pytest.mark.parametrize("strategy", ["cluster-rgb", "cluster-embedding", "kmeans", "random"])
+    def test_render_and_dump_sim_are_deterministic(self, image_dir, tmp_path, capsys, strategy):
+        runs = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            code = run_cli(["mask", "--in", image_dir, "--out", out, "--strategy", strategy,
+                            "--kmeans-k", "4", "--threshold", "0.4", "--alpha", "0.5",
+                            "--patch-size", "8", "--seed", "6", "--render", "--dump-sim"])
+            assert code == 0
+            files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+            runs.append((files, capsys.readouterr()))
+        assert len(runs[0][0]) == 2 + 2 * 4  # masks, batch, a render and a TSV per image
+        assert runs[0] == runs[1]
+
+    def test_render_overlays_the_input_image(self, image_dir, tmp_path):
+        # random masks have no anchors, so masks.txt holds all a render needs
+        out = tmp_path / "out"
+        assert run_cli(["mask", "--in", image_dir, "--out", out, "--strategy", "random",
+                        "--patch-size", "8", "--render"]) == 0
+        lines = (out / "masks.txt").read_text().splitlines()
+        for path, line in zip(sorted(image_dir.iterdir()), lines):
+            save_image(render_mask(load_image(path), Mask.from_line(line), 8), tmp_path / "ref.ppm")
+            rendered = (out / f"{path.stem}_masked.ppm").read_bytes()
+            assert rendered == (tmp_path / "ref.ppm").read_bytes()
+
+    def test_each_image_is_patchified_once(self, image_dir, tmp_path, patchify_calls):
+        for strategy in ("cluster-embedding", "kmeans"):
+            patchify_calls.clear()
+            code = run_cli(["mask", "--in", image_dir, "--out", tmp_path / strategy,
+                            "--strategy", strategy, "--kmeans-k", "4", "--patch-size", "8",
+                            "--render", "--dump-sim"])
+            assert code == 0
+            assert patchify_calls == [8] * 4
+
     def test_alpha_blends_embedding_similarity(self, image_dir, tmp_path):
         # alpha=0 masks from the embedding cosine alone; must differ from
         # the pure-pixel masks at the same seed for at least one image
@@ -125,6 +161,15 @@ class TestCalibrateCommand:
         assert abs(payload["achieved_ratio"] - 0.5) <= 0.1
         assert payload["converged"] is True
         assert "calibrated r=" in capsys.readouterr().out
+
+    def test_each_sampled_image_is_patchified_once(self, image_dir, patchify_calls):
+        assert run_cli(["calibrate", "--in", image_dir, "--target", "0.5", "--anchor-ratio",
+                        "0.1", "--tolerance", "0.1", "--patch-size", "8"]) == 0
+        assert patchify_calls == [8] * 4
+        patchify_calls.clear()
+        code = run_cli(["calibrate", "--in", image_dir, "--patch-size", "8", "--sample-size", "3"])
+        assert code in (0, 4)  # three images may miss the default tolerance
+        assert patchify_calls == [8] * 3  # images past the sample are not read
 
     def test_unreachable_target_exits_4(self, image_dir, tmp_path):
         code = run_cli(
@@ -175,6 +220,20 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert err.startswith("convergence failure: loss is nan") and err.count("\n") == 1
 
+    def test_weights_overflowing_on_the_last_step_exit_4(self, tmp_path, capsys):
+        # the one step's loss is finite, but the update leaves inf weights
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "learning_rate": 1e308, "epochs": 1,
+            "dataset": {"n_images": 4, "image_size": 16, "patch_size": 4},
+        }))
+        out = tmp_path / "log"
+        assert run_cli(["train", "--config", config, "--out", out]) == 4
+        assert not (out / "train_log.csv").exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "convergence failure: weights are not finite after step 0\n"
+
     def test_out_of_memory_is_data_error(self, tmp_path, capsys):
         # 10**12 x 192 float64 weights exceed the address space, so the
         # allocation fails before anything is allocated
@@ -218,13 +277,15 @@ class TestConfigErrors:
             ("train", {"epochs": 0}, []),
             ("train", {"learning_rate": -1}, []),
             ("train", {"dataset": 3}, []),
+            # a config error is reported before the input directory is read
+            ("calibrate", {"seed": -1}, ["--in", "/nonexistent"]),
         ],
     )
     def test_bad_value_exits_2(self, image_dir, tmp_path, capsys, command, config, flags):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
         args = [command, "--config", path, *flags]
-        if command != "train":
+        if command != "train" and "--in" not in flags:
             args += ["--in", image_dir]
         if command != "calibrate":
             args += ["--out", tmp_path / "out"]

@@ -294,8 +294,8 @@ class TestMaskImage:
     def test_each_strategy_runs_and_reproduces(self, rng, strategy):
         image = Image(data=rng.random((32, 32, 3)))
         config = MaskerConfig(strategy=strategy, threshold_r=0.4, kmeans_k=4, seed=3)
-        a = mask_image(image, 8, config, np.random.default_rng(7), alpha=0.5)
-        b = mask_image(image, 8, config, np.random.default_rng(7), alpha=0.5)
+        a = mask_image(patchify(image, 8), config, np.random.default_rng(7), alpha=0.5)
+        b = mask_image(patchify(image, 8), config, np.random.default_rng(7), alpha=0.5)
         assert a.length == 16
         np.testing.assert_array_equal(a.masked, b.masked)
         if strategy in (Strategy.CLUSTER_RGB, Strategy.CLUSTER_EMBEDDING):
@@ -309,7 +309,7 @@ class TestMaskImage:
         config = MaskerConfig(strategy=strategy, kmeans_k=4)
         for bad in (-0.5, 2.0, float("nan")):
             with pytest.raises(ConfigError):
-                mask_image(image, 8, config, rng, alpha=bad)
+                mask_image(patchify(image, 8), config, rng, alpha=bad)
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):

@@ -195,17 +195,19 @@ class TestTrainStep:
 
     def test_zero_learning_rate_keeps_parameters(self):
         images, bags, config, state, encoders = self.small_setup()
-        updated, first = train_step(encoders, images, bags, config, state, 4, 0.5, 0.0)
+        grids = [patchify(im, 4) for im in images]
+        updated, first = train_step(encoders, grids, bags, config, state, 0.5, 0.0)
         np.testing.assert_array_equal(updated.w_image, encoders.w_image)
         np.testing.assert_array_equal(updated.w_text, encoders.w_text)
-        _, second = train_step(encoders, images, bags, config, state, 4, 0.5, 0.0)
+        _, second = train_step(encoders, grids, bags, config, state, 0.5, 0.0)
         assert first.loss == second.loss  # bit-exact repeat of the same step
 
     def test_fresh_masks_each_step(self):
         images, bags, config, state, _ = self.small_setup()
-        first = prepare_step_inputs(images, config, state, 4, 0.5)
+        grids = [patchify(im, 4) for im in images]
+        first = prepare_step_inputs(grids, config, state, 0.5)
         state.step += 1
-        second = prepare_step_inputs(images, config, state, 4, 0.5)
+        second = prepare_step_inputs(grids, config, state, 0.5)
         assert any(
             not np.array_equal(a.masked, b.masked)
             for a, b in zip(first.masks, second.masks)
@@ -215,7 +217,7 @@ class TestTrainStep:
         # fixed shaped batch: perturbing a masked patch must leave the loss
         # bit-identical because pooling only touches kept slots
         images, bags, config, state, encoders = self.small_setup(seed=5)
-        inputs = prepare_step_inputs(images, config, state, 4, 0.5)
+        inputs = prepare_step_inputs([patchify(im, 4) for im in images], config, state, 0.5)
         baseline, _, _ = loss_and_grads(inputs.pooled, bags, encoders, state.temperature)
 
         target = next(i for i, m in enumerate(inputs.masks) if m.masked.any())
@@ -238,8 +240,9 @@ class TestTrainStep:
         images, bags, config, state, encoders = self.small_setup(
             seed=7, strategy=Strategy.RANDOM
         )
-        inputs = prepare_step_inputs(images, config, state, 4, 0.5)
-        _, base = train_step(encoders, images, bags, config, state, 4, 0.5, 0.1)
+        grids = [patchify(im, 4) for im in images]
+        inputs = prepare_step_inputs(grids, config, state, 0.5)
+        _, base = train_step(encoders, grids, bags, config, state, 0.5, 0.1)
 
         patch_idx = int(np.flatnonzero(inputs.masks[0].masked)[0])
         grid = patchify(images[0], 4)
@@ -247,8 +250,18 @@ class TestTrainStep:
         perturbed = images[0].data.copy()
         perturbed[bi * 4 : (bi + 1) * 4, bj * 4 : (bj + 1) * 4] = 0.875
         new_images = [Image(data=perturbed)] + list(images[1:])
-        _, touched = train_step(encoders, new_images, bags, config, state, 4, 0.5, 0.1)
+        new_grids = [patchify(im, 4) for im in new_images]
+        _, touched = train_step(encoders, new_grids, bags, config, state, 0.5, 0.1)
         assert touched.loss == base.loss
+
+    def test_train_loop_patchifies_each_image_once_per_run(self, patchify_calls):
+        images, bags = color_block_dataset(6, 16, 4, n_colors=6, seed=2)
+        config = MaskerConfig(strategy=Strategy.CLUSTER_EMBEDDING, threshold_r=0.6, seed=2)
+        patchify_calls.clear()
+        _, rows = train_loop(images, bags, config, epochs=3, patch_size=4, beta=0.5,
+                             learning_rate=0.1, steps_per_epoch=2)
+        assert len(rows) == 6
+        assert patchify_calls == [4] * 6
 
     def test_short_training_reduces_loss(self):
         images, bags = color_block_dataset(12, 32, 8, seed=21)
