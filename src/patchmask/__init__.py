@@ -10,6 +10,7 @@ from .calibration import CalibrationReport, calibrate_threshold, mean_mask_ratio
 from .cluster_masker import (
     Mask,
     MaskerConfig,
+    PreparedImage,
     Strategy,
     cluster_mask,
     cluster_mask_from_anchors,
@@ -17,6 +18,7 @@ from .cluster_masker import (
     kmeans_mask,
     mask_image,
     mask_ratio,
+    prepare_image,
     random_mask,
 )
 from .errors import ConfigError, ConvergenceError, DataError, PatchmaskError
@@ -48,6 +50,7 @@ __all__ = [
     "MaskerConfig",
     "PatchGrid",
     "PatchmaskError",
+    "PreparedImage",
     "ShapedBatch",
     "Strategy",
     "ToyEncoders",
@@ -68,6 +71,7 @@ __all__ = [
     "mean_mask_ratio",
     "patchify",
     "pixel_normalize",
+    "prepare_image",
     "random_mask",
     "render_mask",
     "save_image",

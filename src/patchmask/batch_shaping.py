@@ -57,6 +57,12 @@ def visible_slots(length, beta):
     return length - math.ceil(beta * length - 1e-9)
 
 
+def check_beta(beta):
+    """Raise ConfigError unless the minimum mask ratio beta lies in (0, 1)."""
+    if not 0.0 < beta < 1.0:
+        raise ConfigError(f"beta must lie in (0, 1), got {beta}")
+
+
 def shape_batch(masks, beta, rng):
     """Shape per-image masks into uniform V-slot rows.
 
@@ -69,8 +75,7 @@ def shape_batch(masks, beta, rng):
     length = masks[0].length
     if any(m.length != length for m in masks):
         raise DataError("all masks in a batch must share the same patch count")
-    if not 0.0 < beta < 1.0:
-        raise ConfigError(f"beta must lie in (0, 1), got {beta}")
+    check_beta(beta)
 
     v = visible_slots(length, beta)
     kept = np.full((len(masks), v), length, dtype=np.int64)
@@ -85,9 +90,18 @@ def shape_batch(masks, beta, rng):
     return ShapedBatch(kept_indices=kept, attention=attention, length=length, beta=float(beta))
 
 
-def mask_batch(grids, config, beta, alpha, mask_key, shape_key):
-    """Mask grid i with mask_image and default_rng((*mask_key, i)), then shape
-    the masks with default_rng(shape_key). Returns (masks, shaped batch)."""
-    masks = [mask_image(grid, config, np.random.default_rng((*mask_key, i)), alpha)
-             for i, grid in enumerate(grids)]
+def mask_batch(prepared, config, beta, alpha, mask_key, shape_key):
+    """Mask each record of the iterable prepared, made by prepare_image, with
+    mask_image and default_rng((*mask_key, i)) for the i-th, then shape the
+    masks with default_rng(shape_key). Returns (masks, shaped batch).
+
+    Only the per-step work happens here; the records carry what is computed
+    once per image. A generator of records keeps one record alive at a time.
+    """
+    masks = []
+    for record in prepared:
+        rng = np.random.default_rng((*mask_key, len(masks)))
+        masks.append(mask_image(record, config, rng, alpha))
+        # drop the record before a generator prepares the next one
+        del record
     return masks, shape_batch(masks, beta, np.random.default_rng(shape_key))

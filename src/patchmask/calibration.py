@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cluster_masker import cluster_mask_from_anchors, draw_anchors, mask_ratio
+from .cluster_masker import check_anchor_ratio, cluster_mask_from_anchors, draw_anchors, mask_ratio
 from .errors import ConfigError, ConvergenceError
 
 R_MIN = -1.0
@@ -44,6 +44,21 @@ class CalibrationReport:
 
     def to_json(self):
         return json.dumps(self.to_dict(), indent=2) + "\n"
+
+
+def check_search(anchor_ratio, target_ratio, tolerance, max_iters):
+    """Raise ConfigError unless calibrate_threshold can search with these
+    values: a positive tolerance, at least one iteration, a target_ratio in
+    (anchor_ratio, 1) and an anchor_ratio in (0, 0.5]."""
+    if not tolerance > 0.0:
+        raise ConfigError(f"tolerance must be positive, got {tolerance}")
+    if max_iters < 1:
+        raise ConfigError(f"max_iters must be >= 1, got {max_iters}")
+    if not anchor_ratio < target_ratio < 1.0:
+        raise ConfigError(
+            f"target_ratio must lie in (anchor_ratio, 1), got {target_ratio}"
+        )
+    check_anchor_ratio(anchor_ratio)
 
 
 def draw_anchor_sets(sample, anchor_ratio, rng):
@@ -84,14 +99,7 @@ def calibrate_threshold(
         rng = np.random.default_rng(0)
     if not sample:
         raise ConfigError("calibration sample must be nonempty")
-    if not tolerance > 0.0:
-        raise ConfigError(f"tolerance must be positive, got {tolerance}")
-    if max_iters < 1:
-        raise ConfigError(f"max_iters must be >= 1, got {max_iters}")
-    if not anchor_ratio < target_ratio < 1.0:
-        raise ConfigError(
-            f"target_ratio must lie in (anchor_ratio, 1), got {target_ratio}"
-        )
+    check_search(anchor_ratio, target_ratio, tolerance, max_iters)
 
     anchor_sets = draw_anchor_sets(sample, anchor_ratio, rng)
     anchors_only = float(

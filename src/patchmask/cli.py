@@ -31,9 +31,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .batch_shaping import mask_batch
-from .calibration import DEFAULT_MAX_ITERS, DEFAULT_TOLERANCE, calibrate_threshold
-from .cluster_masker import Mask, MaskerConfig, Strategy
+from .batch_shaping import check_beta, mask_batch
+from .calibration import DEFAULT_MAX_ITERS, DEFAULT_TOLERANCE, calibrate_threshold, check_search
+from .cluster_masker import Mask, MaskerConfig, Strategy, prepare_image
 from .errors import ConfigError, ConvergenceError, DataError
 from .patch_grid import patchify, pixel_normalize, unpatchify
 from .pnm import load_image, save_image
@@ -149,12 +149,16 @@ def _cmd_mask(args):
     options = _options(args, _load_config_file(args.config), _MASK)
     masker = MaskerConfig(**{key: options[key] for key in _MASKER})
     patch_size = options["patch_size"]
-    check_alpha(options["alpha"])  # a bad alpha is reported before any image loads
+    # bad values are reported before any image loads
+    check_alpha(options["alpha"])
+    check_beta(options["beta"])
 
     paths, grids = _input_grids(args.in_dir, patch_size)
+    # a generator, so one image's record (its L x L cosines) is alive at a time
+    prepared = (prepare_image(grid, masker) for grid in grids)
     # shape before opening any output, so a data error leaves nothing behind
     masks, shaped = mask_batch(
-        grids, masker, options["beta"], options["alpha"],
+        prepared, masker, options["beta"], options["alpha"],
         (masker.seed, _NS_CLI_MASK), (masker.seed, _NS_CLI_SHAPE),
     )
 
@@ -188,6 +192,8 @@ def _cmd_calibrate(args):
         raise ConfigError(f"sample_size must be >= 1, got {sample_size}")
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
+    check_search(options["anchor_ratio"], options["target"], options["tolerance"],
+                 options["max_iters"])
 
     _, grids = _input_grids(args.in_dir, options["patch_size"], sample_size)
     sample = [cosine_matrix(pixel_normalize(grid)) for grid in grids]

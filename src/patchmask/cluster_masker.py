@@ -54,7 +54,7 @@ class MaskerConfig:
                 f"unknown strategy {self.strategy!r}; choose from "
                 f"{[s.value for s in Strategy]}"
             )
-        _check_anchor_ratio(self.anchor_ratio)
+        check_anchor_ratio(self.anchor_ratio)
         if not -1.0 <= self.threshold_r <= THRESHOLD_MAX:
             raise ConfigError(
                 f"threshold_r must lie in [-1, {THRESHOLD_MAX}], got {self.threshold_r}"
@@ -104,7 +104,7 @@ def _round_half_up(x):
     return int(math.floor(x + 0.5))
 
 
-def _check_anchor_ratio(anchor_ratio):
+def check_anchor_ratio(anchor_ratio):
     """Raise ConfigError unless anchor_ratio lies in (0, 0.5]."""
     if not 0.0 < anchor_ratio <= 0.5:
         raise ConfigError(f"anchor_ratio must lie in (0, 0.5], got {anchor_ratio}")
@@ -112,7 +112,7 @@ def _check_anchor_ratio(anchor_ratio):
 
 def anchor_count(anchor_ratio, length):
     """Number of anchors: max(1, round(anchor_ratio * L)), half rounded up."""
-    _check_anchor_ratio(anchor_ratio)
+    check_anchor_ratio(anchor_ratio)
     return max(1, _round_half_up(anchor_ratio * length))
 
 
@@ -230,27 +230,62 @@ def mask_ratio(mask):
     return float(mask.masked.sum()) / mask.length
 
 
-def mask_image(grid, config, rng, alpha=1.0):
-    """Mask one image's unnormalized patch grid under the configured strategy.
+@dataclass
+class PreparedImage:
+    """What masking needs of one image that no anchor draw or alpha changes.
 
-    alpha weights the RGB similarity against the embedding similarity and
-    only matters for the cluster-embedding strategy, but every strategy
-    rejects a value outside [0, 1]; the embedding projection is frozen per
-    run, seeded from config.seed.
+    grid is the unnormalized patch grid and strategy the strategy the
+    record was made for. Only the fields that strategy needs are set: the
+    normalized grid for kmeans, the RGB cosine for both cluster strategies
+    and the embedding cosine for cluster-embedding. A random record holds
+    the grid alone.
     """
-    check_alpha(alpha)
-    if config.strategy is Strategy.RANDOM:
-        return random_mask(grid.n_patches, config.random_mask_ratio, rng)
 
+    grid: PatchGrid
+    strategy: Strategy
+    normalized: PatchGrid = None
+    rgb_sim: np.ndarray = None  # (L, L)
+    emb_sim: np.ndarray = None  # (L, L)
+
+
+def prepare_image(grid, config):
+    """The once-per-image part of masking an unnormalized patch grid:
+    pixel_normalize, the RGB cosine and the embedding cosine, as far as
+    config.strategy needs them. The embedding projection is seeded from
+    config.seed."""
+    if config.strategy is Strategy.RANDOM:
+        return PreparedImage(grid=grid, strategy=config.strategy)
     normalized = pixel_normalize(grid)
     if config.strategy is Strategy.KMEANS:
-        return kmeans_mask(
-            normalized, config.kmeans_k, config.kmeans_max_iters,
-            config.kmeans_mask_fraction, rng,
-        )
-
-    sim = cosine_matrix(normalized)
+        return PreparedImage(grid=grid, strategy=config.strategy, normalized=normalized)
+    rgb_sim, emb_sim = cosine_matrix(normalized), None
     if config.strategy is Strategy.CLUSTER_EMBEDDING:
         emb_sim = cosine_matrix(toy_patch_embedding(grid, config.seed))
-        sim = blend(sim, emb_sim, alpha)
+    return PreparedImage(grid=grid, strategy=config.strategy, rgb_sim=rgb_sim, emb_sim=emb_sim)
+
+
+def mask_image(prepared, config, rng, alpha=1.0):
+    """Mask one image, prepared by prepare_image, under the configured strategy.
+
+    This is the per-step part of masking: the random draw, K-Means on the
+    normalized grid, or the blend of the cached cosines followed by the
+    anchor draw. alpha weights the RGB similarity against the embedding
+    similarity and only matters for the cluster-embedding strategy, but
+    every strategy rejects a value outside [0, 1].
+    """
+    check_alpha(alpha)
+    if prepared.strategy is not config.strategy:
+        raise ConfigError(
+            f"image was prepared for {prepared.strategy.value}, not {config.strategy.value}"
+        )
+    if config.strategy is Strategy.RANDOM:
+        return random_mask(prepared.grid.n_patches, config.random_mask_ratio, rng)
+    if config.strategy is Strategy.KMEANS:
+        return kmeans_mask(
+            prepared.normalized, config.kmeans_k, config.kmeans_max_iters,
+            config.kmeans_mask_fraction, rng,
+        )
+    sim = prepared.rgb_sim
+    if config.strategy is Strategy.CLUSTER_EMBEDDING:
+        sim = blend(sim, prepared.emb_sim, alpha)
     return cluster_mask(sim, config.anchor_ratio, config.threshold_r, rng)

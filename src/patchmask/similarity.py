@@ -105,6 +105,8 @@ def toy_patch_embedding(grid, projection_seed, dim=64):
     projection is fixed for a run, and the additive position encoding
     gives the embedding branch the spatial locality a real embedding
     layer would carry. Same seed, same grid -> bit-identical output.
+    Each call redraws the projection from projection_seed; masking calls
+    this once per image per run, in prepare_image, never per step.
     """
     if grid.n_patches == 0:
         raise DataError("cannot embed an empty grid")

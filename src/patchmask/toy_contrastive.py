@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batch_shaping import mask_batch
-from .cluster_masker import mask_ratio
+from .cluster_masker import mask_ratio, prepare_image
 from .errors import ConfigError, ConvergenceError, DataError
 from .patch_grid import patchify
 
@@ -169,23 +169,24 @@ def loss_and_grads(pooled, bags, encoders, tau):
     return loss, d_zi.T @ pooled, d_zt.T @ bags
 
 
-def pool_visible_patches(grids, shaped):
+def pool_visible_patches(prepared, shaped):
     """Mean raw patch vector over each image's attention-flagged slots.
 
-    Padding slots and masked patches never contribute; an image with no
-    real slots pools to the zero vector.
+    prepared holds the images' PreparedImage records, whose unnormalized
+    grids are pooled. Padding slots and masked patches never contribute;
+    an image with no real slots pools to the zero vector.
     """
-    pooled = np.zeros((len(grids), grids[0].patch_dim))
-    for i, grid in enumerate(grids):
+    pooled = np.zeros((len(prepared), prepared[0].grid.patch_dim))
+    for i, record in enumerate(prepared):
         real = shaped.kept_indices[i][shaped.attention[i]]
         if real.size:
-            pooled[i] = grid.patches[real].mean(axis=0)
+            pooled[i] = record.grid.patches[real].mean(axis=0)
     return pooled
 
 
 @dataclass
 class StepInputs:
-    """Everything train_step derives from the grids before the loss."""
+    """Everything train_step derives from the prepared images before the loss."""
 
     masks: list
     shaped: object
@@ -194,23 +195,23 @@ class StepInputs:
     mean_mask_ratio: float
 
 
-def prepare_step_inputs(grids, config, state, beta):
+def prepare_step_inputs(prepared, config, state, beta):
     """Masks, shaped batch, and pooled features for one training step.
 
-    grids are the images' unnormalized patch grids, made once per run.
+    prepared holds the images' PreparedImage records, made once per run.
     Masks are regenerated per step with sub-seeds derived from
     (config.seed, step, image index), so repeating a step is bit-exact
     while successive steps see fresh masks.
     """
     alpha = alpha_schedule(state)
     masks, shaped = mask_batch(
-        grids, config, beta, alpha,
+        prepared, config, beta, alpha,
         (config.seed, _NS_MASK, state.step), (config.seed, _NS_SHAPE, state.step),
     )
     return StepInputs(
         masks=masks,
         shaped=shaped,
-        pooled=pool_visible_patches(grids, shaped),
+        pooled=pool_visible_patches(prepared, shaped),
         alpha=alpha,
         mean_mask_ratio=float(np.mean([mask_ratio(m) for m in masks])),
     )
@@ -223,13 +224,14 @@ class StepResult:
     mean_mask_ratio: float
 
 
-def train_step(encoders, grids, bags, config, state, beta, learning_rate):
-    """One full-batch gradient-descent step on the symmetric loss.
+def train_step(encoders, prepared, bags, config, state, beta, learning_rate):
+    """One full-batch gradient-descent step on the symmetric loss, over the
+    images' PreparedImage records.
 
     Returns (updated encoders, StepResult). The caller owns the state and
     advances state.step / state.epoch_current between calls.
     """
-    inputs = prepare_step_inputs(grids, config, state, beta)
+    inputs = prepare_step_inputs(prepared, config, state, beta)
     # weights that overflow make the loss non-finite, which train_loop
     # reports; numpy's warnings on the way would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -258,11 +260,18 @@ def train_loop(
 
     The blend coefficient advances once per epoch. Returns the final
     encoders and one StepResult-shaped log row (step, loss, alpha,
-    mean_mask_ratio) per step. Each image is patchified once per run. A
-    step whose loss is not finite, as after a learning rate large enough
-    to overflow the weights, raises ConvergenceError, and so do
-    non-finite weights after the last step (earlier ones make the next
-    step's loss non-finite).
+    mean_mask_ratio) per step.
+
+    Once per run, each image is patchified and prepare_image computes what
+    its strategy needs: the normalized grid, the RGB cosine, the embedding
+    and its cosine. Each step only draws the masks (blending the cosines
+    with that epoch's alpha, or running K-Means), shapes the batch, pools
+    and takes the gradient step.
+
+    A step whose loss is not finite, as after a learning rate large enough
+    to overflow the weights, raises ConvergenceError, and so do non-finite
+    weights after the last step (earlier ones make the next step's loss
+    non-finite).
     """
     if steps_per_epoch < 1:
         raise ConfigError(f"steps_per_epoch must be >= 1, got {steps_per_epoch}")
@@ -276,13 +285,15 @@ def train_loop(
         temperature=temperature,
     )
     bags = np.asarray(bags, dtype=np.float64)
-    grids = [patchify(image, patch_size) for image in images]
-    encoders = init_encoders(grids[0].patch_dim, bags.shape[1], embed_dim, config.seed)
+    prepared = [prepare_image(patchify(image, patch_size), config) for image in images]
+    encoders = init_encoders(prepared[0].grid.patch_dim, bags.shape[1], embed_dim, config.seed)
     rows = []
     for epoch in range(epochs):
         state.epoch_current = epoch
         for _ in range(steps_per_epoch):
-            encoders, result = train_step(encoders, grids, bags, config, state, beta, learning_rate)
+            encoders, result = train_step(
+                encoders, prepared, bags, config, state, beta, learning_rate
+            )
             if not math.isfinite(result.loss):
                 raise ConvergenceError(f"loss is {result.loss} at step {state.step}")
             rows.append((state.step, result.loss, result.alpha, result.mean_mask_ratio))

@@ -1,3 +1,4 @@
+import importlib
 import os
 import sys
 from pathlib import Path
@@ -33,18 +34,40 @@ def random_similarity(rng, length, dim=8):
 
 
 @pytest.fixture
-def patchify_calls(monkeypatch):
-    """List that records every patchify call's patch size, wherever in the
-    package patchify is bound."""
-    from patchmask import patch_grid
+def calls_to(monkeypatch):
+    """calls_to(module, name) records every call of patchmask.<module>.<name>,
+    wherever in the package that function is bound, and returns the list of
+    the calls' positional-argument tuples."""
 
-    original, calls = patch_grid.patchify, []
+    def record(module, name):
+        original = getattr(importlib.import_module(f"patchmask.{module}"), name)
+        calls = []
 
-    def counting(image, patch_size):
-        calls.append(patch_size)
-        return original(image, patch_size)
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "patchmask" and getattr(module, "patchify", None) is original:
-            monkeypatch.setattr(module, "patchify", counting)
-    return calls
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.split(".")[0] == "patchmask" and getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counting)
+        return calls
+
+    return record
+
+
+# calls of pixel_normalize, cosine_matrix and toy_patch_embedding per image
+# when each image is prepared once
+PREPARE_CALLS = {
+    "cluster-embedding": (1, 2, 1),
+    "cluster-rgb": (1, 1, 0),
+    "kmeans": (1, 0, 0),
+    "random": (0, 0, 0),
+}
+
+
+@pytest.fixture
+def prepare_calls(calls_to):
+    """Recorded calls of pixel_normalize, cosine_matrix and
+    toy_patch_embedding, in the order of PREPARE_CALLS's counts."""
+    return [calls_to("patch_grid", "pixel_normalize"), calls_to("similarity", "cosine_matrix"),
+            calls_to("similarity", "toy_patch_embedding")]

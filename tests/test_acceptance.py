@@ -39,7 +39,7 @@ from patchmask.toy_contrastive import (
     train_step,
 )
 from test_cluster_masker import brute_force_members
-from test_toy_contrastive import finite_difference_grads, naive_symmetric_loss, unit_rows
+from test_toy_contrastive import finite_difference_grads, naive_symmetric_loss, prepare, unit_rows
 
 
 @contextmanager
@@ -175,7 +175,7 @@ def test_criterion_06_attention_mask_correctness():
             )
             state = TrainState(epoch_total=10, step=trial)
             encoders = init_encoders(patch_dim, bags.shape[1], 8, seed=trial)
-            inputs = prepare_step_inputs([patchify(im, 4) for im in images], config, state, 0.5)
+            inputs = prepare_step_inputs(prepare(images, config), config, state, 0.5)
             baseline, _, _ = loss_and_grads(inputs.pooled, bags, encoders, state.temperature)
 
             target = int(rng.integers(0, len(images)))
@@ -184,7 +184,7 @@ def test_criterion_06_attention_mask_correctness():
             cols = patchify(images[target], 4).cols
             touched = list(images)
             touched[target] = perturb(images[target], pick, float(rng.random()), cols)
-            pooled = pool_visible_patches([patchify(im, 4) for im in touched], inputs.shaped)
+            pooled = pool_visible_patches(prepare(touched, config), inputs.shaped)
             loss, _, _ = loss_and_grads(pooled, bags, encoders, state.temperature)
             assert loss == baseline
 
@@ -193,9 +193,9 @@ def test_criterion_06_attention_mask_correctness():
             config = MaskerConfig(strategy=Strategy.RANDOM, seed=int(rng.integers(1000)))
             state = TrainState(epoch_total=10, step=trial)
             encoders = init_encoders(patch_dim, bags.shape[1], 8, seed=trial + 100)
-            grids = [patchify(im, 4) for im in images]
-            inputs = prepare_step_inputs(grids, config, state, 0.5)
-            _, base = train_step(encoders, grids, bags, config, state, 0.5, 0.1)
+            prepared = prepare(images, config)
+            inputs = prepare_step_inputs(prepared, config, state, 0.5)
+            _, base = train_step(encoders, prepared, bags, config, state, 0.5, 0.1)
 
             target = int(rng.integers(0, len(images)))
             masked_positions = np.flatnonzero(inputs.masks[target].masked)
@@ -203,8 +203,8 @@ def test_criterion_06_attention_mask_correctness():
             cols = patchify(images[target], 4).cols
             touched = list(images)
             touched[target] = perturb(images[target], pick, float(rng.random()), cols)
-            touched_grids = [patchify(im, 4) for im in touched]
-            _, replay = train_step(encoders, touched_grids, bags, config, state, 0.5, 0.1)
+            _, replay = train_step(encoders, prepare(touched, config), bags, config, state,
+                                   0.5, 0.1)
             assert replay.loss == base.loss
 
 

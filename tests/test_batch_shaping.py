@@ -12,6 +12,8 @@ from patchmask.cluster_masker import (
     anchor_count,
     cluster_mask_from_anchors,
     kmeans_mask,
+    mask_ratio,
+    prepare_image,
     random_mask,
 )
 from patchmask.errors import ConfigError, DataError
@@ -21,10 +23,13 @@ from patchmask.synthetic import smoothed_noise_images
 from patchmask.toy_contrastive import (
     _NS_MASK,
     _NS_SHAPE,
+    ToyEncoders,
     TrainState,
     alpha_schedule,
-    pool_visible_patches,
+    init_encoders,
+    loss_and_grads,
     prepare_step_inputs,
+    train_loop,
 )
 
 
@@ -136,14 +141,15 @@ class TestShapeBatch:
         assert len(lines[1].split(" ")[1]) == shaped.slots
 
 
-# Frozen copies of the two mask-then-shape loops that mask_batch replaced,
-# with the mask_image they called (it patchified the image itself and drew
-# its anchors inline). They pin mask_batch to the outputs of before.
+# Frozen copies of the mask-then-shape loops that mask_batch replaced, with
+# the mask_image they called: it normalized the grid and computed its
+# cosines and embedding on every call, and drew its anchors inline. The CLI
+# loop patchified each image itself; the trainer pooled the grids. They pin
+# mask_batch, prepare_step_inputs and train_loop to the outputs of before.
 
 
-def frozen_mask_image(image, patch_size, config, rng, alpha=1.0):
+def frozen_mask_image(grid, config, rng, alpha=1.0):
     check_alpha(alpha)
-    grid = patchify(image, patch_size)
     if config.strategy is Strategy.RANDOM:
         return random_mask(grid.n_patches, config.random_mask_ratio, rng)
     normalized = pixel_normalize(grid)
@@ -160,24 +166,53 @@ def frozen_mask_image(image, patch_size, config, rng, alpha=1.0):
     return cluster_mask_from_anchors(sim, anchors, config.threshold_r)
 
 
+def frozen_pool(grids, shaped):
+    pooled = np.zeros((len(grids), grids[0].patch_dim))
+    for i, grid in enumerate(grids):
+        real = shaped.kept_indices[i][shaped.attention[i]]
+        if real.size:
+            pooled[i] = grid.patches[real].mean(axis=0)
+    return pooled
+
+
 def frozen_cli_mask(images, patch_size, masker, beta, alpha):
     masks = []
     for idx, image in enumerate(images):
         rng = np.random.default_rng((masker.seed, _NS_CLI_MASK, idx))
-        masks.append(frozen_mask_image(image, patch_size, masker, rng, alpha))
+        masks.append(frozen_mask_image(patchify(image, patch_size), masker, rng, alpha))
     shaped = shape_batch(masks, beta, np.random.default_rng((masker.seed, _NS_CLI_SHAPE)))
     return masks, shaped
 
 
-def frozen_prepare_step_inputs(images, config, state, patch_size, beta):
+def frozen_prepare_step_inputs(grids, config, state, beta):
     alpha = alpha_schedule(state)
-    grids, masks = [], []
-    for i, image in enumerate(images):
+    masks = []
+    for i, grid in enumerate(grids):
         rng = np.random.default_rng((config.seed, _NS_MASK, state.step, i))
-        masks.append(frozen_mask_image(image, patch_size, config, rng, alpha))
-        grids.append(patchify(image, patch_size))
+        masks.append(frozen_mask_image(grid, config, rng, alpha))
     shaped = shape_batch(masks, beta, np.random.default_rng((config.seed, _NS_SHAPE, state.step)))
-    return masks, shaped, pool_visible_patches(grids, shaped), alpha
+    return masks, shaped, frozen_pool(grids, shaped), alpha
+
+
+def frozen_train_loop(images, bags, config, epochs, patch_size, beta, learning_rate,
+                      steps_per_epoch):
+    """train_loop with embed_dim, alpha_exponent and temperature at their
+    defaults; also returns each step's (masks, shaped, pooled)."""
+    grids = [patchify(image, patch_size) for image in images]
+    encoders = init_encoders(grids[0].patch_dim, bags.shape[1], 16, config.seed)
+    state = TrainState(epoch_total=epochs)
+    rows, steps = [], []
+    for epoch in range(epochs):
+        state.epoch_current = epoch
+        for _ in range(steps_per_epoch):
+            masks, shaped, pooled, alpha = frozen_prepare_step_inputs(grids, config, state, beta)
+            loss, d_wi, d_wt = loss_and_grads(pooled, bags, encoders, state.temperature)
+            encoders = ToyEncoders(w_image=encoders.w_image - learning_rate * d_wi,
+                                   w_text=encoders.w_text - learning_rate * d_wt)
+            rows.append((state.step, loss, alpha, float(np.mean([mask_ratio(m) for m in masks]))))
+            steps.append((masks, shaped, pooled))
+            state.step += 1
+    return encoders, rows, steps
 
 
 def regression_images():
@@ -222,8 +257,9 @@ class TestMaskBatch:
         drops = False
         for threshold_r in (0.35, 0.8):
             config = small_config(strategy, threshold_r, seed)
+            prepared = [prepare_image(grid, config) for grid in grids]
             for alpha in (1.0, 0.4):
-                masks, shaped = mask_batch(grids, config, 0.5, alpha,
+                masks, shaped = mask_batch(prepared, config, 0.5, alpha,
                                            (seed, _NS_CLI_MASK), (seed, _NS_CLI_SHAPE))
                 assert_same_batch(masks, shaped, *frozen_cli_mask(images, 8, config, 0.5, alpha))
                 drops |= has_drops(masks, shaped)
@@ -234,13 +270,14 @@ class TestMaskBatch:
         images = regression_images()
         config = small_config(strategy, 0.6, 3)
         grids = [patchify(image, 8) for image in images]
+        prepared = [prepare_image(grid, config) for grid in grids]
         alphas, drops = [], False
         for step in range(4):
             # alpha moves with the epoch: 0, 1/16, 1/4, 9/16
             state = TrainState(epoch_total=4, epoch_current=step, alpha_exponent=2.0, step=step)
-            inputs = prepare_step_inputs(grids, config, state, 0.3)
+            inputs = prepare_step_inputs(prepared, config, state, 0.3)
             ref_masks, ref_shaped, ref_pooled, ref_alpha = frozen_prepare_step_inputs(
-                images, config, state, 8, 0.3
+                grids, config, state, 0.3
             )
             assert_same_batch(inputs.masks, inputs.shaped, ref_masks, ref_shaped)
             np.testing.assert_array_equal(inputs.pooled, ref_pooled)
@@ -250,8 +287,8 @@ class TestMaskBatch:
         assert len(set(alphas)) == 4 and drops
 
     def test_draws_follow_the_seed_keys(self):
-        grids = [patchify(image, 8) for image in regression_images()]
         config = MaskerConfig(strategy=Strategy.RANDOM)
+        grids = [prepare_image(patchify(image, 8), config) for image in regression_images()]
         masks, shaped = mask_batch(grids, config, 0.5, 1.0, (1, 2), (1, 3))
         again, _ = mask_batch(grids, config, 0.5, 1.0, (1, 2), (1, 4))
         other, _ = mask_batch(grids, config, 0.5, 1.0, (1, 5), (1, 3))
@@ -261,3 +298,29 @@ class TestMaskBatch:
             np.testing.assert_array_equal(again[i].masked, mask.masked)
         assert any(not np.array_equal(a.masked, b.masked) for a, b in zip(masks, other))
         assert shaped.batch == len(grids)
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_train_loop_matches_the_old_train_loop(self, strategy):
+        # each image is prepared once per run instead of per step; the log
+        # rows, the final weights and every step's batch stay bit-identical
+        images = regression_images()
+        bags = np.random.default_rng(8).integers(1, 4, size=(len(images), 6)).astype(np.float64)
+        config = small_config(strategy, 0.6, 5)
+        encoders, rows = train_loop(images, bags, config, epochs=4, patch_size=8, beta=0.3,
+                                    learning_rate=0.2, steps_per_epoch=2)
+        ref_encoders, ref_rows, ref_steps = frozen_train_loop(images, bags, config, 4, 8, 0.3,
+                                                              0.2, 2)
+        np.testing.assert_array_equal(np.array(rows), np.array(ref_rows))
+        np.testing.assert_array_equal(encoders.w_image, ref_encoders.w_image)
+        np.testing.assert_array_equal(encoders.w_text, ref_encoders.w_text)
+        assert len({row[2] for row in rows}) == 4  # alpha: 0, 1/4, 1/2, 3/4
+
+        prepared = [prepare_image(patchify(image, 8), config) for image in images]
+        drops = False
+        for step, (ref_masks, ref_shaped, ref_pooled) in enumerate(ref_steps):
+            state = TrainState(epoch_total=4, epoch_current=step // 2, step=step)
+            inputs = prepare_step_inputs(prepared, config, state, 0.3)
+            assert_same_batch(inputs.masks, inputs.shaped, ref_masks, ref_shaped)
+            np.testing.assert_array_equal(inputs.pooled, ref_pooled)
+            drops |= has_drops(inputs.masks, inputs.shaped)
+        assert drops

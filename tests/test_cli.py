@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import PREPARE_CALLS
 from patchmask.cli import _CALIBRATE, _DATASET, _MASK, _TRAIN, main
 from patchmask.cluster_masker import Mask
 from patchmask.pnm import load_image, save_image
@@ -125,14 +126,22 @@ class TestMaskCommand:
             rendered = (out / f"{path.stem}_masked.ppm").read_bytes()
             assert rendered == (tmp_path / "ref.ppm").read_bytes()
 
-    def test_each_image_is_patchified_once(self, image_dir, tmp_path, patchify_calls):
+    def test_each_image_is_patchified_once(self, image_dir, tmp_path, calls_to):
+        patchify_calls = calls_to("patch_grid", "patchify")
         for strategy in ("cluster-embedding", "kmeans"):
             patchify_calls.clear()
             code = run_cli(["mask", "--in", image_dir, "--out", tmp_path / strategy,
                             "--strategy", strategy, "--kmeans-k", "4", "--patch-size", "8",
                             "--render", "--dump-sim"])
             assert code == 0
-            assert patchify_calls == [8] * 4
+            assert [args[1] for args in patchify_calls] == [8] * 4
+
+    @pytest.mark.parametrize("strategy", ["cluster-rgb", "cluster-embedding", "kmeans", "random"])
+    def test_each_image_is_prepared_once(self, image_dir, tmp_path, prepare_calls, strategy):
+        code = run_cli(["mask", "--in", image_dir, "--out", tmp_path / "out", "--strategy",
+                        strategy, "--kmeans-k", "4", "--patch-size", "8", "--render"])
+        assert code == 0
+        assert [len(calls) for calls in prepare_calls] == [4 * n for n in PREPARE_CALLS[strategy]]
 
     def test_alpha_blends_embedding_similarity(self, image_dir, tmp_path):
         # alpha=0 masks from the embedding cosine alone; must differ from
@@ -162,14 +171,16 @@ class TestCalibrateCommand:
         assert payload["converged"] is True
         assert "calibrated r=" in capsys.readouterr().out
 
-    def test_each_sampled_image_is_patchified_once(self, image_dir, patchify_calls):
+    def test_each_sampled_image_is_patchified_once(self, image_dir, calls_to):
+        patchify_calls = calls_to("patch_grid", "patchify")
         assert run_cli(["calibrate", "--in", image_dir, "--target", "0.5", "--anchor-ratio",
                         "0.1", "--tolerance", "0.1", "--patch-size", "8"]) == 0
-        assert patchify_calls == [8] * 4
+        assert [args[1] for args in patchify_calls] == [8] * 4
         patchify_calls.clear()
         code = run_cli(["calibrate", "--in", image_dir, "--patch-size", "8", "--sample-size", "3"])
         assert code in (0, 4)  # three images may miss the default tolerance
-        assert patchify_calls == [8] * 3  # images past the sample are not read
+        # images past the sample are not read
+        assert [args[1] for args in patchify_calls] == [8] * 3
 
     def test_unreachable_target_exits_4(self, image_dir, tmp_path):
         code = run_cli(
@@ -279,6 +290,10 @@ class TestConfigErrors:
             ("train", {"dataset": 3}, []),
             # a config error is reported before the input directory is read
             ("calibrate", {"seed": -1}, ["--in", "/nonexistent"]),
+            ("calibrate", {}, ["--in", "/nonexistent", "--tolerance", "0"]),
+            ("calibrate", {}, ["--in", "/nonexistent", "--target", "2"]),
+            ("calibrate", {}, ["--in", "/nonexistent", "--anchor-ratio", "0"]),
+            ("mask", {}, ["--in", "/nonexistent", "--beta", "1.5"]),
         ],
     )
     def test_bad_value_exits_2(self, image_dir, tmp_path, capsys, command, config, flags):

@@ -20,6 +20,7 @@ from patchmask.cluster_masker import (
     kmeans_mask_detail,
     mask_image,
     mask_ratio,
+    prepare_image,
     random_mask,
 )
 from patchmask.errors import ConfigError, DataError
@@ -294,8 +295,9 @@ class TestMaskImage:
     def test_each_strategy_runs_and_reproduces(self, rng, strategy):
         image = Image(data=rng.random((32, 32, 3)))
         config = MaskerConfig(strategy=strategy, threshold_r=0.4, kmeans_k=4, seed=3)
-        a = mask_image(patchify(image, 8), config, np.random.default_rng(7), alpha=0.5)
-        b = mask_image(patchify(image, 8), config, np.random.default_rng(7), alpha=0.5)
+        prepared = prepare_image(patchify(image, 8), config)
+        a = mask_image(prepared, config, np.random.default_rng(7), alpha=0.5)
+        b = mask_image(prepared, config, np.random.default_rng(7), alpha=0.5)
         assert a.length == 16
         np.testing.assert_array_equal(a.masked, b.masked)
         if strategy in (Strategy.CLUSTER_RGB, Strategy.CLUSTER_EMBEDDING):
@@ -309,7 +311,13 @@ class TestMaskImage:
         config = MaskerConfig(strategy=strategy, kmeans_k=4)
         for bad in (-0.5, 2.0, float("nan")):
             with pytest.raises(ConfigError):
-                mask_image(patchify(image, 8), config, rng, alpha=bad)
+                mask_image(prepare_image(patchify(image, 8), config), config, rng, alpha=bad)
+
+    def test_record_of_another_strategy_is_rejected(self, rng):
+        grid = patchify(Image(data=rng.random((32, 32, 3))), 8)
+        record = prepare_image(grid, MaskerConfig(strategy=Strategy.RANDOM))
+        with pytest.raises(ConfigError):
+            mask_image(record, MaskerConfig(strategy=Strategy.CLUSTER_RGB), rng)
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from patchmask.cluster_masker import MaskerConfig, Strategy
+from conftest import PREPARE_CALLS
+from patchmask.cluster_masker import MaskerConfig, Strategy, prepare_image
 from patchmask.errors import ConfigError, DataError
 from patchmask.patch_grid import Image, patchify
-from patchmask.synthetic import color_block_dataset
+from patchmask.synthetic import color_block_dataset, smoothed_noise_images
 from patchmask.toy_contrastive import (
     ToyEncoders,
     TrainState,
@@ -185,6 +186,10 @@ class TestGradients:
                 assert (np.abs(analytic - numeric) / scale).max() <= 1e-4
 
 
+def prepare(images, config):
+    return [prepare_image(patchify(image, 4), config) for image in images]
+
+
 class TestTrainStep:
     def small_setup(self, seed=0, strategy=Strategy.CLUSTER_RGB):
         images, bags = color_block_dataset(6, 16, 4, n_colors=6, seed=seed)
@@ -195,19 +200,19 @@ class TestTrainStep:
 
     def test_zero_learning_rate_keeps_parameters(self):
         images, bags, config, state, encoders = self.small_setup()
-        grids = [patchify(im, 4) for im in images]
-        updated, first = train_step(encoders, grids, bags, config, state, 0.5, 0.0)
+        prepared = prepare(images, config)
+        updated, first = train_step(encoders, prepared, bags, config, state, 0.5, 0.0)
         np.testing.assert_array_equal(updated.w_image, encoders.w_image)
         np.testing.assert_array_equal(updated.w_text, encoders.w_text)
-        _, second = train_step(encoders, grids, bags, config, state, 0.5, 0.0)
+        _, second = train_step(encoders, prepared, bags, config, state, 0.5, 0.0)
         assert first.loss == second.loss  # bit-exact repeat of the same step
 
     def test_fresh_masks_each_step(self):
         images, bags, config, state, _ = self.small_setup()
-        grids = [patchify(im, 4) for im in images]
-        first = prepare_step_inputs(grids, config, state, 0.5)
+        prepared = prepare(images, config)
+        first = prepare_step_inputs(prepared, config, state, 0.5)
         state.step += 1
-        second = prepare_step_inputs(grids, config, state, 0.5)
+        second = prepare_step_inputs(prepared, config, state, 0.5)
         assert any(
             not np.array_equal(a.masked, b.masked)
             for a, b in zip(first.masks, second.masks)
@@ -217,7 +222,7 @@ class TestTrainStep:
         # fixed shaped batch: perturbing a masked patch must leave the loss
         # bit-identical because pooling only touches kept slots
         images, bags, config, state, encoders = self.small_setup(seed=5)
-        inputs = prepare_step_inputs([patchify(im, 4) for im in images], config, state, 0.5)
+        inputs = prepare_step_inputs(prepare(images, config), config, state, 0.5)
         baseline, _, _ = loss_and_grads(inputs.pooled, bags, encoders, state.temperature)
 
         target = next(i for i, m in enumerate(inputs.masks) if m.masked.any())
@@ -230,8 +235,7 @@ class TestTrainStep:
         new_images = list(images)
         new_images[target] = Image(data=perturbed)
 
-        grids = [patchify(im, 4) for im in new_images]
-        pooled = pool_visible_patches(grids, inputs.shaped)
+        pooled = pool_visible_patches(prepare(new_images, config), inputs.shaped)
         loss, _, _ = loss_and_grads(pooled, bags, encoders, state.temperature)
         assert loss == baseline
 
@@ -240,9 +244,9 @@ class TestTrainStep:
         images, bags, config, state, encoders = self.small_setup(
             seed=7, strategy=Strategy.RANDOM
         )
-        grids = [patchify(im, 4) for im in images]
-        inputs = prepare_step_inputs(grids, config, state, 0.5)
-        _, base = train_step(encoders, grids, bags, config, state, 0.5, 0.1)
+        prepared = prepare(images, config)
+        inputs = prepare_step_inputs(prepared, config, state, 0.5)
+        _, base = train_step(encoders, prepared, bags, config, state, 0.5, 0.1)
 
         patch_idx = int(np.flatnonzero(inputs.masks[0].masked)[0])
         grid = patchify(images[0], 4)
@@ -250,18 +254,29 @@ class TestTrainStep:
         perturbed = images[0].data.copy()
         perturbed[bi * 4 : (bi + 1) * 4, bj * 4 : (bj + 1) * 4] = 0.875
         new_images = [Image(data=perturbed)] + list(images[1:])
-        new_grids = [patchify(im, 4) for im in new_images]
-        _, touched = train_step(encoders, new_grids, bags, config, state, 0.5, 0.1)
+        _, touched = train_step(encoders, prepare(new_images, config), bags, config, state,
+                                0.5, 0.1)
         assert touched.loss == base.loss
 
-    def test_train_loop_patchifies_each_image_once_per_run(self, patchify_calls):
+    def test_train_loop_patchifies_each_image_once_per_run(self, calls_to):
         images, bags = color_block_dataset(6, 16, 4, n_colors=6, seed=2)
         config = MaskerConfig(strategy=Strategy.CLUSTER_EMBEDDING, threshold_r=0.6, seed=2)
-        patchify_calls.clear()
+        patchify_calls = calls_to("patch_grid", "patchify")
         _, rows = train_loop(images, bags, config, epochs=3, patch_size=4, beta=0.5,
                              learning_rate=0.1, steps_per_epoch=2)
         assert len(rows) == 6
-        assert patchify_calls == [4] * 6
+        assert [args[1] for args in patchify_calls] == [4] * 6
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_train_loop_prepares_each_image_once_per_run(self, prepare_calls, strategy):
+        # noise images: the color blocks' flat patches leave K-Means too few
+        # distinct vectors for k=4
+        images = smoothed_noise_images(6, 16, 16, 3, seed=2)
+        config = MaskerConfig(strategy=strategy, threshold_r=0.6, kmeans_k=4, seed=2)
+        _, rows = train_loop(images, np.eye(6), config, epochs=3, patch_size=4, beta=0.5,
+                             learning_rate=0.1, steps_per_epoch=2)
+        assert len(rows) == 6
+        assert [len(calls) for calls in prepare_calls] == [6 * n for n in PREPARE_CALLS[strategy]]
 
     def test_short_training_reduces_loss(self):
         images, bags = color_block_dataset(12, 32, 8, seed=21)
