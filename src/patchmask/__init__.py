@@ -31,8 +31,7 @@ from .toy_contrastive import (
     ToyEncoders,
     TrainState,
     alpha_schedule,
-    info_nce_symmetric,
-    info_nce_v2l,
+    info_nce,
     train_loop,
     train_step,
 )
@@ -61,8 +60,7 @@ __all__ = [
     "cluster_mask",
     "cluster_mask_from_anchors",
     "cosine_matrix",
-    "info_nce_symmetric",
-    "info_nce_v2l",
+    "info_nce",
     "kmeans_cluster",
     "kmeans_mask",
     "load_image",

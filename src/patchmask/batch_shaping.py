@@ -39,10 +39,6 @@ class ShapedBatch:
     def slots(self):
         return self.kept_indices.shape[1]
 
-    @property
-    def pad_index(self):
-        return self.length
-
     def to_debug_text(self):
         lines = []
         for kept, attn in zip(self.kept_indices, self.attention):

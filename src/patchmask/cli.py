@@ -35,7 +35,7 @@ from .batch_shaping import check_beta, mask_batch
 from .calibration import DEFAULT_MAX_ITERS, DEFAULT_TOLERANCE, calibrate_threshold, check_search
 from .cluster_masker import Mask, MaskerConfig, Strategy, prepare_image
 from .errors import ConfigError, ConvergenceError, DataError
-from .patch_grid import patchify, pixel_normalize, unpatchify
+from .patch_grid import check_patch_size, patchify, pixel_normalize, unpatchify
 from .pnm import load_image, save_image
 from .render import render_mask
 from .similarity import check_alpha, cosine_matrix
@@ -152,6 +152,7 @@ def _cmd_mask(args):
     # bad values are reported before any image loads
     check_alpha(options["alpha"])
     check_beta(options["beta"])
+    check_patch_size(patch_size)
 
     paths, grids = _input_grids(args.in_dir, patch_size)
     # a generator, so one image's record (its L x L cosines) is alive at a time
@@ -194,6 +195,7 @@ def _cmd_calibrate(args):
         raise ConfigError(f"seed must be non-negative, got {seed}")
     check_search(options["anchor_ratio"], options["target"], options["tolerance"],
                  options["max_iters"])
+    check_patch_size(options["patch_size"])
 
     _, grids = _input_grids(args.in_dir, options["patch_size"], sample_size)
     sample = [cosine_matrix(pixel_normalize(grid)) for grid in grids]

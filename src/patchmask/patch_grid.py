@@ -67,6 +67,12 @@ class PatchGrid:
         return self.patch_size * self.patch_size * self.channels
 
 
+def check_patch_size(patch_size):
+    """Raise ConfigError unless patch_size is at least 1."""
+    if patch_size < 1:
+        raise ConfigError(f"patch_size must be positive, got {patch_size}")
+
+
 def patchify(image, patch_size):
     """Split an image into non-overlapping square patches.
 
@@ -76,8 +82,7 @@ def patchify(image, patch_size):
     patch_size below 1 is a ConfigError, one that does not divide the
     image a DataError.
     """
-    if patch_size < 1:
-        raise ConfigError(f"patch_size must be positive, got {patch_size}")
+    check_patch_size(patch_size)
     h, w, c = image.data.shape
     if h % patch_size or w % patch_size:
         raise DataError(

@@ -32,14 +32,6 @@ class FeatureGrid:
     cols: int
     features: np.ndarray  # (rows * cols, dim) float64
 
-    @property
-    def n_patches(self):
-        return self.rows * self.cols
-
-    @property
-    def dim(self):
-        return self.features.shape[1]
-
 
 def _vectors_of(grid):
     if isinstance(grid, PatchGrid):

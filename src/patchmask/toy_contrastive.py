@@ -75,62 +75,32 @@ def _normalize_rows(z):
     return z / np.maximum(norms, _NORM_GUARD), norms
 
 
-def encode_images(encoders, pooled):
-    """Unit-norm image embeddings from pooled visible-patch vectors."""
-    unit, _ = _normalize_rows(pooled @ encoders.w_image.T)
-    return unit
-
-
-def encode_texts(encoders, bags):
-    """Unit-norm text embeddings from bag-of-token count vectors."""
-    unit, _ = _normalize_rows(bags @ encoders.w_text.T)
-    return unit
-
-
-def _check_embeddings(image_embeds, text_embeds):
-    if image_embeds.ndim != 2 or image_embeds.shape != text_embeds.shape:
-        raise DataError(
-            f"embedding batches must be matching (N, D) arrays, got "
-            f"{image_embeds.shape} and {text_embeds.shape}"
-        )
-    if image_embeds.shape[0] < 2:
-        raise DataError("InfoNCE needs at least 2 pairs")
-    if not (np.isfinite(image_embeds).all() and np.isfinite(text_embeds).all()):
-        raise DataError("embeddings contain non-finite values")
-    for emb in (image_embeds, text_embeds):
-        norms = np.sqrt((emb * emb).sum(axis=1))
-        if np.abs(norms - 1.0).max() > 1e-6:
-            raise DataError("embeddings must be L2-normalized within 1e-6")
-
-
-def _row_losses(logits):
-    # stable -log softmax diagonal: lse(row) - diagonal
+def _softmax_rows(logits):
+    """Row softmax of logits and each row's -log softmax at the diagonal,
+    from one max-shifted exp."""
     shift = logits.max(axis=1, keepdims=True)
-    lse = shift[:, 0] + np.log(np.exp(logits - shift).sum(axis=1))
-    return lse - np.diagonal(logits)
+    soft = np.exp(logits - shift)
+    sums = soft.sum(axis=1, keepdims=True)
+    losses = shift[:, 0] + np.log(sums[:, 0]) - np.diagonal(logits)
+    soft /= sums
+    return soft, losses
 
 
-def info_nce_v2l(image_embeds, text_embeds, tau):
-    """Vision-to-language InfoNCE: each image against all texts in batch.
+def info_nce(logits):
+    """Symmetric InfoNCE over an (N, N) logits matrix whose diagonal holds
+    the matched pairs, and its gradient with respect to the logits.
 
-    Mean over i of -log( exp(I_i . T_i / tau) / sum_j exp(I_i . T_j / tau) ),
-    computed with max-subtracted log-sum-exp.
+    The loss is the mean of the vision-to-language rows and the
+    language-to-vision columns of -log softmax at the diagonal, each
+    computed with a max-subtracted log-sum-exp. Returns (loss, d_logits).
     """
-    image_embeds = np.asarray(image_embeds, dtype=np.float64)
-    text_embeds = np.asarray(text_embeds, dtype=np.float64)
-    _check_embeddings(image_embeds, text_embeds)
-    if tau <= 0.0:
-        raise ConfigError(f"temperature must be positive, got {tau}")
-    logits = (image_embeds @ text_embeds.T) / tau
-    return float(_row_losses(logits).mean())
-
-
-def info_nce_symmetric(image_embeds, text_embeds, tau):
-    """Mean of the vision-to-language and language-to-vision losses."""
-    return 0.5 * (
-        info_nce_v2l(image_embeds, text_embeds, tau)
-        + info_nce_v2l(text_embeds, image_embeds, tau)
-    )
+    n = logits.shape[0]
+    row_soft, row_losses = _softmax_rows(logits)
+    col_soft, col_losses = _softmax_rows(logits.T)
+    loss = 0.5 * float(row_losses.mean() + col_losses.mean())
+    eye = np.eye(n)
+    d_logits = 0.5 * ((row_soft - eye) + (col_soft.T - eye)) / n
+    return loss, d_logits
 
 
 def loss_and_grads(pooled, bags, encoders, tau):
@@ -151,17 +121,7 @@ def loss_and_grads(pooled, bags, encoders, tau):
 
     u, nu = _normalize_rows(pooled @ encoders.w_image.T)
     v, nv = _normalize_rows(bags @ encoders.w_text.T)
-    logits = (u @ v.T) / tau
-
-    loss = 0.5 * float(_row_losses(logits).mean() + _row_losses(logits.T).mean())
-
-    row_soft = np.exp(logits - logits.max(axis=1, keepdims=True))
-    row_soft /= row_soft.sum(axis=1, keepdims=True)
-    col_soft = np.exp(logits - logits.max(axis=0, keepdims=True))
-    col_soft /= col_soft.sum(axis=0, keepdims=True)
-    eye = np.eye(n)
-    d_logits = 0.5 * ((row_soft - eye) + (col_soft - eye)) / n
-
+    loss, d_logits = info_nce((u @ v.T) / tau)
     d_u = (d_logits @ v) / tau
     d_v = (d_logits.T @ u) / tau
     d_zi = (d_u - (d_u * u).sum(axis=1, keepdims=True) * u) / np.maximum(nu, _NORM_GUARD)
@@ -279,6 +239,8 @@ def train_loop(
         raise ConfigError(f"embed_dim must be >= 1, got {embed_dim}")
     if not learning_rate > 0.0:
         raise ConfigError(f"learning_rate must be positive, got {learning_rate}")
+    if len(images) < 2:
+        raise ConfigError(f"InfoNCE needs at least 2 images, got {len(images)}")
     state = TrainState(
         epoch_total=epochs,
         alpha_exponent=alpha_exponent,

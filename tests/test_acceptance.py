@@ -13,7 +13,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from conftest import random_similarity
+from conftest import random_similarity, smoothed_noise_images
 from patchmask.batch_shaping import shape_batch, visible_slots
 from patchmask.calibration import calibrate_threshold, draw_anchor_sets, mean_mask_ratio
 from patchmask.cluster_masker import (
@@ -26,11 +26,10 @@ from patchmask.cluster_masker import (
 from patchmask.patch_grid import Image, PatchGrid, patchify, pixel_normalize
 from patchmask.pnm import save_image
 from patchmask.similarity import cosine_matrix
-from patchmask.synthetic import color_block_dataset, smoothed_noise_images
+from patchmask.synthetic import color_block_dataset
 from patchmask.toy_contrastive import (
     TrainState,
-    info_nce_symmetric,
-    info_nce_v2l,
+    info_nce,
     init_encoders,
     loss_and_grads,
     pool_visible_patches,
@@ -127,15 +126,14 @@ def test_criterion_04_infonce_identities():
             vec[0] = 1.0
             embeds = np.tile(vec, (n, 1))
             for tau in (0.07, 0.5, 1.0):
-                assert abs(info_nce_v2l(embeds, embeds, tau) - math.log(n)) <= 1e-6
-                assert abs(info_nce_symmetric(embeds, embeds, tau) - math.log(n)) <= 1e-6
+                assert abs(info_nce(embeds @ embeds.T / tau)[0] - math.log(n)) <= 1e-6
 
         rng = np.random.default_rng(400)
         for _ in range(100):
             n = int(rng.integers(2, 12))
             images = unit_rows(rng, n, int(rng.integers(3, 9)))
             texts = unit_rows(rng, n, images.shape[1])
-            ours = info_nce_symmetric(images, texts, 0.07)
+            ours = info_nce(images @ texts.T / 0.07)[0]
             assert abs(ours - naive_symmetric_loss(images, texts, 0.07)) <= 1e-9
 
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import smoothed_noise_images
 from patchmask.batch_shaping import mask_batch, shape_batch, visible_slots
 from patchmask.cli import _NS_CLI_MASK, _NS_CLI_SHAPE
 from patchmask.cluster_masker import (
@@ -19,7 +20,6 @@ from patchmask.cluster_masker import (
 from patchmask.errors import ConfigError, DataError
 from patchmask.patch_grid import Image, patchify, pixel_normalize
 from patchmask.similarity import blend, check_alpha, cosine_matrix, toy_patch_embedding
-from patchmask.synthetic import smoothed_noise_images
 from patchmask.toy_contrastive import (
     _NS_MASK,
     _NS_SHAPE,

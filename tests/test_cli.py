@@ -1,8 +1,10 @@
+import io
 import json
 import subprocess
 import sys
 import tempfile
 import warnings
+from contextlib import redirect_stderr
 from pathlib import Path
 
 import numpy as np
@@ -10,12 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PREPARE_CALLS
+from conftest import PREPARE_CALLS, smoothed_noise_images
 from patchmask.cli import _CALIBRATE, _DATASET, _MASK, _TRAIN, main
 from patchmask.cluster_masker import Mask
 from patchmask.pnm import load_image, save_image
 from patchmask.render import render_mask
-from patchmask.synthetic import smoothed_noise_images
 
 
 @pytest.fixture
@@ -294,6 +295,10 @@ class TestConfigErrors:
             ("calibrate", {}, ["--in", "/nonexistent", "--target", "2"]),
             ("calibrate", {}, ["--in", "/nonexistent", "--anchor-ratio", "0"]),
             ("mask", {}, ["--in", "/nonexistent", "--beta", "1.5"]),
+            ("mask", {}, ["--in", "/nonexistent", "--patch-size", "0"]),
+            ("calibrate", {}, ["--in", "/nonexistent", "--patch-size", "0"]),
+            # InfoNCE contrasts at least two pairs
+            ("train", {"dataset": {"n_images": 1}}, []),
         ],
     )
     def test_bad_value_exits_2(self, image_dir, tmp_path, capsys, command, config, flags):
@@ -371,6 +376,34 @@ class TestExitCodeContract:
             if command != "calibrate":
                 args += ["--out", root / "out"]
             assert run_cli(args) in (0, 2, 3, 4)
+
+
+class TestConfigBeforeData:
+    @pytest.mark.parametrize("command", ["calibrate", "mask"])
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_a_config_error_needs_no_input(self, command, data):
+        # a config that fails over a valid image fails the same way with
+        # no input directory at all: no config value waits for the data
+        config = data.draw(_CONFIGS[command])
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            root = Path(tmp)
+            (root / "cfg.json").write_text(json.dumps(config))
+            (root / "imgs").mkdir()
+            (root / "imgs" / "a.ppm").write_bytes(b"P6\n16\n16\n255\n" + bytes(range(256)) * 3)
+            results = []
+            for in_dir in (root / "imgs", root / "missing"):
+                args = [command, "--config", root / "cfg.json", "--in", in_dir]
+                if command == "mask":
+                    args += ["--out", root / "out"]
+                err = io.StringIO()
+                with redirect_stderr(err):
+                    results.append((run_cli(args), err.getvalue()))
+        (code, message), missing = results
+        if code == 2:
+            assert message.count("\n") == 1
+            assert missing == (code, message)
 
 
 class TestStatsCommand:

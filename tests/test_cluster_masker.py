@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_similarity
+from conftest import random_similarity, smoothed_noise_images
 from patchmask import cluster_masker
 from patchmask.cluster_masker import (
     Mask,
@@ -25,7 +25,6 @@ from patchmask.cluster_masker import (
 )
 from patchmask.errors import ConfigError, DataError
 from patchmask.patch_grid import Image, patchify, pixel_normalize
-from patchmask.synthetic import smoothed_noise_images
 
 
 def brute_force_members(sim, anchors, threshold):

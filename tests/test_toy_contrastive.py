@@ -3,17 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from conftest import PREPARE_CALLS
+from conftest import PREPARE_CALLS, smoothed_noise_images
 from patchmask.cluster_masker import MaskerConfig, Strategy, prepare_image
 from patchmask.errors import ConfigError, DataError
 from patchmask.patch_grid import Image, patchify
-from patchmask.synthetic import color_block_dataset, smoothed_noise_images
+from patchmask.synthetic import color_block_dataset
 from patchmask.toy_contrastive import (
     ToyEncoders,
     TrainState,
     alpha_schedule,
-    info_nce_symmetric,
-    info_nce_v2l,
+    info_nce,
     init_encoders,
     loss_and_grads,
     pool_visible_patches,
@@ -83,16 +82,13 @@ class TestInfoNCE:
         vec = np.zeros(6)
         vec[0] = 1.0
         embeds = np.tile(vec, (n, 1))
-        assert info_nce_v2l(embeds, embeds, 0.07) == pytest.approx(math.log(n), abs=1e-6)
-        assert info_nce_symmetric(embeds, embeds, 0.07) == pytest.approx(
-            math.log(n), abs=1e-6
-        )
+        assert info_nce(embeds @ embeds.T / 0.07)[0] == pytest.approx(math.log(n), abs=1e-6)
 
     def test_perfectly_separated_pair_is_near_zero(self):
         # +1/-1 logits at tau=0.07: per-row loss log1p(exp(-2/0.07)) ~ 3.9e-13
         embeds = np.array([[1.0, 0.0], [-1.0, 0.0]])
         expected = math.log1p(math.exp(-2.0 / 0.07))
-        loss = info_nce_v2l(embeds, embeds, 0.07)
+        loss, _ = info_nce(embeds @ embeds.T / 0.07)
         assert loss == pytest.approx(expected, abs=1e-15)
         assert loss < 1e-12
 
@@ -100,8 +96,8 @@ class TestInfoNCE:
         images = unit_rows(rng, 8, 5)
         texts = unit_rows(rng, 8, 5)
         perm = rng.permutation(8)
-        base = info_nce_symmetric(images, texts, 0.07)
-        permuted = info_nce_symmetric(images[perm], texts[perm], 0.07)
+        base, _ = info_nce(images @ texts.T / 0.07)
+        permuted, _ = info_nce(images[perm] @ texts[perm].T / 0.07)
         assert permuted == pytest.approx(base, abs=1e-12)
 
     def test_matches_naive_oracle(self, rng):
@@ -109,44 +105,36 @@ class TestInfoNCE:
             n = int(rng.integers(2, 10))
             images = unit_rows(rng, n, 6)
             texts = unit_rows(rng, n, 6)
-            ours = info_nce_symmetric(images, texts, 0.07)
+            ours, _ = info_nce(images @ texts.T / 0.07)
             assert ours == pytest.approx(naive_symmetric_loss(images, texts, 0.07), abs=1e-9)
 
-    def test_symmetric_logits_equalize_directions(self, rng):
-        embeds = unit_rows(rng, 6, 4)
-        v2l = info_nce_v2l(embeds, embeds, 0.1)  # logits matrix is symmetric
-        l2v = info_nce_v2l(embeds, embeds, 0.1)
-        assert v2l == pytest.approx(l2v, abs=1e-12)
+    def test_transposed_logits_swap_directions(self, rng):
+        # the loss is symmetric in its two directions, so swapping images
+        # and texts changes neither the loss nor, transposed, the gradient
+        logits = unit_rows(rng, 6, 4) @ unit_rows(rng, 6, 4).T / 0.1
+        loss, d_logits = info_nce(logits)
+        swapped, d_swapped = info_nce(logits.T)
+        assert swapped == loss
+        np.testing.assert_array_equal(d_swapped, d_logits.T)
 
     def test_loss_at_least_zero(self, rng):
         for _ in range(50):
             images = unit_rows(rng, 4, 8)
             texts = unit_rows(rng, 4, 8)
-            assert info_nce_v2l(images, texts, 0.07) >= 0.0
+            assert info_nce(images @ texts.T / 0.07)[0] >= 0.0
 
-    def test_input_validation(self, rng):
-        good = unit_rows(rng, 4, 4)
-        with pytest.raises(DataError):
-            info_nce_v2l(good[:1], good[:1], 0.07)
-        with pytest.raises(DataError):
-            info_nce_v2l(good * 2.0, good, 0.07)
-        bad = good.copy()
-        bad[0, 0] = np.nan
-        with pytest.raises(DataError):
-            info_nce_v2l(bad, good, 0.07)
-        with pytest.raises(ConfigError):
-            info_nce_v2l(good, good, 0.0)
-
-
-class TestEncoders:
-    def test_outputs_are_unit_norm(self, rng):
-        from patchmask.toy_contrastive import encode_images, encode_texts
-
-        encoders = init_encoders(12, 5, 8, seed=4)
-        images = encode_images(encoders, rng.random((6, 12)))
-        texts = encode_texts(encoders, rng.integers(1, 5, size=(6, 5)).astype(float))
-        np.testing.assert_allclose(np.linalg.norm(images, axis=1), 1.0, atol=1e-6)
-        np.testing.assert_allclose(np.linalg.norm(texts, axis=1), 1.0, atol=1e-6)
+    def test_loss_and_grads_rejects_bad_batches(self, rng):
+        pooled, bags = tiny_batch(rng)
+        encoders = init_encoders(12, 5, 8, seed=3)
+        with pytest.raises(DataError, match="batch size mismatch"):
+            loss_and_grads(pooled[:3], bags, encoders, 0.07)
+        with pytest.raises(DataError, match="at least 2 pairs"):
+            loss_and_grads(pooled[:1], bags[:1], encoders, 0.07)
+        bad_pooled, bad_bags = pooled.copy(), bags.copy()
+        bad_pooled[1, 2] = bad_bags[1, 2] = np.nan
+        for batch in ((bad_pooled, bags), (pooled, bad_bags)):
+            with pytest.raises(DataError, match="non-finite"):
+                loss_and_grads(*batch, encoders, 0.07)
 
 
 def tiny_batch(rng, n=4, patch_dim=12, vocab=5):
