@@ -5,6 +5,10 @@ the per-image anchor sets are frozen, so bisection over [-1, 1.05]
 converges quickly; the extra 0.05 above the cosine maximum makes the
 anchors-only regime reachable. The achieved ratio is then re-estimated
 with fresh anchor draws to report how the calibrated r generalizes.
+
+With the anchors frozen, a patch's membership at any r depends only on
+its largest similarity to an anchor, so each image is kept as one such
+"reach row" per anchor set, O(L) floats, rather than as its L x L matrix.
 """
 
 import json
@@ -12,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cluster_masker import check_anchor_ratio, cluster_mask_from_anchors, draw_anchors, mask_ratio
-from .errors import ConfigError, ConvergenceError
+from .cluster_masker import check_anchor_ratio, draw_anchors
+from .errors import ConfigError, ConvergenceError, DataError
 
 R_MIN = -1.0
 R_MAX = 1.05
@@ -61,17 +65,50 @@ def check_search(anchor_ratio, target_ratio, tolerance, max_iters):
     check_anchor_ratio(anchor_ratio)
 
 
-def draw_anchor_sets(sample, anchor_ratio, rng):
-    """One frozen anchor set per similarity matrix, drawn as cluster_mask draws."""
-    return [draw_anchors(sim.shape[0], anchor_ratio, rng) for sim in sample]
+def draw_anchor_sets(lengths, anchor_ratio, rng):
+    """One anchor set per image of lengths[i] patches, drawn as cluster_mask draws."""
+    return [draw_anchors(length, anchor_ratio, rng) for length in lengths]
 
 
-def mean_mask_ratio(sample, anchor_sets, r):
-    """Mean cluster-mask ratio over the sample at threshold r, anchors fixed."""
+def reach_row(sim, anchors):
+    """Per patch j, the largest sim[a, j] over the anchors a, and +inf at
+    the anchors themselves.
+
+    Patch j is in the cluster mask of these anchors at threshold r exactly
+    when reach[j] >= r: fmax skips NaN, so this holds for every r but NaN.
+    """
+    reach = np.fmax.reduce(sim[anchors], axis=0)
+    reach[anchors] = np.inf
+    return reach
+
+
+def _reach_rows(sample, lengths, frozen_sets, fresh_sets):
+    """The frozen-anchor and the fresh-anchor reach row of each matrix in
+    sample, which is iterated once; no matrix is kept."""
+    frozen, fresh = [], []
+    for index, sim in enumerate(sample):
+        if index == len(lengths):
+            raise DataError(f"calibration sample holds more than {len(lengths)} matrices")
+        sim = np.asarray(sim, dtype=np.float64)
+        if sim.shape != (lengths[index], lengths[index]):
+            raise DataError(
+                f"similarity matrix {index} must be {lengths[index]}x{lengths[index]}, "
+                f"got shape {sim.shape}"
+            )
+        frozen.append(reach_row(sim, frozen_sets[index]))
+        fresh.append(reach_row(sim, fresh_sets[index]))
+    if len(frozen) < len(lengths):
+        raise DataError(f"calibration sample holds {len(frozen)} of {len(lengths)} matrices")
+    return frozen, fresh
+
+
+def mean_mask_ratio(reach_rows, r):
+    """Mean cluster-mask ratio at threshold r over images given by their
+    reach rows, summed in image order."""
     total = 0.0
-    for sim, anchors in zip(sample, anchor_sets):
-        total += mask_ratio(cluster_mask_from_anchors(sim, anchors, r))
-    return total / len(sample)
+    for reach in reach_rows:
+        total += float(np.count_nonzero(reach >= r)) / reach.size
+    return total / len(reach_rows)
 
 
 def calibrate_threshold(
@@ -81,9 +118,16 @@ def calibrate_threshold(
     tolerance=DEFAULT_TOLERANCE,
     max_iters=DEFAULT_MAX_ITERS,
     rng=None,
+    lengths=None,
 ):
     """Bisect the similarity threshold until the sample's mean mask ratio
     matches target_ratio.
+
+    sample is an iterable of L x L similarity matrices, read once: each is
+    reduced to its frozen-anchor and fresh-anchor reach rows as it
+    arrives, so a generator keeps one matrix alive at a time. lengths, the
+    L of each matrix, lets the anchor sets be drawn before the first
+    matrix is read; without it sample is read into a list first.
 
     Anchor sets are drawn once and held fixed, making the objective a
     deterministic monotone step function of r; bisection stops once the
@@ -91,20 +135,25 @@ def calibrate_threshold(
     margin for re-sampling noise) or after max_iters evaluations. The
     reported achieved_ratio comes from an independent fresh-anchor pass at
     the found threshold, and the converged flag reflects that fresh pass.
+    The fresh sets are drawn right after the frozen ones; the bisection
+    draws nothing, so they are the sets a draw after it would give.
 
-    Raises ConvergenceError when the target sits below the anchors-only
-    ratio, which no threshold can reach.
+    Raises ConvergenceError, once the whole sample has been read, when the
+    target sits below the anchors-only ratio, which no threshold can reach.
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    if not sample:
+    if lengths is None:
+        sample = list(sample)
+        lengths = [len(sim) for sim in sample]
+    if len(lengths) == 0:
         raise ConfigError("calibration sample must be nonempty")
     check_search(anchor_ratio, target_ratio, tolerance, max_iters)
 
-    anchor_sets = draw_anchor_sets(sample, anchor_ratio, rng)
-    anchors_only = float(
-        np.mean([len(a) / s.shape[0] for a, s in zip(anchor_sets, sample)])
-    )
+    anchor_sets = draw_anchor_sets(lengths, anchor_ratio, rng)
+    fresh_sets = draw_anchor_sets(lengths, anchor_ratio, rng)
+    frozen_rows, fresh_rows = _reach_rows(sample, lengths, anchor_sets, fresh_sets)
+    anchors_only = float(np.mean([len(a) / n for a, n in zip(anchor_sets, lengths)]))
     if target_ratio < anchors_only:
         raise ConvergenceError(
             f"target ratio {target_ratio} is unreachable: anchors alone mask "
@@ -116,7 +165,7 @@ def calibrate_threshold(
     mid = (lo + hi) / 2.0
     for _ in range(max_iters):
         mid = (lo + hi) / 2.0
-        mean = mean_mask_ratio(sample, anchor_sets, mid)
+        mean = mean_mask_ratio(frozen_rows, mid)
         trace.append((mid, mean))
         if abs(mean - target_ratio) <= tolerance / 2.0:
             break
@@ -126,14 +175,13 @@ def calibrate_threshold(
             hi = mid
 
     found_r = mid
-    fresh_sets = draw_anchor_sets(sample, anchor_ratio, rng)
-    achieved = mean_mask_ratio(sample, fresh_sets, found_r)
+    achieved = mean_mask_ratio(fresh_rows, found_r)
     return CalibrationReport(
         target_ratio=float(target_ratio),
         found_r=float(found_r),
         achieved_ratio=float(achieved),
         iterations=len(trace),
-        sample_size=len(sample),
+        sample_size=len(lengths),
         converged=bool(abs(achieved - target_ratio) <= tolerance),
         trace=trace,
     )

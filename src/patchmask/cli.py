@@ -36,7 +36,7 @@ from .calibration import DEFAULT_MAX_ITERS, DEFAULT_TOLERANCE, calibrate_thresho
 from .cluster_masker import Mask, MaskerConfig, Strategy, prepare_image
 from .errors import ConfigError, ConvergenceError, DataError
 from .patch_grid import check_patch_size, patchify, pixel_normalize, unpatchify
-from .pnm import load_image, save_image
+from .pnm import load_image, read_size, save_image
 from .render import render_mask
 from .similarity import check_alpha, cosine_matrix
 from .stats import stats_report
@@ -133,16 +133,42 @@ _DATASET = {"n_images": 16, "image_size": 32, "patch_size": 8, "n_colors": 8}
 _TRAIN = {**_MASKER, **_TRAIN_LOOP, "dataset": _DATASET}
 
 
-def _input_grids(directory, patch_size, limit=None):
-    """The first limit image paths in directory by name (all by default) and
-    their patch grids; no image is held beyond its patchify."""
+def _input_paths(directory, limit=None):
+    """The first limit image paths in directory by name (all by default)."""
     root = Path(directory)
     if not root.is_dir():
         raise DataError(f"input directory not found: {directory}")
     paths = sorted(p for p in root.iterdir() if p.suffix.lower() in _IMAGE_SUFFIXES)[:limit]
     if not paths:
         raise DataError(f"no .ppm/.pgm/.pnm files in {directory}")
-    return paths, [patchify(load_image(p), patch_size) for p in paths]
+    return paths
+
+
+def _grids(paths, patch_size):
+    """Each path's patch grid, lazily; no image is held beyond its patchify."""
+    return (patchify(load_image(path), patch_size) for path in paths)
+
+
+def _patch_counts(paths, patch_size):
+    """Patches per image, from each file's header alone.
+
+    A file whose header fails, or whose size patch_size does not divide,
+    is loaded and patchified after every file before it, so the first bad
+    file in name order raises the error a full load would.
+    """
+    counts = []
+    for index, path in enumerate(paths):
+        try:
+            height, width = read_size(path)
+            if height % patch_size or width % patch_size:
+                raise DataError(f"patch_size {patch_size} does not divide image dimensions "
+                                f"{height}x{width}")
+        except (DataError, OSError):
+            for _ in _grids(paths[: index + 1], patch_size):
+                pass
+            raise
+        counts.append((height // patch_size) * (width // patch_size))
+    return counts
 
 
 def _cmd_mask(args):
@@ -154,7 +180,8 @@ def _cmd_mask(args):
     check_beta(options["beta"])
     check_patch_size(patch_size)
 
-    paths, grids = _input_grids(args.in_dir, patch_size)
+    paths = _input_paths(args.in_dir)
+    grids = list(_grids(paths, patch_size))
     # a generator, so one image's record (its L x L cosines) is alive at a time
     prepared = (prepare_image(grid, masker) for grid in grids)
     # shape before opening any output, so a data error leaves nothing behind
@@ -195,10 +222,13 @@ def _cmd_calibrate(args):
         raise ConfigError(f"seed must be non-negative, got {seed}")
     check_search(options["anchor_ratio"], options["target"], options["tolerance"],
                  options["max_iters"])
-    check_patch_size(options["patch_size"])
+    patch_size = options["patch_size"]
+    check_patch_size(patch_size)
 
-    _, grids = _input_grids(args.in_dir, options["patch_size"], sample_size)
-    sample = [cosine_matrix(pixel_normalize(grid)) for grid in grids]
+    paths = _input_paths(args.in_dir, sample_size)
+    lengths = _patch_counts(paths, patch_size)
+    # a generator, so one image's L x L cosines are alive at a time
+    sample = (cosine_matrix(pixel_normalize(grid)) for grid in _grids(paths, patch_size))
 
     report = calibrate_threshold(
         sample,
@@ -207,6 +237,7 @@ def _cmd_calibrate(args):
         tolerance=options["tolerance"],
         max_iters=options["max_iters"],
         rng=np.random.default_rng((seed, _NS_CLI_CALIBRATE)),
+        lengths=lengths,
     )
     if args.calibration_out:
         Path(args.calibration_out).write_text(report.to_json(), encoding="ascii")

@@ -120,8 +120,8 @@ def cluster_mask_from_anchors(sim, anchors, threshold_r):
     """Cluster mask for a fixed anchor set (no sampling).
 
     A patch j is masked iff j is an anchor or sim[a, j] >= threshold_r
-    for some anchor a. This is the deterministic core of cluster_mask and
-    the path calibration uses to keep anchors frozen across evaluations.
+    for some anchor a. This is the deterministic core of cluster_mask;
+    calibration's reach rows decide the same membership.
     """
     sim = np.ascontiguousarray(sim, dtype=np.float64)
     if sim.ndim != 2 or sim.shape[0] != sim.shape[1]:

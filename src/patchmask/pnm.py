@@ -11,6 +11,7 @@ from .errors import DataError
 from .patch_grid import Image
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
+_HEADER_CHUNK = 256  # bytes read_size reads first; a usual header takes ~15
 
 
 class _HeaderScanner:
@@ -44,8 +45,9 @@ class _HeaderScanner:
         return int(token)
 
 
-def parse_pnm(data):
-    """Decode P5/P6 bytes into an Image."""
+def _parse_header(data):
+    """(width, height, channels, maxval, offset of the pixel data) of P5/P6
+    bytes; data may end anywhere after the header."""
     scanner = _HeaderScanner(data)
     magic = data[:2]
     if magic not in (b"P5", b"P6"):
@@ -61,15 +63,19 @@ def parse_pnm(data):
         scanner.fail(f"maxval must lie in [1, 65535], got {maxval}")
     if scanner.pos >= len(data) or data[scanner.pos : scanner.pos + 1] not in _WHITESPACE:
         scanner.fail("expected single whitespace before pixel data")
-    scanner.pos += 1
+    return width, height, channels, maxval, scanner.pos + 1
 
+
+def parse_pnm(data):
+    """Decode P5/P6 bytes into an Image."""
+    width, height, channels, maxval, start = _parse_header(data)
     bytes_per_sample = 1 if maxval < 256 else 2
     expected = width * height * channels * bytes_per_sample
-    raster = data[scanner.pos : scanner.pos + expected]
+    raster = data[start : start + expected]
     if len(raster) < expected:
         raise DataError(
             f"truncated pixel data: expected {expected} bytes from byte "
-            f"{scanner.pos}, file ends at byte {len(data)}"
+            f"{start}, file ends at byte {len(data)}"
         )
     dtype = np.uint8 if bytes_per_sample == 1 else np.dtype(">u2")
     samples = np.frombuffer(raster, dtype=dtype).astype(np.float64) / maxval
@@ -93,6 +99,27 @@ def load_image(path):
     """Read a binary P5/P6 file into an Image with intensities in [0, 1]."""
     with open(path, "rb") as fh:
         return parse_pnm(fh.read())
+
+
+def read_size(path):
+    """(height, width) of a binary P5/P6 file, read from its header alone.
+
+    The file is read in growing chunks until the header parses. A header
+    that parses within a chunk parses the same in the whole file, because
+    each of its fields must end in whitespace inside the chunk. A header
+    that fails raises the DataError of the whole file's header.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read(_HEADER_CHUNK)
+        while True:
+            try:
+                width, height = _parse_header(data)[:2]
+                return height, width
+            except DataError:
+                more = fh.read(len(data))
+                if not more:
+                    raise
+                data += more
 
 
 def save_image(image, path):

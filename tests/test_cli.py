@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from contextlib import redirect_stderr
 from pathlib import Path
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from conftest import PREPARE_CALLS, smoothed_noise_images
 from patchmask.cli import _CALIBRATE, _DATASET, _MASK, _TRAIN, main
 from patchmask.cluster_masker import Mask
+from patchmask.patch_grid import Image
 from patchmask.pnm import load_image, save_image
 from patchmask.render import render_mask
 
@@ -190,6 +192,99 @@ class TestCalibrateCommand:
         )
         assert code == 4
 
+    def test_one_matrix_alive_at_a_time(self, tmp_path, calls_to):
+        # 64 images of L=256: one cosine matrix is 512 KiB, all 64 are 32 MiB
+        directory = tmp_path / "imgs"
+        directory.mkdir()
+        rng = np.random.default_rng(12)
+        for i in range(64):
+            save_image(Image(data=rng.random((64, 64, 3))), directory / f"img_{i:02d}.ppm")
+        args = ["calibrate", "--in", directory, "--patch-size", "4", "--target", "0.5",
+                "--tolerance", "0.1"]
+        tracemalloc.start()
+        try:
+            assert run_cli(args) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 256 * 256 * 8, peak
+        # counted in a second run: the recorded arguments hold every grid
+        cosine_calls = calls_to("similarity", "cosine_matrix")
+        assert run_cli(args) == 0
+        assert len(cosine_calls) == 64
+
+
+# up to three files, of which the first bad one in name order must decide
+# the exit code and stderr, as when every image loads before any cosine
+_RASTER = bytes(range(256)) * 12  # 32x32 P6 pixels
+_GOOD = b"P6\n32 32\n255\n" + _RASTER
+
+
+class TestCalibrateDataErrors:
+    @pytest.mark.parametrize(
+        "files, flags, expected",
+        [
+            # a truncated raster behind a good header beats a bad header after it
+            ([_GOOD, _GOOD[:-10], b"P6\n32 x\n255\n"], [],
+             "data error: truncated pixel data: expected 3072 bytes from byte 13, "
+             "file ends at byte 3075\n"),
+            # so do intensities above maxval
+            ([_GOOD, b"P6\n32 32\n100\n" + bytes([255]) * 3072, b"P3\n32 32\n255\n"], [],
+             "data error: image intensities must lie in [0, 1]\n"),
+            ([_GOOD, b"P6\n32 -3\n255\n", _GOOD], [],
+             "data error: expected integer height at byte 6\n"),
+            ([_GOOD, b"P6\n32 32\n70000\n", _GOOD], [],
+             "data error: maxval must lie in [1, 65535], got 70000 at byte 14\n"),
+            # a comment longer than the first header read
+            ([_GOOD, b"P6\n# " + b"c" * 5000 + b"\n32 32\n255", _GOOD], [],
+             "data error: expected single whitespace before pixel data at byte 5015\n"),
+            ([_GOOD, b"", _GOOD], [],
+             "data error: unsupported format b'': only binary P5/P6 are handled\n"),
+            ([_GOOD, b"P6\n20 20\n255\n" + bytes(1200), b"P6\n32"], [],
+             "data error: patch_size 8 does not divide image dimensions 20x20\n"),
+            ([_GOOD, b"P6\n24 32\n255\n" + bytes(2304), _GOOD[:-1]], [],
+             "data error: truncated pixel data: expected 3072 bytes from byte 13, "
+             "file ends at byte 3084\n"),
+            # images load before an unreachable target is found out
+            ([_GOOD, _GOOD[:-10], _GOOD], ["--target", "0.18", "--anchor-ratio", "0.17"],
+             "data error: truncated pixel data: expected 3072 bytes from byte 13, "
+             "file ends at byte 3075\n"),
+            ([_GOOD, _GOOD[:-10], b"P6\n32 x\n255\n"],
+             ["--target", "0.18", "--anchor-ratio", "0.17"],
+             "data error: truncated pixel data: expected 3072 bytes from byte 13, "
+             "file ends at byte 3075\n"),
+            ([_GOOD, b"P6\n32 -3\n255\n", _GOOD], ["--target", "0.18", "--anchor-ratio", "0.17"],
+             "data error: expected integer height at byte 6\n"),
+            ([_GOOD, b"P6\n20 20\n255\n" + bytes(1200), b"P6\n32"],
+             ["--target", "0.18", "--anchor-ratio", "0.17"],
+             "data error: patch_size 8 does not divide image dimensions 20x20\n"),
+            # files past the sample are not read
+            ([_GOOD, b"P6\n32 -3\n255\n"], ["--sample-size", "1", "--target", "0.18",
+                                            "--anchor-ratio", "0.17"],
+             "convergence failure: target ratio 0.18 is unreachable: anchors alone mask "
+             "0.1875 of the sample\n"),
+        ],
+    )
+    def test_first_bad_file_wins(self, tmp_path, capsys, files, flags, expected):
+        directory = tmp_path / "imgs"
+        directory.mkdir()
+        for name, data in zip("abc", files):
+            (directory / f"{name}.ppm").write_bytes(data)
+        code = run_cli(["calibrate", "--in", directory, "--patch-size", "8", *flags])
+        captured = capsys.readouterr()
+        assert (code, captured.err, captured.out) == (4 if "convergence" in expected else 3,
+                                                      expected, "")
+
+    def test_unreadable_file_wins_as_in_load_order(self, tmp_path, capsys):
+        directory = tmp_path / "imgs"
+        directory.mkdir()
+        (directory / "a.ppm").write_bytes(_GOOD)
+        (directory / "b.ppm").mkdir()
+        (directory / "c.ppm").write_bytes(b"junk")
+        assert run_cli(["calibrate", "--in", directory, "--patch-size", "8"]) == 3
+        expected = f"data error: [Errno 21] Is a directory: '{directory / 'b.ppm'}'\n"
+        assert capsys.readouterr().err == expected
+
 
 class TestTrainCommand:
     def test_writes_log(self, tmp_path, capsys):
@@ -324,9 +419,9 @@ class TestConfigErrors:
 
 
 # config values: wrong types, null, bools, NaN, small and boundary numbers
-_VALUES = st.sampled_from(
-    [None, True, False, "16", "kmeans", [1], {}, float("nan"), -1, 0, 0.5, 1, 1.5, 2, 3]
-)
+_CONFIG_VALUES = [None, True, False, "16", "kmeans", [1], {}, float("nan"),
+                  -1, 0, 0.5, 1, 1.5, 2, 3]
+_VALUES = st.sampled_from(_CONFIG_VALUES)
 _HEADER_TOKENS = [b"", b"P3", b"P5", b"P6", b"-1", b"0", b"1", b"8", b"16", b"17",
                   b"255", b"256", b"65535", b"65536", b"x", b"#"]
 
@@ -378,32 +473,43 @@ class TestExitCodeContract:
             assert run_cli(args) in (0, 2, 3, 4)
 
 
+def _assert_config_error_needs_no_input(command, config):
+    """A config that fails over a valid image fails the same way with no
+    input directory at all: no config value waits for the data."""
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        root = Path(tmp)
+        (root / "cfg.json").write_text(json.dumps(config))
+        (root / "imgs").mkdir()
+        (root / "imgs" / "a.ppm").write_bytes(b"P6\n16\n16\n255\n" + bytes(range(256)) * 3)
+        results = []
+        for in_dir in (root / "imgs", root / "missing"):
+            args = [command, "--config", root / "cfg.json", "--in", in_dir]
+            if command == "mask":
+                args += ["--out", root / "out"]
+            err = io.StringIO()
+            with redirect_stderr(err):
+                results.append((run_cli(args), err.getvalue()))
+    (code, message), missing = results
+    if code == 2:
+        assert message.count("\n") == 1
+        assert missing == (code, message), config
+
+
 class TestConfigBeforeData:
     @pytest.mark.parametrize("command", ["calibrate", "mask"])
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_a_config_error_needs_no_input(self, command, data):
-        # a config that fails over a valid image fails the same way with
-        # no input directory at all: no config value waits for the data
-        config = data.draw(_CONFIGS[command])
-        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            root = Path(tmp)
-            (root / "cfg.json").write_text(json.dumps(config))
-            (root / "imgs").mkdir()
-            (root / "imgs" / "a.ppm").write_bytes(b"P6\n16\n16\n255\n" + bytes(range(256)) * 3)
-            results = []
-            for in_dir in (root / "imgs", root / "missing"):
-                args = [command, "--config", root / "cfg.json", "--in", in_dir]
-                if command == "mask":
-                    args += ["--out", root / "out"]
-                err = io.StringIO()
-                with redirect_stderr(err):
-                    results.append((run_cli(args), err.getvalue()))
-        (code, message), missing = results
-        if code == 2:
-            assert message.count("\n") == 1
-            assert missing == (code, message)
+        _assert_config_error_needs_no_input(command, data.draw(_CONFIGS[command]))
+
+    @pytest.mark.parametrize("command", ["calibrate", "mask"])
+    def test_every_single_fault_needs_no_input(self, command):
+        # the default config with exactly one key set to each value: all
+        # of them, since _CONFIGS' many-key draws almost never make one
+        for key in sorted({"calibrate": _CALIBRATE, "mask": _MASK}[command]):
+            for value in _CONFIG_VALUES:
+                _assert_config_error_needs_no_input(command, {key: value})
 
 
 class TestStatsCommand:

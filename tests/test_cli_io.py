@@ -1,10 +1,17 @@
+import tempfile
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from patchmask import pnm
 from patchmask.cluster_masker import Mask, random_mask
 from patchmask.errors import DataError
 from patchmask.patch_grid import Image
-from patchmask.pnm import encode_pnm, load_image, parse_pnm, save_image
+from patchmask.pnm import encode_pnm, load_image, parse_pnm, read_size, save_image
 from patchmask.render import render_mask
 from patchmask.stats import stats_report
 
@@ -68,6 +75,50 @@ class TestPnm:
         path = tmp_path / "img.pgm"
         save_image(Image(data=quantized), path)
         np.testing.assert_array_equal(load_image(path).data, quantized)
+
+
+_MAGICS = [b"P5", b"P6", b"P3", b"P", b""]
+_FIELDS = [b"2", b"16", b"255", b"256", b"65535", b"65536", b"0", b"-1", b"x", b""]
+_SEPARATORS = [b" ", b"\n", b"\t\r", b"\n# note\n", b"# note\n", b"#", b""]
+
+
+def _piece(choices, valid):
+    """One of choices, drawn from the first valid ones half the time."""
+    return st.one_of(st.sampled_from(choices[:valid]), st.sampled_from(choices))
+
+
+@st.composite
+def _headers(draw):
+    """A magic and three fields, each followed by a separator, then bytes."""
+    parts = [draw(_piece(_MAGICS, 2))]
+    for _ in range(3):
+        parts += [draw(_piece(_SEPARATORS, 4)), draw(_piece(_FIELDS, 6))]
+    parts.append(draw(_piece(_SEPARATORS, 4)))
+    return b"".join(parts) + draw(st.binary(max_size=8))
+
+
+class TestReadSize:
+    def test_reads_the_header_alone(self, tmp_path):
+        path = tmp_path / "a.ppm"
+        path.write_bytes(b"P6\n# made by hand\n3 2\n255\n")  # no pixel data
+        assert read_size(path) == (2, 3)
+
+    @settings(max_examples=300)
+    @given(data=_headers(), chunk=st.integers(1, 16))
+    def test_agrees_with_the_full_parse(self, data, chunk):
+        # whatever the header, and wherever a read ends in it, read_size
+        # gives the full parse's size or raises its error
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(pnm, "_HEADER_CHUNK", chunk):
+            path = Path(tmp) / "a.pnm"
+            path.write_bytes(data)
+            try:
+                width, height = pnm._parse_header(data)[:2]
+            except DataError as exc:
+                with pytest.raises(DataError) as raised:
+                    read_size(path)
+                assert str(raised.value) == str(exc)
+            else:
+                assert read_size(path) == (height, width)
 
 
 class TestRenderMask:
