@@ -144,9 +144,17 @@ def _input_paths(directory, limit=None):
     return paths
 
 
-def _grids(paths, patch_size):
-    """Each path's patch grid, lazily; no image is held beyond its patchify."""
-    return (patchify(load_image(path), patch_size) for path in paths)
+def _grids(paths, patch_size, keep=None):
+    """Each path's patch grid, lazily; no image is held beyond its patchify.
+
+    A list keep gets each grid appended as it is made; without one, no grid
+    is held past the making of the next.
+    """
+    for path in paths:
+        grid = patchify(load_image(path), patch_size)
+        if keep is not None:
+            keep.append(grid)
+        yield grid
 
 
 def _patch_counts(paths, patch_size):
@@ -181,9 +189,11 @@ def _cmd_mask(args):
     check_patch_size(patch_size)
 
     paths = _input_paths(args.in_dir)
-    grids = list(_grids(paths, patch_size))
-    # a generator, so one image's record (its L x L cosines) is alive at a time
-    prepared = (prepare_image(grid, masker) for grid in grids)
+    # only --render and --dump-sim read a grid after its mask is drawn
+    grids = [] if options["render"] or args.dump_sim else None
+    # generators, so one image's grid and record (its L x L cosines) are
+    # alive at a time
+    prepared = (prepare_image(grid, masker) for grid in _grids(paths, patch_size, grids))
     # shape before opening any output, so a data error leaves nothing behind
     masks, shaped = mask_batch(
         prepared, masker, options["beta"], options["alpha"],

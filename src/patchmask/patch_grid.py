@@ -123,18 +123,27 @@ def pixel_normalize(grid):
     Constant patches (std < 1e-8) map to the all-zero vector instead of
     raising: flat regions are legitimate and must not abort the pipeline.
     Uses the population (not sample) standard deviation.
+
+    The mean and std are the same reductions numpy's mean and std run, in
+    the same order, so the result equals
+    where(constant, 0, (p - p.mean(1)) / where(constant, 1, p.std(1)))
+    bit for bit; the division and the zeroing work in place on the one
+    centred copy.
     """
     if grid.normalized:
         raise DataError("grid is already normalized")
-    means = grid.patches.mean(axis=1, keepdims=True)
-    stds = grid.patches.std(axis=1, keepdims=True)  # ddof=0
+    patches = grid.patches
+    n = patches.shape[1]
+    centred = patches - np.add.reduce(patches, axis=1, keepdims=True) / n
+    stds = np.sqrt(np.add.reduce(np.square(centred), axis=1, keepdims=True) / n)  # ddof=0
     constant = stds < CONSTANT_PATCH_STD
-    normalized = np.where(constant, 0.0, (grid.patches - means) / np.where(constant, 1.0, stds))
+    centred /= np.where(constant, 1.0, stds)
+    centred[constant[:, 0]] = 0.0
     return PatchGrid(
         rows=grid.rows,
         cols=grid.cols,
         patch_size=grid.patch_size,
         channels=grid.channels,
-        patches=np.ascontiguousarray(normalized),
+        patches=np.ascontiguousarray(centred),
         normalized=True,
     )

@@ -78,7 +78,8 @@ def parse_pnm(data):
             f"{start}, file ends at byte {len(data)}"
         )
     dtype = np.uint8 if bytes_per_sample == 1 else np.dtype(">u2")
-    samples = np.frombuffer(raster, dtype=dtype).astype(np.float64) / maxval
+    samples = np.frombuffer(raster, dtype=dtype).astype(np.float64)
+    samples /= maxval  # in place: one float64 copy of the raster, not two
     return Image(data=samples.reshape(height, width, channels))
 
 

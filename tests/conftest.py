@@ -88,14 +88,16 @@ def smoothed_noise_images(count, height, width, channels=3, seed=0):
 def calls_to(monkeypatch):
     """calls_to(module, name) records every call of patchmask.<module>.<name>,
     wherever in the package that function is bound, and returns the list of
-    the calls' positional-argument tuples."""
+    the calls' positional arguments after the first. The first, the array
+    or image the call works on, is not kept, so recording a call keeps no
+    per-image data alive."""
 
     def record(module, name):
         original = getattr(importlib.import_module(f"patchmask.{module}"), name)
         calls = []
 
         def counting(*args, **kwargs):
-            calls.append(args)
+            calls.append(args[1:])
             return original(*args, **kwargs)
 
         for mod_name, mod in list(sys.modules.items()):

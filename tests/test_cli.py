@@ -14,11 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import PREPARE_CALLS, smoothed_noise_images
-from patchmask.cli import _CALIBRATE, _DATASET, _MASK, _TRAIN, main
-from patchmask.cluster_masker import Mask
-from patchmask.patch_grid import Image
+from patchmask.batch_shaping import mask_batch
+from patchmask.cli import _CALIBRATE, _DATASET, _MASK, _NS_CLI_MASK, _NS_CLI_SHAPE, _TRAIN, main
+from patchmask.cluster_masker import Mask, MaskerConfig, prepare_image
+from patchmask.patch_grid import Image, patchify, pixel_normalize
 from patchmask.pnm import load_image, save_image
 from patchmask.render import render_mask
+from patchmask.similarity import cosine_matrix
 
 
 @pytest.fixture
@@ -129,6 +131,42 @@ class TestMaskCommand:
             rendered = (out / f"{path.stem}_masked.ppm").read_bytes()
             assert rendered == (tmp_path / "ref.ppm").read_bytes()
 
+    @pytest.mark.parametrize("strategy", ["cluster-rgb", "cluster-embedding", "kmeans", "random"])
+    def test_render_and_dump_sim_match_the_library(self, image_dir, tmp_path, strategy):
+        out = tmp_path / "out"
+        assert run_cli(["mask", "--in", image_dir, "--out", out, "--strategy", strategy,
+                        "--kmeans-k", "4", "--threshold", "0.4", "--alpha", "0.5", "--beta",
+                        "0.5", "--patch-size", "8", "--seed", "6", "--render", "--dump-sim"]) == 0
+        config = MaskerConfig(strategy=strategy, threshold_r=0.4, kmeans_k=4, seed=6)
+        paths = sorted(image_dir.iterdir())
+        images = [load_image(path) for path in paths]
+        masks, _ = mask_batch([prepare_image(patchify(image, 8), config) for image in images],
+                              config, 0.5, 0.5, (6, _NS_CLI_MASK), (6, _NS_CLI_SHAPE))
+        assert (out / "masks.txt").read_text() == "".join(m.to_line() + "\n" for m in masks)
+        for path, image, mask in zip(paths, images, masks):
+            save_image(render_mask(image, mask, 8), tmp_path / "ref.ppm")
+            rendered = (out / f"{path.stem}_masked.ppm").read_bytes()
+            assert rendered == (tmp_path / "ref.ppm").read_bytes()
+            sim = cosine_matrix(pixel_normalize(patchify(image, 8)))
+            rows = "".join("\t".join(f"{v:.10g}" for v in row) + "\n" for row in sim)
+            assert (out / f"{path.stem}_sim.tsv").read_text() == rows
+
+    def test_one_grid_alive_at_a_time(self, tmp_path):
+        # 64 images of 96x96: one float64 grid is 216 KiB, all 64 are 13.5 MiB
+        directory = tmp_path / "imgs"
+        directory.mkdir()
+        rng = np.random.default_rng(13)
+        for i in range(64):
+            save_image(Image(data=rng.random((96, 96, 3))), directory / f"img_{i:02d}.ppm")
+        tracemalloc.start()
+        try:
+            assert run_cli(["mask", "--in", directory, "--out", tmp_path / "out", "--strategy",
+                            "cluster-rgb", "--patch-size", "16"]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 96 * 96 * 3 * 8, peak
+
     def test_each_image_is_patchified_once(self, image_dir, tmp_path, calls_to):
         patchify_calls = calls_to("patch_grid", "patchify")
         for strategy in ("cluster-embedding", "kmeans"):
@@ -137,7 +175,7 @@ class TestMaskCommand:
                             "--strategy", strategy, "--kmeans-k", "4", "--patch-size", "8",
                             "--render", "--dump-sim"])
             assert code == 0
-            assert [args[1] for args in patchify_calls] == [8] * 4
+            assert [args[0] for args in patchify_calls] == [8] * 4
 
     @pytest.mark.parametrize("strategy", ["cluster-rgb", "cluster-embedding", "kmeans", "random"])
     def test_each_image_is_prepared_once(self, image_dir, tmp_path, prepare_calls, strategy):
@@ -178,12 +216,12 @@ class TestCalibrateCommand:
         patchify_calls = calls_to("patch_grid", "patchify")
         assert run_cli(["calibrate", "--in", image_dir, "--target", "0.5", "--anchor-ratio",
                         "0.1", "--tolerance", "0.1", "--patch-size", "8"]) == 0
-        assert [args[1] for args in patchify_calls] == [8] * 4
+        assert [args[0] for args in patchify_calls] == [8] * 4
         patchify_calls.clear()
         code = run_cli(["calibrate", "--in", image_dir, "--patch-size", "8", "--sample-size", "3"])
         assert code in (0, 4)  # three images may miss the default tolerance
         # images past the sample are not read
-        assert [args[1] for args in patchify_calls] == [8] * 3
+        assert [args[0] for args in patchify_calls] == [8] * 3
 
     def test_unreachable_target_exits_4(self, image_dir, tmp_path):
         code = run_cli(
@@ -199,18 +237,15 @@ class TestCalibrateCommand:
         rng = np.random.default_rng(12)
         for i in range(64):
             save_image(Image(data=rng.random((64, 64, 3))), directory / f"img_{i:02d}.ppm")
-        args = ["calibrate", "--in", directory, "--patch-size", "4", "--target", "0.5",
-                "--tolerance", "0.1"]
+        cosine_calls = calls_to("similarity", "cosine_matrix")
         tracemalloc.start()
         try:
-            assert run_cli(args) == 0
+            assert run_cli(["calibrate", "--in", directory, "--patch-size", "4", "--target",
+                            "0.5", "--tolerance", "0.1"]) == 0
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 8 * 256 * 256 * 8, peak
-        # counted in a second run: the recorded arguments hold every grid
-        cosine_calls = calls_to("similarity", "cosine_matrix")
-        assert run_cli(args) == 0
         assert len(cosine_calls) == 64
 
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from patchmask.errors import DataError
 from patchmask.patch_grid import (
+    CONSTANT_PATCH_STD,
     Image,
     PatchGrid,
     patchify,
@@ -70,7 +71,44 @@ class TestPatchify:
         np.testing.assert_array_equal(unpatchify(patchify(image, ps)).data, image.data)
 
 
+def normalize_reference(patches):
+    """The mean/std/where formula pixel_normalize must equal bit for bit."""
+    means = patches.mean(axis=1, keepdims=True)
+    stds = patches.std(axis=1, keepdims=True)
+    constant = stds < CONSTANT_PATCH_STD
+    return np.where(constant, 0.0, (patches - means) / np.where(constant, 1.0, stds))
+
+
+def _bitwise_cases():
+    rng = np.random.default_rng(7)
+    noise = rng.random((196, 768))
+    flat = rng.random((64, 48))
+    flat[::3] = flat[::3, :1]  # every third row constant
+    flat[1] = 0.0
+    # rows whose population std is a hair above or below the constant cut
+    signs = np.where(np.arange(48) % 2, 1.0, -1.0)
+    steps = CONSTANT_PATCH_STD * np.array([0.5, 0.999, 1.0, 1.001, 2.0])
+    near = 0.3 + steps[:, None] * signs[None, :]
+    near = np.vstack([near, np.nextafter(near, 1.0), np.nextafter(near, 0.0)])
+    # magnitudes from 1e-12 to 1e2 row by row, half of them offset
+    scales = 10.0 ** rng.uniform(-12.0, 2.0, size=(200, 1))
+    offsets = rng.uniform(-100.0, 100.0, size=(200, 1))
+    offsets[::2] = 0.0
+    magnitudes = offsets + scales * rng.standard_normal((200, 27))
+    return {"noise": noise, "flat": flat, "near_cut": near, "magnitudes": magnitudes,
+            "images": patchify(Image(data=rng.random((64, 96, 3))), 16).patches}
+
+
 class TestPixelNormalize:
+    @pytest.mark.parametrize("name", sorted(_bitwise_cases()))
+    def test_bitwise_equal_to_mean_std_where(self, name):
+        patches = _bitwise_cases()[name]
+        grid = PatchGrid(rows=patches.shape[0], cols=1, patch_size=1, channels=patches.shape[1],
+                         patches=patches.copy())
+        out = pixel_normalize(grid).patches
+        assert out.tobytes() == normalize_reference(patches).tobytes()
+        assert np.array_equal(grid.patches, patches)  # the input is left alone
+
     def test_constant_patch_is_zeroed(self):
         grid = PatchGrid(rows=1, cols=1, patch_size=2, channels=1,
                          patches=np.full((1, 4), 0.5))

@@ -253,7 +253,7 @@ class TestTrainStep:
         _, rows = train_loop(images, bags, config, epochs=3, patch_size=4, beta=0.5,
                              learning_rate=0.1, steps_per_epoch=2)
         assert len(rows) == 6
-        assert [args[1] for args in patchify_calls] == [4] * 6
+        assert [args[0] for args in patchify_calls] == [4] * 6
 
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_train_loop_prepares_each_image_once_per_run(self, prepare_calls, strategy):
