@@ -8,13 +8,18 @@ larger cosine). All strategies are bit-reproducible given (inputs, seed).
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from ._kernels import centroid_sums, distinct_rows, masked_by_anchors, nearest_centroids
+from ._kernels import (
+    assigned_distances,
+    centroid_sums,
+    distinct_rows,
+    masked_by_anchors,
+    nearest_centroids,
+)
 from .errors import ConfigError, DataError
 from .patch_grid import PatchGrid, pixel_normalize
 from .similarity import blend, check_alpha, cosine_matrix, toy_patch_embedding
@@ -148,10 +153,11 @@ def kmeans_cluster(vectors, k, max_iters, rng):
 
     Initial centroids are a random sample (without replacement) of the
     distinct input rows; if fewer than k distinct rows exist, k shrinks to
-    that count with a warning. Iterates until assignments stabilize or
-    max_iters centroid updates have run; empty clusters are re-seeded from
-    the point currently farthest from its assigned centroid. The returned
-    labels are always nearest-centroid optimal for the returned centroids.
+    that count, which the returned centroids show. Iterates until
+    assignments stabilize or max_iters centroid updates have run; empty
+    clusters are re-seeded from the point farthest from the centroid it
+    was last assigned to. The returned labels are always nearest-centroid
+    optimal for the returned centroids.
 
     Returns (labels, centroids).
     """
@@ -160,32 +166,28 @@ def kmeans_cluster(vectors, k, max_iters, rng):
     if n < k:
         raise DataError(f"need at least k={k} patches, got {n}")
     distinct = distinct_rows(vectors)
-    if distinct.shape[0] < k:
-        warnings.warn(
-            f"only {distinct.shape[0]} distinct patch vectors; reducing k from {k}",
-            stacklevel=2,
-        )
-        k = distinct.shape[0]
-    init = rng.choice(distinct.shape[0], size=k, replace=False)
-    centroids = np.ascontiguousarray(distinct[init])
+    k = min(k, distinct.size)
+    centroids = vectors[distinct[rng.choice(distinct.size, size=k, replace=False)]]
+    with np.errstate(all="ignore"):  # an overflowed norm only widens the screen
+        sq_points = np.einsum("ij,ij->i", vectors, vectors)
 
-    labels, dists = nearest_centroids(vectors, centroids)
+    labels = nearest_centroids(vectors, centroids, sq_points)
     for _ in range(max_iters):
         sums, counts = centroid_sums(vectors, labels, k)
         occupied = counts > 0
-        centroids = np.where(occupied[:, None], sums / np.maximum(counts, 1)[:, None], centroids)
+        updated = np.where(occupied[:, None], sums / np.maximum(counts, 1)[:, None], centroids)
         if not occupied.all():
             # re-seed each empty cluster from the farthest remaining point
-            farness = dists.copy()
+            farness = assigned_distances(vectors, centroids, labels)
             for j in np.flatnonzero(~occupied):
                 far = int(np.argmax(farness))
-                centroids[j] = vectors[far]
+                updated[j] = vectors[far]
                 farness[far] = -1.0
-        centroids = np.ascontiguousarray(centroids)
-        new_labels, new_dists = nearest_centroids(vectors, centroids)
+        centroids = updated
+        new_labels = nearest_centroids(vectors, centroids, sq_points)
         if np.array_equal(new_labels, labels):
             break
-        labels, dists = new_labels, new_dists
+        labels = new_labels
     return labels, centroids
 
 

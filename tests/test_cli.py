@@ -63,6 +63,22 @@ class TestMaskCommand:
             assert code == 0
             assert (out / "masks.txt").exists()
 
+    def test_kmeans_on_a_flat_image_writes_nothing_to_stderr(self, tmp_path):
+        # one distinct patch reduces k to 1 without a warning line
+        images = tmp_path / "flat"
+        images.mkdir()
+        save_image(Image(data=np.full((32, 32, 3), 0.5)), images / "a.ppm")
+        args = ["mask", "--in", str(images), "--strategy", "kmeans", "--patch-size", "8"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "patchmask", *args, "--out", str(tmp_path / "sub")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert run_cli([*args, "--out", tmp_path / "in"]) == 0
+        masks = (tmp_path / "sub" / "masks.txt").read_text()
+        assert masks == (tmp_path / "in" / "masks.txt").read_text()
+
     def test_dump_sim_writes_tsv(self, image_dir, tmp_path):
         out = tmp_path / "out"
         code = run_cli(
@@ -493,9 +509,7 @@ class TestExitCodeContract:
             if isinstance(dataset, dict):
                 config["dataset"] = {**_SMALL_TRAIN["dataset"], **dataset}
             config = {**_SMALL_TRAIN, **config}
-        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
-            # a warning (K-Means reducing k on a flat image) is no exit
-            warnings.simplefilter("ignore")
+        with tempfile.TemporaryDirectory() as tmp:
             root = Path(tmp)
             (root / "cfg.json").write_text(json.dumps(config))
             (root / "imgs").mkdir()
@@ -511,8 +525,7 @@ class TestExitCodeContract:
 def _assert_config_error_needs_no_input(command, config):
     """A config that fails over a valid image fails the same way with no
     input directory at all: no config value waits for the data."""
-    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+    with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         (root / "cfg.json").write_text(json.dumps(config))
         (root / "imgs").mkdir()

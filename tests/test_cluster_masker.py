@@ -144,12 +144,14 @@ class TestKMeansMask:
             assert (best <= d2.min(axis=1) + 1e-9).all()
 
     def test_k_reduced_when_duplicates(self, rng):
+        # the reduced k shows in the centroids' shape, with no warning
         points = np.repeat(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]]), 5, axis=0)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             labels, centroids = kmeans_cluster(points, 5, 10, rng)
-        assert centroids.shape[0] == 3
-        assert any("distinct" in str(w.message) for w in caught)
+        assert centroids.shape == (3, 2)
+        assert sorted(set(labels.tolist())) == [0, 1, 2]
+        assert caught == []
 
     def test_fewer_points_than_k(self, rng):
         with pytest.raises(DataError):
@@ -226,19 +228,17 @@ class TestKMeansRegression:
         nearest_centroids = cluster_masker.nearest_centroids
         calls = []
 
-        def counted(points, centroids):
+        def counted(points, centroids, sq_points):
             calls.append(centroids.shape[0])
-            return nearest_centroids(points, centroids)
+            return nearest_centroids(points, centroids, sq_points)
 
         monkeypatch.setattr(cluster_masker, "nearest_centroids", counted)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # k shrinks on flat and blocks
-            mask, labels, centroids, chosen = kmeans_mask_detail(
-                grid, 12, 10, 0.5, np.random.default_rng(seed)
-            )
-            ref_labels, ref_centroids, ref_chosen, updates = frozen_kmeans_mask_detail(
-                grid.patches, 12, 10, 0.5, np.random.default_rng(seed)
-            )
+        mask, labels, centroids, chosen = kmeans_mask_detail(
+            grid, 12, 10, 0.5, np.random.default_rng(seed)
+        )
+        ref_labels, ref_centroids, ref_chosen, updates = frozen_kmeans_mask_detail(
+            grid.patches, 12, 10, 0.5, np.random.default_rng(seed)
+        )
         np.testing.assert_array_equal(labels, ref_labels)
         np.testing.assert_array_equal(centroids.view(np.uint64), ref_centroids.view(np.uint64))
         np.testing.assert_array_equal(chosen, ref_chosen)
@@ -246,6 +246,63 @@ class TestKMeansRegression:
         assert len(calls) == updates + 1
         if name in ("flat", "blocks"):
             assert centroids.shape[0] < 12
+
+
+def reseeding_case(seed):
+    """Heavy-tailed points on which some K-Means update leaves a cluster
+    empty: (points, k)."""
+    rng = np.random.default_rng(seed)
+    n, k, d = int(rng.integers(6, 30)), int(rng.integers(2, 13)), int(rng.integers(1, 4))
+    return rng.standard_normal((n, d)) ** 3, k
+
+
+def traced_kmeans(monkeypatch, vectors, k, seed):
+    """kmeans_cluster with its distance and sum kernels counted. Returns
+    (labels, centroids, distance calls, updates that emptied a cluster)."""
+    assigned, sums = cluster_masker.assigned_distances, cluster_masker.centroid_sums
+    distance_calls, emptied = [], []
+
+    def counted_distances(points, centroids, labels):
+        distance_calls.append(labels.size)
+        return assigned(points, centroids, labels)
+
+    def counted_sums(points, labels, k):
+        result = sums(points, labels, k)
+        emptied.append(bool((result[1] == 0).any()))
+        return result
+
+    monkeypatch.setattr(cluster_masker, "assigned_distances", counted_distances)
+    monkeypatch.setattr(cluster_masker, "centroid_sums", counted_sums)
+    labels, centroids = kmeans_cluster(vectors, k, 10, np.random.default_rng(seed))
+    return labels, centroids, len(distance_calls), sum(emptied)
+
+
+class TestKMeansReseed:
+    """Empty clusters are re-seeded bit for bit as before, and distances
+    are computed only when an update empties a cluster."""
+
+    @pytest.mark.parametrize("seed", [50, 110, 302])
+    def test_reseed_matches_frozen_kmeans(self, monkeypatch, seed):
+        points, k = reseeding_case(seed)
+        labels, centroids, distance_calls, emptied = traced_kmeans(monkeypatch, points, k, seed)
+        ref_labels, ref_centroids, _ = frozen_kmeans_cluster(points, k, 10, np.random.default_rng(seed))
+        assert emptied > 0  # the reseed ran
+        assert distance_calls == emptied
+        np.testing.assert_array_equal(labels, ref_labels)
+        np.testing.assert_array_equal(centroids.view(np.uint64), ref_centroids.view(np.uint64))
+
+    @pytest.mark.parametrize("name", ["noise", "flat", "blocks", "mixed"])
+    def test_no_distances_without_an_empty_cluster(self, monkeypatch, name):
+        grid = pixel_normalize(patchify(Image(data=regression_images()[name]), 8))
+        _, _, distance_calls, emptied = traced_kmeans(monkeypatch, grid.patches, 12, 7)
+        assert distance_calls == emptied == 0
+
+    def test_no_distances_at_benchmark_geometry(self, monkeypatch):
+        # a 224px image at P=16: L=196, d=768, k=12
+        image = smoothed_noise_images(1, 224, 224, 3, seed=9)[0]
+        grid = pixel_normalize(patchify(image, 16))
+        _, _, distance_calls, emptied = traced_kmeans(monkeypatch, grid.patches, 12, 1)
+        assert distance_calls == emptied == 0
 
 
 class TestRandomMask:

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -23,10 +24,17 @@ def assert_bits_equal(actual, expected):
     np.testing.assert_array_equal(actual.view(np.uint64), expected.view(np.uint64))
 
 
+def squared_norms(points):
+    return np.einsum("ij,ij->i", points, points)
+
+
 def assert_exact_nearest(points, centroids):
-    labels, dists = _kernels.nearest_centroids(points, centroids)
+    """The kernel's labels, and the exact distances to them, are the
+    broadcast formula's bit for bit."""
+    labels = _kernels.nearest_centroids(points, centroids, squared_norms(points))
     ref_labels, ref_dists = broadcast_nearest(points, centroids)
     np.testing.assert_array_equal(labels, ref_labels)
+    dists = _kernels.assigned_distances(points, centroids, labels)
     assert_bits_equal(dists, ref_dists)
     return labels, dists
 
@@ -47,25 +55,35 @@ class TestNearestCentroids:
         for _ in range(20):
             points = rng.standard_normal((40, 6))
             centroids = rng.standard_normal((5, 6)) * 2
-            labels, dists = _kernels.nearest_centroids(points, centroids)
+            labels = _kernels.nearest_centroids(points, centroids, squared_norms(points))
             ref_labels, ref_dists = loop_nearest(points, centroids)
             np.testing.assert_array_equal(labels, ref_labels)
+            dists = _kernels.assigned_distances(points, centroids, labels)
             np.testing.assert_allclose(dists, ref_dists, rtol=1e-12, atol=0)
 
     def test_equidistant_point_takes_lower_index(self):
         points = np.array([[0.0, 0.0], [0.0, 1.0]])
         centroids = np.array([[2.0, 0.0], [1.0, 0.0], [-1.0, 0.0]])
-        labels, _ = _kernels.nearest_centroids(points, centroids)
+        labels = _kernels.nearest_centroids(points, centroids, squared_norms(points))
         np.testing.assert_array_equal(labels, [1, 1])
-        labels, _ = _kernels.nearest_centroids(points, centroids[::-1].copy())
+        labels = _kernels.nearest_centroids(points, centroids[::-1].copy(), squared_norms(points))
         np.testing.assert_array_equal(labels, [0, 0])
 
     def test_distance_is_squared_distance_to_assigned_centroid(self, rng):
+        # any labels, not only the nearest ones
         points = rng.standard_normal((30, 4))
         centroids = rng.standard_normal((7, 4))
-        labels, dists = _kernels.nearest_centroids(points, centroids)
+        labels = rng.integers(0, 7, size=30)
+        dists = _kernels.assigned_distances(points, centroids, labels)
         expected = ((points - centroids[labels]) ** 2).sum(axis=1)
         np.testing.assert_allclose(dists, expected, rtol=1e-12, atol=0)
+
+    def test_single_centroid(self, rng):
+        # each row keeps its one candidate, a NaN row included
+        points = rng.standard_normal((6, 3))
+        points[1, 2] = np.nan
+        labels, _ = assert_exact_nearest(points, rng.standard_normal((1, 3)))
+        np.testing.assert_array_equal(labels, np.zeros(6))
 
 
 class TestNearestCentroidsExact:
@@ -196,6 +214,22 @@ class TestCentroidSumsExact:
         sums, _ = _kernels.centroid_sums(points, labels, 2)
         assert_bits_equal(sums, sequential_sums(points, labels, 2))
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_long_narrow_columns(self, rng, d):
+        # two or more columns are reduced over axis 0, which must stay in
+        # row order however few the columns
+        points = rng.standard_normal((300, d)) * 10.0 ** rng.integers(-8, 8, size=(300, d))
+        labels = rng.integers(0, 2, size=300)
+        sums, _ = _kernels.centroid_sums(points, labels, 2)
+        assert_bits_equal(sums, sequential_sums(points, labels, 2))
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_negative_zero_column_sums_to_positive_zero(self, d):
+        # the loop adds to 0.0, and 0.0 + -0.0 is 0.0
+        points = np.full((4, d), -0.0)
+        sums, _ = _kernels.centroid_sums(points, np.array([0, 1, 0, 0]), 2)
+        assert_bits_equal(sums, np.zeros((2, d)))
+
     def test_benchmark_geometry(self, rng):
         points = rng.standard_normal((196, 768))
         labels = rng.integers(0, 12, size=196)
@@ -204,6 +238,14 @@ class TestCentroidSumsExact:
 
 
 row_values = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -2.5, 1e-310, -1e300, np.inf, -np.inf])
+
+
+def unique_rows(vectors):
+    """distinct_rows' rows, checked to be first occurrences."""
+    index = _kernels.distinct_rows(vectors)
+    for i in index.tolist():  # array_equal: -0.0 equals 0.0, NaN equals nothing
+        assert not any(np.array_equal(vectors[j], vectors[i]) for j in range(i))
+    return vectors[index]
 
 
 class TestDistinctRows:
@@ -218,29 +260,36 @@ class TestDistinctRows:
         vectors = np.array([pool[i] for i in picks])
         flips = data.draw(hnp.arrays(np.bool_, vectors.shape))
         vectors[flips & (vectors == 0)] *= -1.0  # -0.0 and 0.0 in the same row slot
-        np.testing.assert_array_equal(_kernels.distinct_rows(vectors), np.unique(vectors, axis=0))
+        np.testing.assert_array_equal(unique_rows(vectors), np.unique(vectors, axis=0))
 
     def test_single_row_keeps_its_bits(self):
         row = np.array([[-0.0, 3.0, -0.0]])
-        assert_bits_equal(_kernels.distinct_rows(row), np.unique(row, axis=0))
+        np.testing.assert_array_equal(_kernels.distinct_rows(row), [0])
+        assert_bits_equal(unique_rows(row), np.unique(row, axis=0))
 
     def test_signed_zeros_are_one_row(self):
         vectors = np.array([[0.0, 1.0], [-0.0, 1.0], [-1.0, -0.0], [-1.0, 0.0]])
-        distinct = _kernels.distinct_rows(vectors)
-        assert distinct.shape == (2, 2)
-        np.testing.assert_array_equal(distinct, np.unique(vectors, axis=0))
+        np.testing.assert_array_equal(_kernels.distinct_rows(vectors), [2, 0])
+        np.testing.assert_array_equal(unique_rows(vectors), np.unique(vectors, axis=0))
 
     def test_nan_rows_stay_apart_and_sort_last(self):
         vectors = np.array([[np.nan, 1.0], [2.0, 0.0], [np.nan, 1.0], [-np.nan, 0.0], [2.0, 0.0]])
-        distinct = _kernels.distinct_rows(vectors)
+        distinct = unique_rows(vectors)
         np.testing.assert_array_equal(distinct, np.unique(vectors, axis=0))
         assert distinct.shape == (4, 2)
+
+    def test_more_keys_than_one_block(self, rng):
+        # 3 x 4000 values span two blocks of the key transform
+        vectors = rng.standard_normal((3, 4000))
+        vectors = vectors[[2, 0, 2, 1, 0]]
+        assert sorted(_kernels.distinct_rows(vectors).tolist()) == [0, 1, 3]
+        np.testing.assert_array_equal(unique_rows(vectors), np.unique(vectors, axis=0))
 
     def test_benchmark_geometry_with_repeats(self, rng):
         vectors = rng.standard_normal((196, 768))
         vectors[100:] = vectors[rng.integers(0, 100, size=96)]
         vectors[:10] = 0.0
-        assert_bits_equal(_kernels.distinct_rows(vectors), np.unique(vectors, axis=0))
+        assert_bits_equal(unique_rows(vectors), np.unique(vectors, axis=0))
 
 
 class TestMaskedByAnchors:
