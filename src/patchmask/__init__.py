@@ -12,7 +12,6 @@ from .cluster_masker import (
     MaskerConfig,
     PreparedImage,
     Strategy,
-    cluster_mask,
     cluster_mask_from_anchors,
     kmeans_cluster,
     kmeans_mask,
@@ -57,7 +56,6 @@ __all__ = [
     "alpha_schedule",
     "blend",
     "calibrate_threshold",
-    "cluster_mask",
     "cluster_mask_from_anchors",
     "cosine_matrix",
     "info_nce",

@@ -1,8 +1,15 @@
 """Hot numeric kernels of the maskers, one numpy function each.
 
-``cluster_masker`` and ``similarity`` import these names, so a faster
-kernel keeps its name and signature and replaces the body here. Results
-are deterministic run to run.
+``cluster_masker``, ``similarity`` and ``calibration`` import these
+names, so a faster kernel keeps its name and signature and replaces the
+body here. Results are deterministic run to run.
+
+``cosine_rows`` is the one cosine kernel: it computes each requested row
+of the cosine matrix as one GEMV, and ``pairwise_cosine`` is it over
+every row. Row i therefore comes from the same arithmetic whether it is
+asked for alone or as part of the full matrix, so the two are equal bit
+for bit on any BLAS. The rows are never batched into one GEMM, whose
+rows differ from a GEMV's in their low bits.
 
 The K-Means kernels are bit-identical to their exact formulas:
 
@@ -40,17 +47,36 @@ _SIGN_BIT = np.int64(-(2**63))
 _KEY_BLOCK = 8192  # keys per block of distinct_rows' key transform
 
 
+def row_norms(vectors):
+    """Euclidean norm of each row of (L, d), as cosine_rows takes them."""
+    return np.sqrt(np.einsum("ij,ij->i", vectors, vectors))
+
+
+def cosine_rows(vectors, norms, rows):
+    """Rows ``rows`` of the epsilon-guarded cosine matrix of the (L, d)
+    float64 vectors, whose row norms are ``norms``: an (len(rows), L)
+    array. Each row is one GEMV, ``vectors @ vectors[i]``, divided by
+    ``norms[i] * norms + COSINE_EPS``."""
+    rows = np.asarray(rows, dtype=np.intp)
+    sim = np.empty((rows.size, vectors.shape[0]))
+    for out, i in zip(sim, rows.tolist()):
+        np.matmul(vectors, vectors[i], out=out)
+    sim /= np.outer(norms[rows], norms) + COSINE_EPS
+    return sim
+
+
 def pairwise_cosine(vectors):
     """All-pairs epsilon-guarded cosine similarity of the rows of (L, d)."""
-    norms = np.sqrt(np.einsum("ij,ij->i", vectors, vectors))
-    return (vectors @ vectors.T) / (np.outer(norms, norms) + COSINE_EPS)
+    return cosine_rows(vectors, row_norms(vectors), np.arange(vectors.shape[0]))
 
 
-def masked_by_anchors(sim, anchors, threshold):
-    """Boolean mask: anchors plus every index j with sim[a, j] >= threshold."""
-    masked = np.zeros(sim.shape[0], dtype=np.bool_)
+def masked_by_anchors(rows, anchors, threshold):
+    """Boolean mask over the L columns of the (A, L) anchor rows: the
+    anchors plus every j with rows[k, j] >= threshold for some k, where
+    rows[k] holds anchor anchors[k]'s similarities."""
+    masked = np.zeros(rows.shape[1], dtype=np.bool_)
     if anchors.size:
-        masked = (sim[anchors] >= threshold).any(axis=0)
+        masked = (rows >= threshold).any(axis=0)
         masked[anchors] = True
     return masked
 

@@ -8,7 +8,8 @@ with fresh anchor draws to report how the calibrated r generalizes.
 
 With the anchors frozen, a patch's membership at any r depends only on
 its largest similarity to an anchor, so each image is kept as one such
-"reach row" per anchor set, O(L) floats, rather than as its L x L matrix.
+"reach row" per anchor set, O(L) floats. It is made from the anchors'
+cosine rows alone; no L x L matrix is computed.
 """
 
 import json
@@ -16,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._kernels import cosine_rows, row_norms
 from .cluster_masker import check_anchor_ratio, draw_anchors
 from .errors import ConfigError, ConvergenceError, DataError
 
@@ -66,39 +68,46 @@ def check_search(anchor_ratio, target_ratio, tolerance, max_iters):
 
 
 def draw_anchor_sets(lengths, anchor_ratio, rng):
-    """One anchor set per image of lengths[i] patches, drawn as cluster_mask draws."""
+    """One anchor set per image of lengths[i] patches, drawn as mask_image draws."""
     return [draw_anchors(length, anchor_ratio, rng) for length in lengths]
 
 
-def reach_row(sim, anchors):
-    """Per patch j, the largest sim[a, j] over the anchors a, and +inf at
-    the anchors themselves.
+def reach_row(rows, anchors):
+    """Per patch j, the largest rows[k, j] over the anchors' similarity
+    rows (rows[k] belongs to anchors[k]), and +inf at the anchors
+    themselves.
 
     Patch j is in the cluster mask of these anchors at threshold r exactly
     when reach[j] >= r: fmax skips NaN, so this holds for every r but NaN.
     """
-    reach = np.fmax.reduce(sim[anchors], axis=0)
+    reach = np.fmax.reduce(rows, axis=0)
     reach[anchors] = np.inf
     return reach
 
 
 def _reach_rows(sample, lengths, frozen_sets, fresh_sets):
-    """The frozen-anchor and the fresh-anchor reach row of each matrix in
-    sample, which is iterated once; no matrix is kept."""
+    """The frozen-anchor and the fresh-anchor reach row of each image's
+    patch vectors in sample, which is iterated once; only the anchors'
+    cosine rows are computed, each once, and none is kept."""
     frozen, fresh = [], []
-    for index, sim in enumerate(sample):
+    for index, vectors in enumerate(sample):
         if index == len(lengths):
-            raise DataError(f"calibration sample holds more than {len(lengths)} matrices")
-        sim = np.asarray(sim, dtype=np.float64)
-        if sim.shape != (lengths[index], lengths[index]):
+            raise DataError(f"calibration sample holds more than {len(lengths)} images")
+        vectors = np.ascontiguousarray(vectors, dtype=np.float64)
+        if vectors.ndim != 2 or vectors.shape[0] != lengths[index]:
             raise DataError(
-                f"similarity matrix {index} must be {lengths[index]}x{lengths[index]}, "
-                f"got shape {sim.shape}"
+                f"patch vectors {index} must have shape ({lengths[index]}, d), "
+                f"got {vectors.shape}"
             )
-        frozen.append(reach_row(sim, frozen_sets[index]))
-        fresh.append(reach_row(sim, fresh_sets[index]))
+        # the rows of both sets in one call, an anchor in both computed once
+        split = len(frozen_sets[index])
+        anchors = np.concatenate([frozen_sets[index], fresh_sets[index]])
+        computed, inverse = np.unique(anchors, return_inverse=True)
+        rows = cosine_rows(vectors, row_norms(vectors), computed)[inverse]
+        frozen.append(reach_row(rows[:split], frozen_sets[index]))
+        fresh.append(reach_row(rows[split:], fresh_sets[index]))
     if len(frozen) < len(lengths):
-        raise DataError(f"calibration sample holds {len(frozen)} of {len(lengths)} matrices")
+        raise DataError(f"calibration sample holds {len(frozen)} of {len(lengths)} images")
     return frozen, fresh
 
 
@@ -123,11 +132,12 @@ def calibrate_threshold(
     """Bisect the similarity threshold until the sample's mean mask ratio
     matches target_ratio.
 
-    sample is an iterable of L x L similarity matrices, read once: each is
-    reduced to its frozen-anchor and fresh-anchor reach rows as it
-    arrives, so a generator keeps one matrix alive at a time. lengths, the
-    L of each matrix, lets the anchor sets be drawn before the first
-    matrix is read; without it sample is read into a list first.
+    sample is an iterable of (L, d) arrays, each image's normalized patch
+    vectors, read once: each is reduced to its frozen-anchor and
+    fresh-anchor reach rows as it arrives, from the anchors' cosine rows
+    alone, so a generator keeps one image's vectors alive at a time.
+    lengths, the L of each image, lets the anchor sets be drawn before the
+    first image is read; without it sample is read into a list first.
 
     Anchor sets are drawn once and held fixed, making the objective a
     deterministic monotone step function of r; bisection stops once the
@@ -145,7 +155,7 @@ def calibrate_threshold(
         rng = np.random.default_rng(0)
     if lengths is None:
         sample = list(sample)
-        lengths = [len(sim) for sim in sample]
+        lengths = [len(vectors) for vectors in sample]
     if len(lengths) == 0:
         raise ConfigError("calibration sample must be nonempty")
     check_search(anchor_ratio, target_ratio, tolerance, max_iters)

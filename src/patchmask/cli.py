@@ -58,7 +58,9 @@ def _load_config_file(path):
             config = json.load(fh)
     except FileNotFoundError:
         raise DataError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
+    # ValueError covers bytes that are not UTF-8, JSON syntax errors and
+    # integers past CPython's digit limit; RecursionError, deep nesting
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(config, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
@@ -191,8 +193,8 @@ def _cmd_mask(args):
     paths = _input_paths(args.in_dir)
     # only --render and --dump-sim read a grid after its mask is drawn
     grids = [] if options["render"] or args.dump_sim else None
-    # generators, so one image's grid and record (its L x L cosines) are
-    # alive at a time
+    # generators, so one image's grid and record (its normalized vectors
+    # and the anchors' cosine rows) are alive at a time
     prepared = (prepare_image(grid, masker) for grid in _grids(paths, patch_size, grids))
     # shape before opening any output, so a data error leaves nothing behind
     masks, shaped = mask_batch(
@@ -213,6 +215,7 @@ def _cmd_mask(args):
             image = unpatchify(grid)
             save_image(render_mask(image, mask, patch_size), out / f"{path.stem}_masked{path.suffix}")
     if args.dump_sim:
+        # the full matrix, L GEMVs per image, is built here alone
         for path, grid in zip(paths, grids):
             sim = cosine_matrix(pixel_normalize(grid))
             with open(out / f"{path.stem}_sim.tsv", "w", encoding="ascii") as fh:
@@ -237,8 +240,8 @@ def _cmd_calibrate(args):
 
     paths = _input_paths(args.in_dir, sample_size)
     lengths = _patch_counts(paths, patch_size)
-    # a generator, so one image's L x L cosines are alive at a time
-    sample = (cosine_matrix(pixel_normalize(grid)) for grid in _grids(paths, patch_size))
+    # a generator, so one image's patch vectors are alive at a time
+    sample = (pixel_normalize(grid).patches for grid in _grids(paths, patch_size))
 
     report = calibrate_threshold(
         sample,
@@ -293,7 +296,11 @@ def _cmd_stats(args):
     path = Path(args.in_file)
     if not path.is_file():
         raise DataError(f"mask file not found: {args.in_file}")
-    lines = [line for line in path.read_text(encoding="ascii").splitlines() if line.strip()]
+    try:
+        text = path.read_text(encoding="ascii")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"mask file {args.in_file} is not ASCII: {exc}")
+    lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise DataError(f"no mask lines in {args.in_file}")
     summary = stats_report([Mask.from_line(line) for line in lines])

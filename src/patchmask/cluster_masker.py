@@ -4,7 +4,9 @@ a random baseline.
 Anchor-cluster masking samples a small set of anchor patches, then masks
 every patch whose similarity to some anchor clears a threshold, anchors
 included. The threshold is applied as ``similarity >= r`` (closeness means
-larger cosine). All strategies are bit-reproducible given (inputs, seed).
+larger cosine). Only the anchors' rows of the similarity matrix are read,
+so only those are computed. All strategies are bit-reproducible given
+(inputs, seed).
 """
 
 import math
@@ -22,7 +24,7 @@ from ._kernels import (
 )
 from .errors import ConfigError, DataError
 from .patch_grid import PatchGrid, pixel_normalize
-from .similarity import blend, check_alpha, cosine_matrix, toy_patch_embedding
+from .similarity import CosineRows, blend, check_alpha, toy_patch_embedding
 
 # calibration may push the threshold slightly above the cosine maximum so
 # the anchors-only regime is reachable; configs accept the same range
@@ -121,18 +123,21 @@ def anchor_count(anchor_ratio, length):
     return max(1, _round_half_up(anchor_ratio * length))
 
 
-def cluster_mask_from_anchors(sim, anchors, threshold_r):
-    """Cluster mask for a fixed anchor set (no sampling).
+def cluster_mask_from_anchors(rows, anchors, threshold_r):
+    """Cluster mask for a fixed anchor set (no sampling), from the anchors'
+    similarity rows: rows[k] holds anchors[k]'s similarity to each of the
+    L patches, as sim[anchors] does for an L x L matrix sim.
 
-    A patch j is masked iff j is an anchor or sim[a, j] >= threshold_r
-    for some anchor a. This is the deterministic core of cluster_mask;
-    calibration's reach rows decide the same membership.
+    A patch j is masked iff j is an anchor or rows[k, j] >= threshold_r
+    for some k. This is the deterministic core of mask_image; calibration's
+    reach rows decide the same membership.
     """
-    sim = np.ascontiguousarray(sim, dtype=np.float64)
-    if sim.ndim != 2 or sim.shape[0] != sim.shape[1]:
-        raise DataError(f"similarity matrix must be square, got shape {sim.shape}")
+    rows = np.ascontiguousarray(rows, dtype=np.float64)
     anchors = np.asarray(anchors, dtype=np.int64)
-    masked = masked_by_anchors(sim, anchors, float(threshold_r))
+    if rows.ndim != 2 or anchors.shape != (rows.shape[0],):
+        raise DataError(f"need one similarity row per anchor, got shape {rows.shape} "
+                        f"for {anchors.size} anchors")
+    masked = masked_by_anchors(rows, anchors, float(threshold_r))
     return Mask(masked=masked, anchors=np.sort(anchors))
 
 
@@ -140,12 +145,6 @@ def draw_anchors(length, anchor_ratio, rng):
     """anchor_count(anchor_ratio, length) positions drawn uniformly without
     replacement, in draw order: the anchor draw of masking and calibration."""
     return rng.choice(length, size=anchor_count(anchor_ratio, length), replace=False)
-
-
-def cluster_mask(sim, anchor_ratio, threshold_r, rng):
-    """Anchor-cluster mask with anchors sampled uniformly without replacement."""
-    anchors = draw_anchors(np.asarray(sim).shape[0], anchor_ratio, rng)
-    return cluster_mask_from_anchors(sim, anchors, threshold_r)
 
 
 def kmeans_cluster(vectors, k, max_iters, rng):
@@ -238,42 +237,46 @@ class PreparedImage:
 
     grid is the unnormalized patch grid and strategy the strategy the
     record was made for. Only the fields that strategy needs are set: the
-    normalized grid for kmeans, the RGB cosine for both cluster strategies
-    and the embedding cosine for cluster-embedding. A random record holds
-    the grid alone.
+    normalized grid for kmeans, the cosine rows of the normalized grid for
+    both cluster strategies and those of the embedding features for
+    cluster-embedding. A random record holds the grid alone. The row
+    sources compute a row when a mask first reads it and keep it for the
+    record's later masks; no L x L matrix is built.
     """
 
     grid: PatchGrid
     strategy: Strategy
     normalized: PatchGrid = None
-    rgb_sim: np.ndarray = None  # (L, L)
-    emb_sim: np.ndarray = None  # (L, L)
+    rgb_rows: CosineRows = None
+    emb_rows: CosineRows = None
 
 
 def prepare_image(grid, config):
     """The once-per-image part of masking an unnormalized patch grid:
-    pixel_normalize, the RGB cosine and the embedding cosine, as far as
-    config.strategy needs them. The embedding projection is seeded from
-    config.seed."""
+    pixel_normalize, the embedding and the row sources of their cosines,
+    as far as config.strategy needs them. No cosine row is computed yet.
+    The embedding projection is seeded from config.seed."""
     if config.strategy is Strategy.RANDOM:
         return PreparedImage(grid=grid, strategy=config.strategy)
     normalized = pixel_normalize(grid)
     if config.strategy is Strategy.KMEANS:
         return PreparedImage(grid=grid, strategy=config.strategy, normalized=normalized)
-    rgb_sim, emb_sim = cosine_matrix(normalized), None
+    rgb_rows, emb_rows = CosineRows(normalized.patches), None
     if config.strategy is Strategy.CLUSTER_EMBEDDING:
-        emb_sim = cosine_matrix(toy_patch_embedding(grid, config.seed))
-    return PreparedImage(grid=grid, strategy=config.strategy, rgb_sim=rgb_sim, emb_sim=emb_sim)
+        emb_rows = CosineRows(toy_patch_embedding(grid, config.seed).features)
+    return PreparedImage(grid=grid, strategy=config.strategy, rgb_rows=rgb_rows,
+                         emb_rows=emb_rows)
 
 
 def mask_image(prepared, config, rng, alpha=1.0):
     """Mask one image, prepared by prepare_image, under the configured strategy.
 
     This is the per-step part of masking: the random draw, K-Means on the
-    normalized grid, or the blend of the cached cosines followed by the
-    anchor draw. alpha weights the RGB similarity against the embedding
-    similarity and only matters for the cluster-embedding strategy, but
-    every strategy rejects a value outside [0, 1].
+    normalized grid, or the anchor draw followed by the anchors' cosine
+    rows, blended for cluster-embedding and thresholded. alpha weights the
+    RGB similarity against the embedding similarity and only matters for
+    the cluster-embedding strategy, but every strategy rejects a value
+    outside [0, 1].
     """
     check_alpha(alpha)
     if prepared.strategy is not config.strategy:
@@ -287,7 +290,8 @@ def mask_image(prepared, config, rng, alpha=1.0):
             prepared.normalized, config.kmeans_k, config.kmeans_max_iters,
             config.kmeans_mask_fraction, rng,
         )
-    sim = prepared.rgb_sim
+    anchors = draw_anchors(prepared.grid.n_patches, config.anchor_ratio, rng)
+    rows = prepared.rgb_rows.rows(anchors)
     if config.strategy is Strategy.CLUSTER_EMBEDDING:
-        sim = blend(sim, prepared.emb_sim, alpha)
-    return cluster_mask(sim, config.anchor_ratio, config.threshold_r, rng)
+        rows = blend(rows, prepared.emb_rows.rows(anchors), alpha)
+    return cluster_mask_from_anchors(rows, anchors, config.threshold_r)

@@ -42,7 +42,11 @@ class _HeaderScanner:
         if not token or not token.isdigit():
             self.pos = start
             self.fail(f"expected integer {name}")
-        return int(token)
+        try:
+            return int(token)
+        except ValueError:  # more digits than CPython converts
+            self.pos = start
+            self.fail(f"integer {name} has {len(token)} digits")
 
 
 def _parse_header(data):

@@ -1,20 +1,28 @@
-"""Pairwise patch similarity matrices and the blended RGB/embedding measure.
+"""Patch similarities, row by row, and the blended RGB/embedding measure.
 
 Similarities are epsilon-guarded cosines: zero vectors (constant patches
 after normalization) score 0 against everything, including themselves, so
 flat patches never act as cluster attractors.
+
+Masking and calibration read only the anchors' rows of the L x L cosine
+matrix, so only those rows are computed: masking asks a CosineRows, which
+keeps them for the image's later masks, and calibration calls the row
+kernel itself. cosine_matrix builds the whole matrix from the same
+kernel, for --dump-sim and for tests, and its row i equals row i computed
+alone bit for bit.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import COSINE_EPS, pairwise_cosine
+from ._kernels import COSINE_EPS, cosine_rows, pairwise_cosine, row_norms
 from .errors import ConfigError, DataError
 from .patch_grid import PatchGrid
 
 __all__ = [
     "COSINE_EPS",
+    "CosineRows",
     "FeatureGrid",
     "blend",
     "check_alpha",
@@ -43,16 +51,50 @@ def _vectors_of(grid):
     raise DataError(f"expected PatchGrid or FeatureGrid, got {type(grid).__name__}")
 
 
+def _checked(vectors):
+    if vectors.shape[0] == 0:
+        raise DataError("cannot compute similarity of an empty grid")
+    return np.ascontiguousarray(vectors, dtype=np.float64)
+
+
 def cosine_matrix(grid):
     """L x L cosine similarity matrix over the grid's patch vectors.
 
-    Entry (i, j) is <x_i, x_j> / (|x_i| * |x_j| + 1e-8); symmetric, entries
-    in [-1, 1], and rows/columns of zero vectors are identically 0.
+    Entry (i, j) is <x_i, x_j> / (|x_i| * |x_j| + 1e-8); entries in
+    [-1, 1], and rows/columns of zero vectors are identically 0. Built
+    from L GEMVs, one per row, so it costs several times one GEMM; the
+    masking path computes only the rows it reads, through CosineRows.
     """
-    vectors = _vectors_of(grid)
-    if vectors.shape[0] == 0:
-        raise DataError("cannot compute similarity of an empty grid")
-    return pairwise_cosine(np.ascontiguousarray(vectors, dtype=np.float64))
+    return pairwise_cosine(_checked(_vectors_of(grid)))
+
+
+class CosineRows:
+    """The rows of the cosine matrix of (L, d) vectors, each computed on
+    first use and kept.
+
+    rows(indices) returns the same rows cosine_matrix would, bit for bit:
+    both come from cosine_rows. A record that is masked many times, as a
+    training image is once per step, computes each row at most once; once
+    every row is known, rows() only gathers.
+    """
+
+    def __init__(self, vectors):
+        self.vectors = _checked(vectors)
+        self.norms = row_norms(self.vectors)
+        length = self.vectors.shape[0]
+        self._sim = np.empty((length, length))  # only the known rows are written
+        self._known = set()
+        self._complete = False
+
+    def rows(self, indices):
+        """(len(indices), L) array of the rows at indices, in their order."""
+        if not self._complete:
+            new = sorted(set(np.asarray(indices).tolist()) - self._known)
+            if new:
+                self._sim[new] = cosine_rows(self.vectors, self.norms, new)
+                self._known.update(new)
+                self._complete = len(self._known) == len(self._sim)
+        return self._sim[indices]
 
 
 def check_alpha(alpha):
@@ -62,7 +104,9 @@ def check_alpha(alpha):
 
 
 def blend(rgb, emb, alpha):
-    """Weighted sum alpha * rgb + (1 - alpha) * emb of two similarity matrices."""
+    """Weighted sum alpha * rgb + (1 - alpha) * emb of two similarity arrays
+    of one shape, such as the same anchors' rows of two matrices; it is
+    elementwise, so the rows of a blend are the blend of the rows."""
     rgb = np.asarray(rgb, dtype=np.float64)
     emb = np.asarray(emb, dtype=np.float64)
     if rgb.shape != emb.shape:

@@ -223,10 +223,11 @@ def train_loop(
     mean_mask_ratio) per step.
 
     Once per run, each image is patchified and prepare_image computes what
-    its strategy needs: the normalized grid, the RGB cosine, the embedding
-    and its cosine. Each step only draws the masks (blending the cosines
-    with that epoch's alpha, or running K-Means), shapes the batch, pools
-    and takes the gradient step.
+    its strategy needs: the normalized grid and the embedding. Each step
+    only draws the masks (blending the drawn anchors' cosine rows with that
+    epoch's alpha, or running K-Means), shapes the batch, pools and takes
+    the gradient step. A record computes each cosine row the first time a
+    mask reads it and keeps it, so over the run no row is computed twice.
 
     A step whose loss is not finite, as after a learning rate large enough
     to overflow the weights, raises ConvergenceError, and so do non-finite

@@ -35,6 +35,15 @@ def random_similarity(rng, length, dim=8):
     return pairwise_cosine(rng.standard_normal((length, dim)))
 
 
+def cluster_mask(sim, anchor_ratio, threshold_r, rng):
+    """Anchor-cluster mask of a full L x L matrix, drawn as mask_image
+    draws: draw_anchors, then the mask of the anchors' rows."""
+    from patchmask.cluster_masker import cluster_mask_from_anchors, draw_anchors
+
+    anchors = draw_anchors(len(sim), anchor_ratio, rng)
+    return cluster_mask_from_anchors(sim[anchors], anchors, threshold_r)
+
+
 _NS_IMAGE = 10
 
 
@@ -108,8 +117,8 @@ def calls_to(monkeypatch):
     return record
 
 
-# calls of pixel_normalize, cosine_matrix and toy_patch_embedding per image
-# when each image is prepared once
+# calls of pixel_normalize, cosine row sources that compute rows, and calls
+# of toy_patch_embedding, per image when each image is prepared once
 PREPARE_CALLS = {
     "cluster-embedding": (1, 2, 1),
     "cluster-rgb": (1, 1, 0),
@@ -118,9 +127,26 @@ PREPARE_CALLS = {
 }
 
 
+def rows_by_source(row_calls):
+    """The rows each source computed, in call order, from recorded calls of
+    _kernels.cosine_rows: one list per norms array, which identifies the
+    source (the record keeps each norms array alive, so no id is reused)."""
+    sources = {}
+    for norms, rows in row_calls:
+        sources.setdefault(id(norms), []).extend(np.asarray(rows).tolist())
+    return list(sources.values())
+
+
 @pytest.fixture
 def prepare_calls(calls_to):
-    """Recorded calls of pixel_normalize, cosine_matrix and
-    toy_patch_embedding, in the order of PREPARE_CALLS's counts."""
-    return [calls_to("patch_grid", "pixel_normalize"), calls_to("similarity", "cosine_matrix"),
+    """Recorded calls of pixel_normalize, cosine_rows and
+    toy_patch_embedding, in the order of PREPARE_CALLS's counts; the
+    cosine_rows calls count by source (rows_by_source)."""
+    return [calls_to("patch_grid", "pixel_normalize"), calls_to("_kernels", "cosine_rows"),
             calls_to("similarity", "toy_patch_embedding")]
+
+
+def prepared_counts(prepare_calls):
+    """PREPARE_CALLS-shaped counts of what prepare_calls recorded."""
+    normalize, rows, embed = prepare_calls
+    return [len(normalize), len(rows_by_source(rows)), len(embed)]

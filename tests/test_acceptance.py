@@ -52,21 +52,41 @@ def criterion(number, summary):
     print(f"ACCEPTANCE {number:2d}: PASS  {summary}")
 
 
+def anchor_rows(vectors, anchors):
+    """The anchors' rows of the epsilon-guarded cosine matrix, by the
+    textbook formula: one GEMM, numpy's norms, no patchmask kernel."""
+    norms = np.linalg.norm(vectors, axis=1)
+    return (vectors[anchors] @ vectors.T) / (np.outer(norms[anchors], norms) + 1e-8)
+
+
 def test_criterion_01_calibration_fidelity():
     with criterion(1, "calibration hits 0.50 +/- 0.02 over 1000 images in < 60 s"):
         start = time.monotonic()
         images = smoothed_noise_images(1000, 224, 224, 3, seed=42)
-        sample = [cosine_matrix(pixel_normalize(patchify(im, 16))) for im in images]
-        assert all(s.shape == (196, 196) for s in sample[:3])
+        lengths = [196] * len(images)
+        # anchors the calibrator never sees: an independent re-evaluation,
+        # and the draws the masker makes from one generator over the images
+        fresh = draw_anchor_sets(lengths, 0.03, np.random.default_rng(987654321))
+        drawn = draw_anchor_sets(lengths, 0.03, np.random.default_rng(31337))
+        fresh_rows, drawn_rows = [], []
+
+        def sample():
+            # streams each image's normalized patch vectors to the
+            # calibrator, keeping the other anchors' rows on the way
+            for image, a, b in zip(images, fresh, drawn):
+                vectors = pixel_normalize(patchify(image, 16)).patches
+                assert vectors.shape == (196, 768)
+                fresh_rows.append(anchor_rows(vectors, a))
+                drawn_rows.append(anchor_rows(vectors, b))
+                yield vectors
 
         report = calibrate_threshold(
-            sample, anchor_ratio=0.03, target_ratio=0.5, tolerance=0.02,
-            rng=np.random.default_rng(7),
+            sample(), anchor_ratio=0.03, target_ratio=0.5, tolerance=0.02,
+            rng=np.random.default_rng(7), lengths=lengths,
         )
-        # independent re-evaluation with anchors the calibrator never saw
-        fresh = draw_anchor_sets([len(s) for s in sample], 0.03, np.random.default_rng(987654321))
-        fresh_masks = [cluster_mask_from_anchors(s, a, report.found_r) for s, a in zip(sample, fresh)]
-        independent = sum(mask_ratio(m) for m in fresh_masks) / len(sample)
+        fresh_masks = [cluster_mask_from_anchors(rows, a, report.found_r)
+                       for rows, a in zip(fresh_rows, fresh)]
+        independent = sum(mask_ratio(m) for m in fresh_masks) / len(images)
         elapsed = time.monotonic() - start
 
         assert report.converged
@@ -74,16 +94,15 @@ def test_criterion_01_calibration_fidelity():
         assert elapsed < 60.0, f"took {elapsed:.1f}s"
 
         # stats over actual calibrated masks agree with the target too
-        from patchmask.cluster_masker import cluster_mask
         from patchmask.stats import stats_report
 
-        gen = np.random.default_rng(31337)
-        masks = [cluster_mask(sim, 0.03, report.found_r, gen) for sim in sample]
+        masks = [cluster_mask_from_anchors(rows, b, report.found_r)
+                 for rows, b in zip(drawn_rows, drawn)]
         assert abs(stats_report(masks).mean_ratio - 0.5) <= 0.02
 
 
 def test_criterion_02_cluster_mask_oracle_equivalence():
-    with criterion(2, "cluster_mask == brute-force membership oracle on 10,000 instances"):
+    with criterion(2, "cluster_mask_from_anchors == brute-force membership oracle on 10,000 instances"):
         rng = np.random.default_rng(200)
         mismatches = 0
         for _ in range(10_000):
@@ -92,7 +111,7 @@ def test_criterion_02_cluster_mask_oracle_equivalence():
             n_anchors = int(rng.integers(1, length + 1))
             anchors = rng.choice(length, size=n_anchors, replace=False)
             threshold = float(rng.uniform(-1.1, 1.1))
-            mask = cluster_mask_from_anchors(sim, anchors, threshold)
+            mask = cluster_mask_from_anchors(sim[anchors], anchors, threshold)
             if set(np.flatnonzero(mask.masked)) != brute_force_members(sim, anchors, threshold):
                 mismatches += 1
         assert mismatches == 0
@@ -108,14 +127,13 @@ def test_criterion_03_monotonicity_suite():
             n_anchors = int(rng.integers(1, max(2, length // 3)))
             anchors = rng.choice(length, size=n_anchors, replace=False)
             r_lo, r_hi = sorted(rng.uniform(-1.05, 1.05, size=2))
-            low = cluster_mask_from_anchors(sim, anchors, r_lo).masked
-            high = cluster_mask_from_anchors(sim, anchors, r_hi).masked
+            low = cluster_mask_from_anchors(sim[anchors], anchors, r_lo).masked
+            high = cluster_mask_from_anchors(sim[anchors], anchors, r_hi).masked
             if (high & ~low).any():
                 violations += 1
             extra = int(rng.integers(0, length))
-            grown = cluster_mask_from_anchors(
-                sim, np.append(anchors, extra), r_lo
-            ).masked
+            more = np.append(anchors, extra)
+            grown = cluster_mask_from_anchors(sim[more], more, r_lo).masked
             if (low & ~grown).any():
                 violations += 1
         assert violations == 0

@@ -163,7 +163,7 @@ def frozen_mask_image(grid, config, rng, alpha=1.0):
         sim = blend(sim, cosine_matrix(toy_patch_embedding(grid, config.seed)), alpha)
     length = sim.shape[0]
     anchors = rng.choice(length, size=anchor_count(config.anchor_ratio, length), replace=False)
-    return cluster_mask_from_anchors(sim, anchors, config.threshold_r)
+    return cluster_mask_from_anchors(sim[anchors], anchors, config.threshold_r)
 
 
 def frozen_pool(grids, shaped):

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_similarity
-from patchmask._kernels import masked_by_anchors
+from conftest import cluster_mask, random_similarity
+from patchmask._kernels import masked_by_anchors, pairwise_cosine
 from patchmask.calibration import (
     R_MAX,
     R_MIN,
@@ -14,42 +14,41 @@ from patchmask.calibration import (
     mean_mask_ratio,
     reach_row,
 )
-from patchmask.cluster_masker import (
-    cluster_mask,
-    cluster_mask_from_anchors,
-    draw_anchors,
-    mask_ratio,
-)
+from patchmask.cluster_masker import cluster_mask_from_anchors, draw_anchors, mask_ratio
 from patchmask.errors import ConfigError, ConvergenceError, DataError
 
 
 def small_sample(rng, count=40, length=36):
-    return [random_similarity(rng, length) for _ in range(count)]
+    """Patch vectors of count images of length patches each."""
+    return [rng.standard_normal((length, 8)) for _ in range(count)]
 
 
 def mixed_sample(rng, count=30):
-    """Matrices of several sizes in one sample, L from 1 to 64."""
-    return [random_similarity(rng, int(rng.integers(1, 65))) for _ in range(count)]
+    """Images of several sizes in one sample, L from 1 to 64."""
+    return [rng.standard_normal((int(rng.integers(1, 65)), 8)) for _ in range(count)]
 
 
 def lengths_of(sample):
-    return [sim.shape[0] for sim in sample]
+    return [vectors.shape[0] for vectors in sample]
 
 
 def reach_rows(sample, anchor_sets):
-    return [reach_row(sim, anchors) for sim, anchors in zip(sample, anchor_sets)]
+    return [reach_row(pairwise_cosine(vectors)[anchors], anchors)
+            for vectors, anchors in zip(sample, anchor_sets)]
 
 
 # The calibration of the design that held every matrix, kept verbatim as the
-# reference: each evaluation masks each matrix through cluster_mask_from_anchors.
+# reference: each evaluation masks each full matrix through
+# cluster_mask_from_anchors.
 def reference_mean_mask_ratio(sample, anchor_sets, r):
     total = 0.0
     for sim, anchors in zip(sample, anchor_sets):
-        total += mask_ratio(cluster_mask_from_anchors(sim, anchors, r))
+        total += mask_ratio(cluster_mask_from_anchors(sim[anchors], anchors, r))
     return total / len(sample)
 
 
 def reference_calibrate_threshold(sample, anchor_ratio, target_ratio, tolerance, max_iters, rng):
+    sample = [pairwise_cosine(vectors) for vectors in sample]
     anchor_sets = [draw_anchors(sim.shape[0], anchor_ratio, rng) for sim in sample]
     anchors_only = float(
         np.mean([len(a) / s.shape[0] for a, s in zip(anchor_sets, sample)])
@@ -123,7 +122,7 @@ class TestObjective:
         sim = random_similarity(rng, 30)
         seed = 1234
         via_rng = cluster_mask(sim, 0.1, 0.25, np.random.default_rng(seed))
-        frozen = cluster_mask_from_anchors(sim, via_rng.anchors, 0.25)
+        frozen = cluster_mask_from_anchors(sim[via_rng.anchors], via_rng.anchors, 0.25)
         np.testing.assert_array_equal(frozen.masked, via_rng.masked)
 
     @pytest.mark.parametrize("length, ratio", [(30, 0.1), (196, 0.03), (7, 0.5), (1, 0.2)])
@@ -139,8 +138,8 @@ class TestObjective:
     @given(case=_matrix_anchors_threshold())
     def test_reach_row_decides_membership(self, case):
         sim, anchors, r = case
-        np.testing.assert_array_equal(reach_row(sim, anchors) >= r,
-                                      masked_by_anchors(sim, anchors, r))
+        np.testing.assert_array_equal(reach_row(sim[anchors], anchors) >= r,
+                                      masked_by_anchors(sim[anchors], anchors, r))
 
     def test_mean_sums_in_image_order(self):
         # numpy's blocked sum of these 20 ratios rounds differently, so only
@@ -169,7 +168,8 @@ class TestCalibrateThreshold:
         assert report.sample_size == 60
         # independent fresh-seed re-check of the reported threshold
         fresh = draw_anchor_sets(lengths_of(sample), 0.1, np.random.default_rng(999))
-        re_evaluated = reference_mean_mask_ratio(sample, fresh, report.found_r)
+        sims = [pairwise_cosine(vectors) for vectors in sample]
+        re_evaluated = reference_mean_mask_ratio(sims, fresh, report.found_r)
         assert abs(re_evaluated - 0.5) <= 0.05 + 0.02
 
     def test_trace_is_monotone_in_r(self, rng):
@@ -235,18 +235,19 @@ class TestCalibrateThreshold:
 
     def test_lengths_must_match_the_sample(self, rng):
         sample = small_sample(rng, count=3, length=9)
-        with pytest.raises(DataError, match="must be 8x8"):
+        with pytest.raises(DataError, match=r"must have shape \(8, d\)"):
             calibrate_threshold(sample, 0.1, 0.5, lengths=[9, 8, 9])
         with pytest.raises(DataError, match="2 of 3"):
             calibrate_threshold(iter(sample[:2]), 0.1, 0.5, lengths=[9, 9, 9])
         with pytest.raises(DataError, match="more than 2"):
             calibrate_threshold(iter(sample), 0.1, 0.5, lengths=[9, 9])
-        with pytest.raises(DataError, match="must be 9x9"):
+        with pytest.raises(DataError, match=r"must have shape \(9, d\)"):
             calibrate_threshold([np.zeros(9)], 0.1, 0.5)
 
 
 class TestReferenceEquality:
-    """The streamed calibration reports what holding every matrix reported."""
+    """The streamed calibration, from the anchors' rows alone, reports what
+    holding every full matrix reported."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     @pytest.mark.parametrize(

@@ -10,15 +10,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import PREPARE_CALLS, smoothed_noise_images
+from conftest import PREPARE_CALLS, prepared_counts, rows_by_source, smoothed_noise_images
 from patchmask.batch_shaping import mask_batch
 from patchmask.cli import _CALIBRATE, _DATASET, _MASK, _NS_CLI_MASK, _NS_CLI_SHAPE, _TRAIN, main
-from patchmask.cluster_masker import Mask, MaskerConfig, prepare_image
+from patchmask.cluster_masker import Mask, MaskerConfig, anchor_count, prepare_image
 from patchmask.patch_grid import Image, patchify, pixel_normalize
-from patchmask.pnm import load_image, save_image
+from patchmask.errors import DataError
+from patchmask.pnm import load_image, parse_pnm, save_image
 from patchmask.render import render_mask
 from patchmask.similarity import cosine_matrix
 
@@ -198,7 +199,11 @@ class TestMaskCommand:
         code = run_cli(["mask", "--in", image_dir, "--out", tmp_path / "out", "--strategy",
                         strategy, "--kmeans-k", "4", "--patch-size", "8", "--render"])
         assert code == 0
-        assert [len(calls) for calls in prepare_calls] == [4 * n for n in PREPARE_CALLS[strategy]]
+        assert prepared_counts(prepare_calls) == [4 * n for n in PREPARE_CALLS[strategy]]
+        # each source computes its anchors' rows alone, each row once
+        for rows in rows_by_source(prepare_calls[1]):
+            assert sorted(set(rows)) == sorted(rows)
+            assert len(rows) == anchor_count(_MASK["anchor_ratio"], 16)
 
     def test_alpha_blends_embedding_similarity(self, image_dir, tmp_path):
         # alpha=0 masks from the embedding cosine alone; must differ from
@@ -247,13 +252,14 @@ class TestCalibrateCommand:
         assert code == 4
 
     def test_one_matrix_alive_at_a_time(self, tmp_path, calls_to):
-        # 64 images of L=256: one cosine matrix is 512 KiB, all 64 are 32 MiB
+        # 64 images of L=256: one cosine matrix is 512 KiB, all 64 are 32 MiB;
+        # the calibration computes only the frozen and fresh anchors' rows
         directory = tmp_path / "imgs"
         directory.mkdir()
         rng = np.random.default_rng(12)
         for i in range(64):
             save_image(Image(data=rng.random((64, 64, 3))), directory / f"img_{i:02d}.ppm")
-        cosine_calls = calls_to("similarity", "cosine_matrix")
+        row_calls = calls_to("_kernels", "cosine_rows")
         tracemalloc.start()
         try:
             assert run_cli(["calibrate", "--in", directory, "--patch-size", "4", "--target",
@@ -262,7 +268,12 @@ class TestCalibrateCommand:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 256 * 256 * 8, peak
-        assert len(cosine_calls) == 64
+        sources = rows_by_source(row_calls)
+        assert len(sources) == 64
+        anchors = anchor_count(_CALIBRATE["anchor_ratio"], 256)
+        for rows in sources:
+            assert sorted(set(rows)) == sorted(rows)
+            assert anchors <= len(rows) <= 2 * anchors
 
 
 # up to three files, of which the first bad one in name order must decide
@@ -520,6 +531,133 @@ class TestExitCodeContract:
             if command != "calibrate":
                 args += ["--out", root / "out"]
             assert run_cli(args) in (0, 2, 3, 4)
+
+
+def _run_with_stderr(args):
+    """(exit code, stderr) of one in-process run; an exception that
+    escapes main, a traceback for a CLI user, fails the calling test."""
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code = run_cli(args)
+    return code, err.getvalue()
+
+
+def _assert_reported(code, err, codes):
+    """The run exited with one of codes and reported it in one line."""
+    assert code in codes, (code, err)
+    assert err.startswith({2: "config error: ", 3: "data error: "}[code]), err
+    assert err.count("\n") == 1 and err.endswith("\n"), err
+
+
+def _config_args(command, config, root):
+    """argv running command with config; mask and calibrate read a missing
+    directory, so a config that passes exits 3 before any image."""
+    args = [command, "--config", config]
+    if command != "train":
+        args += ["--in", root / "missing"]
+    if command != "calibrate":
+        args += ["--out", root / "out"]
+    return args
+
+
+def _is_json_object(blob):
+    try:
+        return isinstance(json.loads(blob.decode("utf-8")), dict)
+    except (ValueError, RecursionError):
+        return False
+
+
+def _is_mask_text(blob):
+    """Whether stats reads blob as mask lines: ASCII, with at least one
+    non-blank line and every non-blank line of '0'/'1' once stripped."""
+    try:
+        lines = [line.strip() for line in blob.decode("ascii").splitlines() if line.strip()]
+    except UnicodeDecodeError:
+        return False
+    return bool(lines) and all(set(line) <= {"0", "1"} for line in lines)
+
+
+def _parses(blob):
+    try:
+        parse_pnm(blob)
+    except DataError:
+        return False
+    return True
+
+
+_DEEP_ARRAYS = b"[" * 100_000 + b"]" * 100_000
+_LONG_INTEGER = b'{"seed": 1' + b"0" * 5000 + b"}"
+# raw bytes, and raw bytes behind the start of a PNM header
+_PNM_BYTES = st.one_of(
+    st.binary(max_size=64),
+    st.tuples(st.sampled_from([b"P6\n", b"P5 ", b"P6\n16 16\n", b"P6\n16 16\n255\n"]),
+              st.binary(max_size=64)).map(b"".join),
+)
+
+
+class TestAnyBytes:
+    """Whatever bytes a config file, a masks file or an image holds, the
+    CLI exits 2 or 3 with one line on stderr and no traceback."""
+
+    @pytest.mark.parametrize("command", ["calibrate", "mask", "train"])
+    @pytest.mark.parametrize("blob", [b"\xff\xfe\x00{", _DEEP_ARRAYS, _LONG_INTEGER],
+                             ids=["not-utf8", "nested-100000-deep", "5000-digit-integer"])
+    def test_unreadable_config_is_config_error(self, tmp_path, command, blob):
+        config = tmp_path / "cfg.json"
+        config.write_bytes(blob)
+        _assert_reported(*_run_with_stderr(_config_args(command, config, tmp_path)), [2])
+
+    @pytest.mark.parametrize("json_out", [False, True])
+    def test_non_ascii_mask_file_is_data_error(self, tmp_path, json_out):
+        masks = tmp_path / "masks.txt"
+        masks.write_bytes(b"0101\n\xff\n")
+        args = ["stats", "--in", masks] + (["--json", tmp_path / "s.json"] if json_out else [])
+        _assert_reported(*_run_with_stderr(args), [3])
+
+    @pytest.mark.parametrize("command", ["calibrate", "mask"])
+    def test_header_integer_past_the_digit_limit_is_data_error(self, tmp_path, command):
+        (tmp_path / "imgs").mkdir()
+        (tmp_path / "imgs" / "a.ppm").write_bytes(b"P6\n" + b"1" * 5000 + b" 16\n255\n")
+        args = [command, "--in", tmp_path / "imgs"] + (
+            ["--out", tmp_path / "out"] if command == "mask" else [])
+        code, err = _run_with_stderr(args)
+        _assert_reported(code, err, [3])
+        assert "5000 digits" in err
+
+    @pytest.mark.parametrize("command", ["calibrate", "mask", "train"])
+    @settings(max_examples=100, deadline=None)
+    @given(blob=st.binary())
+    def test_any_config_bytes(self, command, blob):
+        assume(command != "train" or not _is_json_object(blob))
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            (root / "cfg.json").write_bytes(blob)
+            _assert_reported(*_run_with_stderr(_config_args(command, root / "cfg.json", root)),
+                             [2, 3])
+
+    @settings(max_examples=100, deadline=None)
+    @given(blob=st.binary())
+    def test_any_mask_file_bytes(self, blob):
+        with tempfile.TemporaryDirectory() as tmp:
+            (Path(tmp) / "masks.txt").write_bytes(blob)
+            code, err = _run_with_stderr(["stats", "--in", Path(tmp) / "masks.txt"])
+        if _is_mask_text(blob):
+            assert (code, err) == (0, "")
+        else:
+            _assert_reported(code, err, [3])
+
+    @pytest.mark.parametrize("command", ["calibrate", "mask"])
+    @settings(max_examples=100, deadline=None)
+    @given(blob=_PNM_BYTES)
+    def test_any_image_bytes(self, command, blob):
+        assume(not _parses(blob))
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            (root / "imgs").mkdir()
+            (root / "imgs" / "a.ppm").write_bytes(blob)
+            args = [command, "--in", root / "imgs"] + (
+                ["--out", root / "out"] if command == "mask" else [])
+            _assert_reported(*_run_with_stderr(args), [3])
 
 
 def _assert_config_error_needs_no_input(command, config):

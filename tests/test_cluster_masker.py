@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -6,15 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_similarity, smoothed_noise_images
+from conftest import cluster_mask, random_similarity, smoothed_noise_images
 from patchmask import cluster_masker
 from patchmask.cluster_masker import (
     Mask,
     MaskerConfig,
     Strategy,
     anchor_count,
-    cluster_mask,
     cluster_mask_from_anchors,
+    draw_anchors,
     kmeans_cluster,
     kmeans_mask,
     kmeans_mask_detail,
@@ -25,6 +26,7 @@ from patchmask.cluster_masker import (
 )
 from patchmask.errors import ConfigError, DataError
 from patchmask.patch_grid import Image, patchify, pixel_normalize
+from patchmask.similarity import blend, cosine_matrix, toy_patch_embedding
 
 
 def brute_force_members(sim, anchors, threshold):
@@ -55,7 +57,7 @@ class TestClusterMask:
 
         vectors = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
         sim = pairwise_cosine(vectors)
-        mask = cluster_mask_from_anchors(sim, [0], 0.5)
+        mask = cluster_mask_from_anchors(sim[[0]], [0], 0.5)
         assert set(np.flatnonzero(mask.masked)) == {0, 1}
         assert set(np.flatnonzero(mask.masked)) == brute_force_members(sim, [0], 0.5)
 
@@ -66,7 +68,7 @@ class TestClusterMask:
             n_anchors = int(rng.integers(1, max(2, length // 2)))
             anchors = rng.choice(length, size=n_anchors, replace=False)
             threshold = float(rng.uniform(-1.1, 1.1))
-            mask = cluster_mask_from_anchors(sim, anchors, threshold)
+            mask = cluster_mask_from_anchors(sim[anchors], anchors, threshold)
             assert set(np.flatnonzero(mask.masked)) == brute_force_members(
                 sim, anchors, threshold
             )
@@ -96,8 +98,8 @@ class TestClusterMask:
         sim = random_similarity(gen, 12)
         anchors = gen.choice(12, size=3, replace=False)
         lo, hi = min(r1, r2), max(r1, r2)
-        low_mask = cluster_mask_from_anchors(sim, anchors, lo).masked
-        high_mask = cluster_mask_from_anchors(sim, anchors, hi).masked
+        low_mask = cluster_mask_from_anchors(sim[anchors], anchors, lo).masked
+        high_mask = cluster_mask_from_anchors(sim[anchors], anchors, hi).masked
         assert not (high_mask & ~low_mask).any()
 
     def test_adding_anchor_never_unmasks(self, rng):
@@ -105,8 +107,9 @@ class TestClusterMask:
             sim = random_similarity(rng, 16)
             anchors = list(rng.choice(16, size=3, replace=False))
             extra = int(rng.integers(0, 16))
-            base = cluster_mask_from_anchors(sim, anchors, 0.2).masked
-            grown = cluster_mask_from_anchors(sim, anchors + [extra], 0.2).masked
+            base = cluster_mask_from_anchors(sim[anchors], anchors, 0.2).masked
+            grown = anchors + [extra]
+            grown = cluster_mask_from_anchors(sim[grown], grown, 0.2).masked
             assert not (base & ~grown).any()
 
 
@@ -368,6 +371,31 @@ class TestMaskImage:
         for bad in (-0.5, 2.0, float("nan")):
             with pytest.raises(ConfigError):
                 mask_image(prepare_image(patchify(image, 8), config), config, rng, alpha=bad)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5, 1.0])
+    @pytest.mark.parametrize("strategy", [Strategy.CLUSTER_RGB, Strategy.CLUSTER_EMBEDDING])
+    def test_equals_the_mask_of_the_full_matrix(self, strategy, alpha):
+        # 224x224 at P=16; thresholds at every 8th entry of the anchors'
+        # rows, so rows off in their last bits would flip patches; each
+        # record is masked twice, so cached rows are checked as well as new
+        config = MaskerConfig(strategy=strategy, seed=4)
+        for index, image in enumerate(smoothed_noise_images(2, 224, 224, 3, seed=14)):
+            grid = patchify(image, 16)
+            prepared = prepare_image(grid, config)
+            sim = cosine_matrix(pixel_normalize(grid))
+            if strategy is Strategy.CLUSTER_EMBEDDING:
+                sim = blend(sim, cosine_matrix(toy_patch_embedding(grid, config.seed)), alpha)
+            for step in range(2):
+                key = (index, step)
+                anchors = draw_anchors(grid.n_patches, config.anchor_ratio,
+                                       np.random.default_rng(key))
+                entries = np.sort(sim[anchors], axis=None)
+                for r in entries[(entries >= -1.0) & (entries <= 1.0)][::8]:
+                    at_r = dataclasses.replace(config, threshold_r=float(r))
+                    mask = mask_image(prepared, at_r, np.random.default_rng(key), alpha)
+                    expected = cluster_mask_from_anchors(sim[anchors], anchors, r)
+                    assert mask.masked.tobytes() == expected.masked.tobytes()
+                    assert mask.anchors.tobytes() == expected.anchors.tobytes()
 
     def test_record_of_another_strategy_is_rejected(self, rng):
         grid = patchify(Image(data=rng.random((32, 32, 3))), 8)

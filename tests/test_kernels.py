@@ -295,7 +295,7 @@ class TestDistinctRows:
 class TestMaskedByAnchors:
     def test_no_anchors_masks_nothing(self, rng):
         sim = _kernels.pairwise_cosine(rng.standard_normal((12, 4)))
-        mask = cluster_mask_from_anchors(sim, [], -1.5)
+        mask = cluster_mask_from_anchors(sim[[]], [], -1.5)
         assert mask.length == 12
         assert not mask.masked.any()
         assert mask.anchors.size == 0

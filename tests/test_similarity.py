@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from patchmask._kernels import COSINE_EPS
+from conftest import smoothed_noise_images
+from patchmask._kernels import COSINE_EPS, cosine_rows, row_norms
 from patchmask.errors import ConfigError, DataError
 from patchmask.patch_grid import Image, patchify, pixel_normalize
 from patchmask.similarity import (
+    CosineRows,
     FeatureGrid,
     blend,
     cosine_matrix,
@@ -76,6 +79,50 @@ class TestCosineMatrix:
         grid = patchify(Image(data=rng.random((8, 8, 1))), 4)
         with pytest.raises(DataError):
             cosine_matrix(grid)
+
+
+def assert_rows_are_the_matrix(vectors):
+    """Every row of cosine_matrix has the bytes of cosine_rows of that row
+    alone, and CosineRows gives the same bytes for any request order."""
+    sim = cosine_matrix(features(vectors))
+    norms = row_norms(vectors)
+    for i in range(vectors.shape[0]):
+        assert cosine_rows(vectors, norms, [i]).tobytes() == sim[i].tobytes(), i
+    order = np.random.default_rng(vectors.shape[0]).permutation(vectors.shape[0])
+    source = CosineRows(vectors)
+    assert source.rows(order[: len(order) // 2 + 1]).tobytes() == sim[order[: len(order) // 2 + 1]].tobytes()
+    assert source.rows(order).tobytes() == sim[order].tobytes()
+    assert source.rows(order[::-1]).tobytes() == sim[order[::-1]].tobytes()
+
+
+class TestCosineRows:
+    @given(vectors=hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=24),
+        elements=st.one_of(st.just(0.0), st.floats(-1e3, 1e3)),
+    ))
+    @settings(max_examples=150, deadline=None)
+    def test_matrix_rows_are_rows_alone(self, vectors):
+        assert_rows_are_the_matrix(vectors)
+
+    def test_zero_rows_of_flat_patches(self, rng):
+        data = rng.random((32, 32, 3))
+        data[:16, :16] = 0.25  # four flat 8x8 patches normalize to zero vectors
+        grid = pixel_normalize(patchify(Image(data=data), 8))
+        assert (~grid.patches.any(axis=1)).sum() == 4
+        assert_rows_are_the_matrix(grid.patches)
+        assert not CosineRows(grid.patches).rows([0]).any()
+
+    def test_benchmark_geometry(self):
+        # 224x224 at P=16: L=196, d=768, one image with a flat quarter
+        images = smoothed_noise_images(2, 224, 224, 3, seed=8)
+        images[1].data[:112, :112] = 0.5
+        for image in images:
+            assert_rows_are_the_matrix(pixel_normalize(patchify(image, 16)).patches)
+
+    def test_rejects_an_empty_grid(self):
+        with pytest.raises(DataError):
+            CosineRows(np.zeros((0, 4)))
 
 
 class TestBlend:

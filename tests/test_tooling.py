@@ -1,9 +1,16 @@
-"""The repository's pytest settings report a failing property test as a
-failure with its falsifying example, not as an internal error."""
+"""The repository's tooling: its pytest settings report a failing property
+test as a failure with its falsifying example, not as an internal error,
+and the pipeline benchmark's timing shims still fit the package."""
 
+import importlib
+import json
+import math
 import subprocess
 import sys
+import types
 from pathlib import Path
+
+import pytest
 
 CONFIG = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -26,3 +33,54 @@ def test_failing_property_test_prints_its_example(tmp_path):
     assert proc.returncode == 1, output
     assert "Falsifying example" in output
     assert "INTERNALERROR" not in output
+
+
+SPANS = Path(__file__).resolve().parents[1] / "pipebench" / "spans.py"
+
+
+def load_spans():
+    """pipebench/spans.py as a fresh module, executed from its source so
+    that nothing (no bytecode cache) is written under pipebench/."""
+    module = types.ModuleType("pipebench_spans")
+    exec(compile(SPANS.read_text(encoding="utf-8"), str(SPANS), "exec"), module.__dict__)
+    return module
+
+
+def test_every_benchmark_target_is_a_callable_of_the_package():
+    spans = load_spans()
+    for module_name, func_name, _ in spans.TARGETS:
+        module = importlib.import_module(f"patchmask.{module_name}")
+        assert callable(getattr(module, func_name, None)), f"{module_name}.{func_name}"
+
+
+@pytest.mark.parametrize("command", [
+    ["mask", "--strategy", "cluster-rgb", "--patch-size", "8", "--out", "OUT"],
+    ["calibrate", "--patch-size", "8", "--tolerance", "0.1", "--calibration-out", "OUT/r.json"],
+], ids=["mask-cluster", "calibrate"])
+def test_traced_run_reports_finite_metrics(tmp_path, command):
+    # the benchmark's traced runs wrap each target with a shim and print
+    # the layer metrics as strict JSON: every target must be found and
+    # every metric must be a finite number
+    from conftest import smoothed_noise_images
+    from patchmask import cli
+    from patchmask.pnm import save_image
+
+    images = tmp_path / "imgs"
+    images.mkdir()
+    for i, image in enumerate(smoothed_noise_images(4, 32, 32, 3, seed=5)):
+        save_image(image, images / f"img_{i}.ppm")
+    (tmp_path / "out").mkdir()
+    argv = [arg.replace("OUT", str(tmp_path / "out")) for arg in command]
+    spans = load_spans()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        code = tracer.run_root(cli.main, argv + ["--in", str(images)])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert tracer.missing == []
+    metrics, notes = spans.layer_metrics(tracer.spans, tracer.missing, 4)
+    assert not [note for note in notes if "missing" in note]
+    assert metrics and all(math.isfinite(value) for value, _ in metrics.values()), metrics
+    json.dumps({name: value for name, (value, _) in metrics.items()}, allow_nan=False)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import PREPARE_CALLS, smoothed_noise_images
+from conftest import PREPARE_CALLS, prepared_counts, rows_by_source, smoothed_noise_images
 from patchmask.cluster_masker import MaskerConfig, Strategy, prepare_image
 from patchmask.errors import ConfigError, DataError
 from patchmask.patch_grid import Image, patchify
@@ -264,7 +264,24 @@ class TestTrainStep:
         _, rows = train_loop(images, np.eye(6), config, epochs=3, patch_size=4, beta=0.5,
                              learning_rate=0.1, steps_per_epoch=2)
         assert len(rows) == 6
-        assert [len(calls) for calls in prepare_calls] == [6 * n for n in PREPARE_CALLS[strategy]]
+        assert prepared_counts(prepare_calls) == [6 * n for n in PREPARE_CALLS[strategy]]
+        for computed in rows_by_source(prepare_calls[1]):
+            assert sorted(set(computed)) == sorted(computed)
+
+    def test_row_cache_computes_no_row_twice(self, calls_to):
+        # 4 anchors of 16 patches a step over 40 steps: every row of both
+        # sources is read, and each is computed once, the first time
+        row_calls = calls_to("_kernels", "cosine_rows")
+        images = smoothed_noise_images(4, 16, 16, 3, seed=3)
+        config = MaskerConfig(strategy=Strategy.CLUSTER_EMBEDDING, anchor_ratio=0.25,
+                              threshold_r=0.6, seed=3)
+        _, rows = train_loop(images, np.eye(4), config, epochs=40, patch_size=4, beta=0.5,
+                             learning_rate=0.1)
+        assert len(rows) == 40
+        sources = rows_by_source(row_calls)
+        assert len(sources) == 8
+        for computed in sources:
+            assert sorted(computed) == list(range(16))
 
     def test_short_training_reduces_loss(self):
         images, bags = color_block_dataset(12, 32, 8, seed=21)
