@@ -24,7 +24,7 @@ from .errors import ConfigError, ConvergenceError, DataError, PatchmaskError
 from .patch_grid import Image, PatchGrid, patchify, pixel_normalize, unpatchify
 from .pnm import load_image, save_image
 from .render import render_mask
-from .similarity import FeatureGrid, blend, cosine_matrix, toy_patch_embedding
+from .similarity import blend, cosine_matrix, toy_patch_embedding
 from .stats import stats_report
 from .toy_contrastive import (
     ToyEncoders,
@@ -42,7 +42,6 @@ __all__ = [
     "ConfigError",
     "ConvergenceError",
     "DataError",
-    "FeatureGrid",
     "Image",
     "Mask",
     "MaskerConfig",

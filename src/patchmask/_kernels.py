@@ -1,15 +1,15 @@
 """Hot numeric kernels of the maskers, one numpy function each.
 
-``cluster_masker``, ``similarity`` and ``calibration`` import these
-names, so a faster kernel keeps its name and signature and replaces the
-body here. Results are deterministic run to run.
+``cluster_masker`` and ``similarity`` import these names, so a faster
+kernel keeps its name and signature and replaces the body here. Results
+are deterministic run to run.
 
 ``cosine_rows`` is the one cosine kernel: it computes each requested row
-of the cosine matrix as one GEMV, and ``pairwise_cosine`` is it over
-every row. Row i therefore comes from the same arithmetic whether it is
-asked for alone or as part of the full matrix, so the two are equal bit
-for bit on any BLAS. The rows are never batched into one GEMM, whose
-rows differ from a GEMV's in their low bits.
+of the cosine matrix as one GEMV, and ``similarity.CosineRows`` is its
+only caller. Row i therefore comes from the same arithmetic whether it is
+asked for alone or with every other row, as for the full matrix, so the
+two are equal bit for bit on any BLAS. The rows are never batched into
+one GEMM, whose rows differ from a GEMV's in their low bits.
 
 The K-Means kernels are bit-identical to their exact formulas:
 
@@ -63,11 +63,6 @@ def cosine_rows(vectors, norms, rows):
         np.matmul(vectors, vectors[i], out=out)
     sim /= np.outer(norms[rows], norms) + COSINE_EPS
     return sim
-
-
-def pairwise_cosine(vectors):
-    """All-pairs epsilon-guarded cosine similarity of the rows of (L, d)."""
-    return cosine_rows(vectors, row_norms(vectors), np.arange(vectors.shape[0]))
 
 
 def masked_by_anchors(rows, anchors, threshold):

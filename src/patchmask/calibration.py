@@ -9,7 +9,8 @@ with fresh anchor draws to report how the calibrated r generalizes.
 With the anchors frozen, a patch's membership at any r depends only on
 its largest similarity to an anchor, so each image is kept as one such
 "reach row" per anchor set, O(L) floats. It is made from the anchors'
-cosine rows alone; no L x L matrix is computed.
+cosine rows alone, read from one CosineRows per image, so an anchor in
+both sets is computed once and no L x L matrix is filled.
 """
 
 import json
@@ -17,9 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import cosine_rows, row_norms
 from .cluster_masker import check_anchor_ratio, draw_anchors
 from .errors import ConfigError, ConvergenceError, DataError
+from .similarity import CosineRows
 
 R_MIN = -1.0
 R_MAX = 1.05
@@ -87,8 +88,9 @@ def reach_row(rows, anchors):
 
 def _reach_rows(sample, lengths, frozen_sets, fresh_sets):
     """The frozen-anchor and the fresh-anchor reach row of each image's
-    patch vectors in sample, which is iterated once; only the anchors'
-    cosine rows are computed, each once, and none is kept."""
+    patch vectors in sample, which is iterated once. Each image's rows
+    come from its own CosineRows, which computes only the anchors' rows,
+    each once, and is dropped with the image."""
     frozen, fresh = [], []
     for index, vectors in enumerate(sample):
         if index == len(lengths):
@@ -99,13 +101,9 @@ def _reach_rows(sample, lengths, frozen_sets, fresh_sets):
                 f"patch vectors {index} must have shape ({lengths[index]}, d), "
                 f"got {vectors.shape}"
             )
-        # the rows of both sets in one call, an anchor in both computed once
-        split = len(frozen_sets[index])
-        anchors = np.concatenate([frozen_sets[index], fresh_sets[index]])
-        computed, inverse = np.unique(anchors, return_inverse=True)
-        rows = cosine_rows(vectors, row_norms(vectors), computed)[inverse]
-        frozen.append(reach_row(rows[:split], frozen_sets[index]))
-        fresh.append(reach_row(rows[split:], fresh_sets[index]))
+        source = CosineRows(vectors)
+        frozen.append(reach_row(source.rows(frozen_sets[index]), frozen_sets[index]))
+        fresh.append(reach_row(source.rows(fresh_sets[index]), fresh_sets[index]))
     if len(frozen) < len(lengths):
         raise DataError(f"calibration sample holds {len(frozen)} of {len(lengths)} images")
     return frozen, fresh
@@ -159,6 +157,9 @@ def calibrate_threshold(
     if len(lengths) == 0:
         raise ConfigError("calibration sample must be nonempty")
     check_search(anchor_ratio, target_ratio, tolerance, max_iters)
+    for index, length in enumerate(lengths):
+        if length < 1:
+            raise DataError(f"patch vectors {index} must hold at least one patch, got {length}")
 
     anchor_sets = draw_anchor_sets(lengths, anchor_ratio, rng)
     fresh_sets = draw_anchor_sets(lengths, anchor_ratio, rng)

@@ -25,7 +25,6 @@ for underscores.
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -71,8 +70,9 @@ def _file_value(config, key, default):
     """Config-file value if present, else default.
 
     A file value must have the type of its default: an int default takes
-    an int but not a bool, a float default a finite int or float, a dict
-    default an object, a str default a str and a bool default a bool.
+    an int but not a bool, a float default an int or float that is a
+    finite float, a dict default an object, a str default a str and a bool
+    default a bool.
     """
     if key not in config:
         return default
@@ -83,7 +83,8 @@ def _file_value(config, key, default):
     elif isinstance(default, int):
         ok, kind = number and isinstance(value, int), "an integer"
     elif isinstance(default, float):
-        ok, kind = number and math.isfinite(value), "a finite number"
+        # compared exactly, so an int past the float range does not overflow
+        ok, kind = number and abs(value) <= sys.float_info.max, "a finite number"
     elif isinstance(default, dict):
         ok, kind = isinstance(value, dict), "an object"
     else:

@@ -190,14 +190,14 @@ def kmeans_cluster(vectors, k, max_iters, rng):
     return labels, centroids
 
 
-def kmeans_mask_detail(grid, k, max_iters, mask_fraction, rng):
-    """K-Means masking with the intermediate clustering exposed.
+def kmeans_mask_detail(vectors, k, max_iters, mask_fraction, rng):
+    """K-Means masking of (n, d) vectors with the intermediate clustering
+    exposed.
 
-    Runs Lloyd's algorithm on the grid's vectors, then masks
+    Runs Lloyd's algorithm on the vectors, then masks
     ceil(mask_fraction * k) clusters chosen uniformly at random.
     Returns (mask, labels, centroids, chosen_clusters).
     """
-    vectors = grid.patches if isinstance(grid, PatchGrid) else np.asarray(grid, dtype=np.float64)
     if not 0.0 < mask_fraction < 1.0:
         raise ConfigError(f"mask_fraction must lie in (0, 1), got {mask_fraction}")
     labels, centroids = kmeans_cluster(vectors, k, max_iters, rng)
@@ -208,9 +208,10 @@ def kmeans_mask_detail(grid, k, max_iters, mask_fraction, rng):
     return mask, labels, centroids, chosen
 
 
-def kmeans_mask(grid, k, max_iters, mask_fraction, rng):
-    """Mask ceil(mask_fraction * k) randomly chosen K-Means clusters."""
-    mask, _, _, _ = kmeans_mask_detail(grid, k, max_iters, mask_fraction, rng)
+def kmeans_mask(vectors, k, max_iters, mask_fraction, rng):
+    """Mask ceil(mask_fraction * k) randomly chosen K-Means clusters of
+    the (n, d) vectors."""
+    mask, _, _, _ = kmeans_mask_detail(vectors, k, max_iters, mask_fraction, rng)
     return mask
 
 
@@ -237,16 +238,16 @@ class PreparedImage:
 
     grid is the unnormalized patch grid and strategy the strategy the
     record was made for. Only the fields that strategy needs are set: the
-    normalized grid for kmeans, the cosine rows of the normalized grid for
-    both cluster strategies and those of the embedding features for
-    cluster-embedding. A random record holds the grid alone. The row
-    sources compute a row when a mask first reads it and keep it for the
-    record's later masks; no L x L matrix is built.
+    normalized (L, d) patch vectors for kmeans, the cosine rows of those
+    vectors for both cluster strategies and those of the (L, dim)
+    embedding for cluster-embedding. A random record holds the grid alone.
+    The row sources compute a row when a mask first reads it and keep it
+    for the record's later masks; no L x L matrix is built.
     """
 
     grid: PatchGrid
     strategy: Strategy
-    normalized: PatchGrid = None
+    normalized: np.ndarray = None
     rgb_rows: CosineRows = None
     emb_rows: CosineRows = None
 
@@ -260,10 +261,11 @@ def prepare_image(grid, config):
         return PreparedImage(grid=grid, strategy=config.strategy)
     normalized = pixel_normalize(grid)
     if config.strategy is Strategy.KMEANS:
-        return PreparedImage(grid=grid, strategy=config.strategy, normalized=normalized)
+        return PreparedImage(grid=grid, strategy=config.strategy,
+                             normalized=normalized.patches)
     rgb_rows, emb_rows = CosineRows(normalized.patches), None
     if config.strategy is Strategy.CLUSTER_EMBEDDING:
-        emb_rows = CosineRows(toy_patch_embedding(grid, config.seed).features)
+        emb_rows = CosineRows(toy_patch_embedding(grid, config.seed))
     return PreparedImage(grid=grid, strategy=config.strategy, rgb_rows=rgb_rows,
                          emb_rows=emb_rows)
 
@@ -272,7 +274,7 @@ def mask_image(prepared, config, rng, alpha=1.0):
     """Mask one image, prepared by prepare_image, under the configured strategy.
 
     This is the per-step part of masking: the random draw, K-Means on the
-    normalized grid, or the anchor draw followed by the anchors' cosine
+    normalized vectors, or the anchor draw followed by the anchors' cosine
     rows, blended for cluster-embedding and thresholded. alpha weights the
     RGB similarity against the embedding similarity and only matters for
     the cluster-embedding strategy, but every strategy rejects a value

@@ -4,26 +4,22 @@ Similarities are epsilon-guarded cosines: zero vectors (constant patches
 after normalization) score 0 against everything, including themselves, so
 flat patches never act as cluster attractors.
 
-Masking and calibration read only the anchors' rows of the L x L cosine
-matrix, so only those rows are computed: masking asks a CosineRows, which
-keeps them for the image's later masks, and calibration calls the row
-kernel itself. cosine_matrix builds the whole matrix from the same
-kernel, for --dump-sim and for tests, and its row i equals row i computed
-alone bit for bit.
+CosineRows is the one place that turns an image's (L, d) vectors into
+cosine rows. Masking and calibration read only the anchors' rows of the
+L x L matrix, so only those rows are computed, each at most once per
+image. cosine_matrix asks a CosineRows for every row, for --dump-sim and
+for tests, so its row i equals row i computed alone bit for bit.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import COSINE_EPS, cosine_rows, pairwise_cosine, row_norms
+from ._kernels import COSINE_EPS, cosine_rows, row_norms
 from .errors import ConfigError, DataError
 from .patch_grid import PatchGrid
 
 __all__ = [
     "COSINE_EPS",
     "CosineRows",
-    "FeatureGrid",
     "blend",
     "check_alpha",
     "cosine_matrix",
@@ -32,54 +28,21 @@ __all__ = [
 ]
 
 
-@dataclass
-class FeatureGrid:
-    """Per-patch feature vectors, stand-in for transformer embedding outputs."""
-
-    rows: int
-    cols: int
-    features: np.ndarray  # (rows * cols, dim) float64
-
-
-def _vectors_of(grid):
-    if isinstance(grid, PatchGrid):
-        if not grid.normalized:
-            raise DataError("cosine_matrix requires a pixel-normalized PatchGrid")
-        return grid.patches
-    if isinstance(grid, FeatureGrid):
-        return grid.features
-    raise DataError(f"expected PatchGrid or FeatureGrid, got {type(grid).__name__}")
-
-
-def _checked(vectors):
-    if vectors.shape[0] == 0:
-        raise DataError("cannot compute similarity of an empty grid")
-    return np.ascontiguousarray(vectors, dtype=np.float64)
-
-
-def cosine_matrix(grid):
-    """L x L cosine similarity matrix over the grid's patch vectors.
-
-    Entry (i, j) is <x_i, x_j> / (|x_i| * |x_j| + 1e-8); entries in
-    [-1, 1], and rows/columns of zero vectors are identically 0. Built
-    from L GEMVs, one per row, so it costs several times one GEMM; the
-    masking path computes only the rows it reads, through CosineRows.
-    """
-    return pairwise_cosine(_checked(_vectors_of(grid)))
-
-
 class CosineRows:
     """The rows of the cosine matrix of (L, d) vectors, each computed on
     first use and kept.
 
-    rows(indices) returns the same rows cosine_matrix would, bit for bit:
-    both come from cosine_rows. A record that is masked many times, as a
-    training image is once per step, computes each row at most once; once
-    every row is known, rows() only gathers.
+    Each row is one GEMV of cosine_rows, so its bits do not depend on
+    which rows are asked for with it: rows(indices) equals those rows of
+    cosine_matrix. A record that is masked many times, as a training
+    image is once per step, computes each row at most once; once every
+    row is known, rows() only gathers.
     """
 
     def __init__(self, vectors):
-        self.vectors = _checked(vectors)
+        self.vectors = np.ascontiguousarray(vectors, dtype=np.float64)
+        if self.vectors.shape[0] == 0:
+            raise DataError("cannot compute similarity of an empty grid")
         self.norms = row_norms(self.vectors)
         length = self.vectors.shape[0]
         self._sim = np.empty((length, length))  # only the known rows are written
@@ -95,6 +58,19 @@ class CosineRows:
                 self._known.update(new)
                 self._complete = len(self._known) == len(self._sim)
         return self._sim[indices]
+
+
+def cosine_matrix(grid):
+    """L x L cosine similarity matrix over a normalized PatchGrid's patches.
+
+    Entry (i, j) is <x_i, x_j> / (|x_i| * |x_j| + 1e-8); entries in
+    [-1, 1], and rows/columns of zero vectors are identically 0. Built
+    from L GEMVs, one per row, so it costs several times one GEMM; the
+    masking path computes only the rows it reads.
+    """
+    if not (isinstance(grid, PatchGrid) and grid.normalized):
+        raise DataError("cosine_matrix requires a pixel-normalized PatchGrid")
+    return CosineRows(grid.patches).rows(np.arange(grid.n_patches))
 
 
 def check_alpha(alpha):
@@ -140,13 +116,13 @@ def toy_patch_embedding(grid, projection_seed, dim=64):
     Desk-scale stand-in for a trained patch-embedding layer: the seeded
     projection is fixed for a run, and the additive position encoding
     gives the embedding branch the spatial locality a real embedding
-    layer would carry. Same seed, same grid -> bit-identical output.
-    Each call redraws the projection from projection_seed; masking calls
-    this once per image per run, in prepare_image, never per step.
+    layer would carry. Returns the (L, dim) float64 features, one row
+    per patch in the grid's order. Same seed, same grid -> bit-identical
+    output. Each call redraws the projection from projection_seed; masking
+    calls this once per image per run, in prepare_image, never per step.
     """
     if grid.n_patches == 0:
         raise DataError("cannot embed an empty grid")
     rng = np.random.default_rng(projection_seed)
     projection = rng.standard_normal((grid.patch_dim, dim)) / np.sqrt(grid.patch_dim)
-    features = grid.patches @ projection + sincos_position_encoding(grid.rows, grid.cols, dim)
-    return FeatureGrid(rows=grid.rows, cols=grid.cols, features=features)
+    return grid.patches @ projection + sincos_position_encoding(grid.rows, grid.cols, dim)

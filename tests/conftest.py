@@ -28,11 +28,16 @@ def rng():
     return np.random.default_rng(20240613)
 
 
+def full_cosine(vectors):
+    """Every row of the cosine matrix of the (L, d) vectors, from CosineRows."""
+    from patchmask.similarity import CosineRows
+
+    return CosineRows(vectors).rows(np.arange(len(vectors)))
+
+
 def random_similarity(rng, length, dim=8):
     """Similarity matrix of random unit-ish vectors (realistic cosine structure)."""
-    from patchmask._kernels import pairwise_cosine
-
-    return pairwise_cosine(rng.standard_normal((length, dim)))
+    return full_cosine(rng.standard_normal((length, dim)))
 
 
 def cluster_mask(sim, anchor_ratio, threshold_r, rng):

@@ -255,7 +255,7 @@ def test_criterion_08_kmeans_variant():
         rng = np.random.default_rng(800)
         image = smoothed_noise_images(1, 112, 112, 3, seed=80)[0]
         grid = pixel_normalize(patchify(image, 8))
-        mask, labels, centroids, chosen = kmeans_mask_detail(grid, 12, 10, 0.5, rng)
+        mask, labels, centroids, chosen = kmeans_mask_detail(grid.patches, 12, 10, 0.5, rng)
         assert chosen.size == 6
         assert centroids.shape[0] == 12
         np.testing.assert_array_equal(mask.masked, np.isin(labels, chosen))

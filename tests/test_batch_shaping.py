@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import smoothed_noise_images
+from conftest import full_cosine, smoothed_noise_images
 from patchmask.batch_shaping import mask_batch, shape_batch, visible_slots
 from patchmask.cli import _NS_CLI_MASK, _NS_CLI_SHAPE
 from patchmask.cluster_masker import (
@@ -155,12 +155,12 @@ def frozen_mask_image(grid, config, rng, alpha=1.0):
     normalized = pixel_normalize(grid)
     if config.strategy is Strategy.KMEANS:
         return kmeans_mask(
-            normalized, config.kmeans_k, config.kmeans_max_iters,
+            normalized.patches, config.kmeans_k, config.kmeans_max_iters,
             config.kmeans_mask_fraction, rng,
         )
     sim = cosine_matrix(normalized)
     if config.strategy is Strategy.CLUSTER_EMBEDDING:
-        sim = blend(sim, cosine_matrix(toy_patch_embedding(grid, config.seed)), alpha)
+        sim = blend(sim, full_cosine(toy_patch_embedding(grid, config.seed)), alpha)
     length = sim.shape[0]
     anchors = rng.choice(length, size=anchor_count(config.anchor_ratio, length), replace=False)
     return cluster_mask_from_anchors(sim[anchors], anchors, config.threshold_r)

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import cluster_mask, random_similarity
-from patchmask._kernels import masked_by_anchors, pairwise_cosine
+from conftest import cluster_mask, full_cosine, random_similarity
+from patchmask._kernels import masked_by_anchors
 from patchmask.calibration import (
     R_MAX,
     R_MIN,
@@ -33,7 +33,7 @@ def lengths_of(sample):
 
 
 def reach_rows(sample, anchor_sets):
-    return [reach_row(pairwise_cosine(vectors)[anchors], anchors)
+    return [reach_row(full_cosine(vectors)[anchors], anchors)
             for vectors, anchors in zip(sample, anchor_sets)]
 
 
@@ -48,7 +48,7 @@ def reference_mean_mask_ratio(sample, anchor_sets, r):
 
 
 def reference_calibrate_threshold(sample, anchor_ratio, target_ratio, tolerance, max_iters, rng):
-    sample = [pairwise_cosine(vectors) for vectors in sample]
+    sample = [full_cosine(vectors) for vectors in sample]
     anchor_sets = [draw_anchors(sim.shape[0], anchor_ratio, rng) for sim in sample]
     anchors_only = float(
         np.mean([len(a) / s.shape[0] for a, s in zip(anchor_sets, sample)])
@@ -168,7 +168,7 @@ class TestCalibrateThreshold:
         assert report.sample_size == 60
         # independent fresh-seed re-check of the reported threshold
         fresh = draw_anchor_sets(lengths_of(sample), 0.1, np.random.default_rng(999))
-        sims = [pairwise_cosine(vectors) for vectors in sample]
+        sims = [full_cosine(vectors) for vectors in sample]
         re_evaluated = reference_mean_mask_ratio(sims, fresh, report.found_r)
         assert abs(re_evaluated - 0.5) <= 0.05 + 0.02
 
@@ -243,6 +243,17 @@ class TestCalibrateThreshold:
             calibrate_threshold(iter(sample), 0.1, 0.5, lengths=[9, 9])
         with pytest.raises(DataError, match=r"must have shape \(9, d\)"):
             calibrate_threshold([np.zeros(9)], 0.1, 0.5)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (0, 0)])
+    def test_an_image_of_no_patches_is_a_data_error(self, rng, shape):
+        # checked before the anchor draw, which cannot draw from no patches
+        with pytest.raises(DataError, match="patch vectors 0 must hold at least one patch"):
+            calibrate_threshold([np.zeros(shape)], 0.1, 0.5)
+        sample = small_sample(rng, count=2) + [np.zeros(shape)]
+        with pytest.raises(DataError, match="patch vectors 2 must hold at least one patch"):
+            calibrate_threshold(sample, 0.1, 0.5)
+        with pytest.raises(DataError, match="patch vectors 1 must hold at least one patch"):
+            calibrate_threshold(iter(sample[1:]), 0.1, 0.5, lengths=[36, 0])
 
 
 class TestReferenceEquality:

@@ -15,7 +15,10 @@ from hypothesis import strategies as st
 
 from conftest import PREPARE_CALLS, prepared_counts, rows_by_source, smoothed_noise_images
 from patchmask.batch_shaping import mask_batch
-from patchmask.cli import _CALIBRATE, _DATASET, _MASK, _NS_CLI_MASK, _NS_CLI_SHAPE, _TRAIN, main
+from patchmask.calibration import draw_anchor_sets
+from patchmask.cli import (
+    _CALIBRATE, _DATASET, _MASK, _NS_CLI_CALIBRATE, _NS_CLI_MASK, _NS_CLI_SHAPE, _TRAIN, main,
+)
 from patchmask.cluster_masker import Mask, MaskerConfig, anchor_count, prepare_image
 from patchmask.patch_grid import Image, patchify, pixel_normalize
 from patchmask.errors import DataError
@@ -274,6 +277,12 @@ class TestCalibrateCommand:
         for rows in sources:
             assert sorted(set(rows)) == sorted(rows)
             assert anchors <= len(rows) <= 2 * anchors
+        # each source computes exactly its frozen and fresh anchors' rows
+        draws = np.random.default_rng((_CALIBRATE["seed"], _NS_CLI_CALIBRATE))
+        frozen = draw_anchor_sets([256] * 64, _CALIBRATE["anchor_ratio"], draws)
+        fresh = draw_anchor_sets([256] * 64, _CALIBRATE["anchor_ratio"], draws)
+        assert [sorted(rows) for rows in sources] == [
+            sorted(set(a.tolist()) | set(b.tolist())) for a, b in zip(frozen, fresh)]
 
 
 # up to three files, of which the first bad one in name order must decide
@@ -587,6 +596,7 @@ def _parses(blob):
 
 _DEEP_ARRAYS = b"[" * 100_000 + b"]" * 100_000
 _LONG_INTEGER = b'{"seed": 1' + b"0" * 5000 + b"}"
+_HUGE_FLOAT = b'{"anchor_ratio": 1' + b"0" * 400 + b"}"  # an int past the float range
 # raw bytes, and raw bytes behind the start of a PNM header
 _PNM_BYTES = st.one_of(
     st.binary(max_size=64),
@@ -600,8 +610,9 @@ class TestAnyBytes:
     CLI exits 2 or 3 with one line on stderr and no traceback."""
 
     @pytest.mark.parametrize("command", ["calibrate", "mask", "train"])
-    @pytest.mark.parametrize("blob", [b"\xff\xfe\x00{", _DEEP_ARRAYS, _LONG_INTEGER],
-                             ids=["not-utf8", "nested-100000-deep", "5000-digit-integer"])
+    @pytest.mark.parametrize("blob", [b"\xff\xfe\x00{", _DEEP_ARRAYS, _LONG_INTEGER, _HUGE_FLOAT],
+                             ids=["not-utf8", "nested-100000-deep", "5000-digit-integer",
+                                  "401-digit-float-key"])
     def test_unreadable_config_is_config_error(self, tmp_path, command, blob):
         config = tmp_path / "cfg.json"
         config.write_bytes(blob)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cluster_mask, random_similarity, smoothed_noise_images
+from conftest import cluster_mask, full_cosine, random_similarity, smoothed_noise_images
 from patchmask import cluster_masker
 from patchmask.cluster_masker import (
     Mask,
@@ -53,10 +53,8 @@ class TestClusterMask:
         assert mask.masked.all()
 
     def test_four_patch_hand_case(self):
-        from patchmask._kernels import pairwise_cosine
-
         vectors = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
-        sim = pairwise_cosine(vectors)
+        sim = full_cosine(vectors)
         mask = cluster_mask_from_anchors(sim[[0]], [0], 0.5)
         assert set(np.flatnonzero(mask.masked)) == {0, 1}
         assert set(np.flatnonzero(mask.masked)) == brute_force_members(sim, [0], 0.5)
@@ -237,7 +235,7 @@ class TestKMeansRegression:
 
         monkeypatch.setattr(cluster_masker, "nearest_centroids", counted)
         mask, labels, centroids, chosen = kmeans_mask_detail(
-            grid, 12, 10, 0.5, np.random.default_rng(seed)
+            grid.patches, 12, 10, 0.5, np.random.default_rng(seed)
         )
         ref_labels, ref_centroids, ref_chosen, updates = frozen_kmeans_mask_detail(
             grid.patches, 12, 10, 0.5, np.random.default_rng(seed)
@@ -384,7 +382,7 @@ class TestMaskImage:
             prepared = prepare_image(grid, config)
             sim = cosine_matrix(pixel_normalize(grid))
             if strategy is Strategy.CLUSTER_EMBEDDING:
-                sim = blend(sim, cosine_matrix(toy_patch_embedding(grid, config.seed)), alpha)
+                sim = blend(sim, full_cosine(toy_patch_embedding(grid, config.seed)), alpha)
             for step in range(2):
                 key = (index, step)
                 anchors = draw_anchors(grid.n_patches, config.anchor_ratio,

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import full_cosine
 from patchmask import _kernels
 from patchmask.cluster_masker import cluster_mask_from_anchors
 from patchmask.patch_grid import Image, patchify, pixel_normalize
@@ -294,7 +295,7 @@ class TestDistinctRows:
 
 class TestMaskedByAnchors:
     def test_no_anchors_masks_nothing(self, rng):
-        sim = _kernels.pairwise_cosine(rng.standard_normal((12, 4)))
+        sim = full_cosine(rng.standard_normal((12, 4)))
         mask = cluster_mask_from_anchors(sim[[]], [], -1.5)
         assert mask.length == 12
         assert not mask.masked.any()

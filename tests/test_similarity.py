@@ -4,13 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import smoothed_noise_images
+from conftest import full_cosine, smoothed_noise_images
 from patchmask._kernels import COSINE_EPS, cosine_rows, row_norms
 from patchmask.errors import ConfigError, DataError
 from patchmask.patch_grid import Image, patchify, pixel_normalize
 from patchmask.similarity import (
     CosineRows,
-    FeatureGrid,
     blend,
     cosine_matrix,
     sincos_position_encoding,
@@ -30,27 +29,22 @@ def naive_cosine(vectors):
     return out
 
 
-def features(vectors):
-    vectors = np.asarray(vectors, dtype=np.float64)
-    return FeatureGrid(rows=1, cols=vectors.shape[0], features=vectors)
-
-
 class TestCosineMatrix:
     def test_identical_patches(self):
-        sim = cosine_matrix(features([[1.0, 2.0], [1.0, 2.0]]))
+        sim = full_cosine(np.array([[1.0, 2.0], [1.0, 2.0]]))
         assert abs(sim[0, 1] - 1.0) < 1e-6
 
     def test_orthogonal_patches(self):
-        sim = cosine_matrix(features([[1.0, 0.0], [0.0, 1.0]]))
+        sim = full_cosine(np.array([[1.0, 0.0], [0.0, 1.0]]))
         assert sim[0, 1] == 0.0
 
     def test_hand_computed_pairs(self):
-        sim = cosine_matrix(features([[1.0, 1.0], [1.0, -1.0], [-1.0, -1.0]]))
+        sim = full_cosine(np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, -1.0]]))
         assert abs(sim[0, 1]) < 1e-6
         assert abs(sim[0, 2] + 1.0) < 1e-6
 
     def test_zero_vector_scores_zero_everywhere(self):
-        sim = cosine_matrix(features([[0.0, 0.0], [1.0, 2.0]]))
+        sim = full_cosine(np.array([[0.0, 0.0], [1.0, 2.0]]))
         assert sim[0, 0] == 0.0
         assert sim[0, 1] == 0.0
         assert sim[1, 0] == 0.0
@@ -59,7 +53,7 @@ class TestCosineMatrix:
         for length in range(4, 17):
             vectors = rng.standard_normal((length, 6))
             np.testing.assert_allclose(
-                cosine_matrix(features(vectors)), naive_cosine(vectors), atol=1e-9
+                full_cosine(vectors), naive_cosine(vectors), atol=1e-9
             )
 
     def test_well_formed(self, rng):
@@ -68,23 +62,26 @@ class TestCosineMatrix:
         assert np.abs(sim - sim.T).max() <= 1e-6
         assert sim.min() >= -1.0 - 1e-6 and sim.max() <= 1.0 + 1e-6
         np.testing.assert_allclose(np.diagonal(sim), 1.0, atol=1e-6)
+        assert sim.tobytes() == full_cosine(grid.patches).tobytes()
 
     def test_scale_invariance(self, rng):
         vectors = rng.standard_normal((10, 8))
-        base = cosine_matrix(features(vectors))
-        scaled = cosine_matrix(features(vectors * 37.5))
+        base = full_cosine(vectors)
+        scaled = full_cosine(vectors * 37.5)
         np.testing.assert_allclose(scaled, base, atol=1e-6)
 
     def test_requires_normalized_patch_grid(self, rng):
         grid = patchify(Image(data=rng.random((8, 8, 1))), 4)
         with pytest.raises(DataError):
             cosine_matrix(grid)
+        with pytest.raises(DataError):  # vectors without their grid
+            cosine_matrix(pixel_normalize(grid).patches)
 
 
 def assert_rows_are_the_matrix(vectors):
-    """Every row of cosine_matrix has the bytes of cosine_rows of that row
-    alone, and CosineRows gives the same bytes for any request order."""
-    sim = cosine_matrix(features(vectors))
+    """Every row of the full matrix has the bytes of cosine_rows of that
+    row alone, and CosineRows gives the same bytes for any request order."""
+    sim = full_cosine(vectors)
     norms = row_norms(vectors)
     for i in range(vectors.shape[0]):
         assert cosine_rows(vectors, norms, [i]).tobytes() == sim[i].tobytes(), i
@@ -165,14 +162,13 @@ class TestToyPatchEmbedding:
         grid = patchify(Image(data=rng.random((16, 16, 3))), 8)
         first = toy_patch_embedding(grid, projection_seed=9, dim=16)
         second = toy_patch_embedding(grid, projection_seed=9, dim=16)
-        np.testing.assert_array_equal(first.features, second.features)
+        assert first.shape == (grid.n_patches, 16)
+        np.testing.assert_array_equal(first, second)
 
     def test_zero_grid_gives_position_codes(self):
         grid = patchify(Image(data=np.zeros((16, 16, 1))), 8)
         embedded = toy_patch_embedding(grid, projection_seed=3, dim=16)
-        np.testing.assert_array_equal(
-            embedded.features, sincos_position_encoding(2, 2, 16)
-        )
+        np.testing.assert_array_equal(embedded, sincos_position_encoding(2, 2, 16))
 
     def test_locality_of_single_patch_change(self, rng):
         data = rng.random((16, 16, 3))
@@ -180,7 +176,7 @@ class TestToyPatchEmbedding:
         other[8:, 8:] = rng.random((8, 8, 3))  # patch index 3 of a 2x2 grid
         a = toy_patch_embedding(patchify(Image(data=data), 8), 4, dim=16)
         b = toy_patch_embedding(patchify(Image(data=other), 8), 4, dim=16)
-        diff = np.abs(a.features - b.features).sum(axis=1)
+        diff = np.abs(a - b).sum(axis=1)
         assert diff[3] > 0.0
         np.testing.assert_array_equal(diff[:3], 0.0)
 

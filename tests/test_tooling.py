@@ -53,11 +53,19 @@ def test_every_benchmark_target_is_a_callable_of_the_package():
         assert callable(getattr(module, func_name, None)), f"{module_name}.{func_name}"
 
 
-@pytest.mark.parametrize("command", [
-    ["mask", "--strategy", "cluster-rgb", "--patch-size", "8", "--out", "OUT"],
-    ["calibrate", "--patch-size", "8", "--tolerance", "0.1", "--calibration-out", "OUT/r.json"],
-], ids=["mask-cluster", "calibrate"])
-def test_traced_run_reports_finite_metrics(tmp_path, command):
+# a small train run: 4 images of 16 px at P=4 for 3 one-step epochs
+TRAIN_CONFIG = {"strategy": "cluster-embedding", "epochs": 3,
+                "dataset": {"n_images": 4, "image_size": 16, "patch_size": 4}}
+
+
+@pytest.mark.parametrize("command, items", [
+    (["mask", "--strategy", "cluster-rgb", "--patch-size", "8", "--out", "OUT", "--in", "IN"], 4),
+    (["mask", "--strategy", "kmeans", "--patch-size", "8", "--out", "OUT", "--in", "IN"], 4),
+    (["calibrate", "--patch-size", "8", "--tolerance", "0.1", "--calibration-out", "OUT/r.json",
+      "--in", "IN"], 4),
+    (["train", "--config", "CONFIG", "--out", "OUT"], 4 * 3),
+], ids=["mask-cluster", "mask-kmeans", "calibrate", "train"])
+def test_traced_run_reports_finite_metrics(tmp_path, command, items):
     # the benchmark's traced runs wrap each target with a shim and print
     # the layer metrics as strict JSON: every target must be found and
     # every metric must be a finite number
@@ -70,17 +78,19 @@ def test_traced_run_reports_finite_metrics(tmp_path, command):
     for i, image in enumerate(smoothed_noise_images(4, 32, 32, 3, seed=5)):
         save_image(image, images / f"img_{i}.ppm")
     (tmp_path / "out").mkdir()
-    argv = [arg.replace("OUT", str(tmp_path / "out")) for arg in command]
+    (tmp_path / "train.json").write_text(json.dumps(TRAIN_CONFIG))
+    places = {"IN": str(images), "CONFIG": str(tmp_path / "train.json")}
+    argv = [places.get(arg, arg.replace("OUT", str(tmp_path / "out"))) for arg in command]
     spans = load_spans()
     tracer = spans.Tracer()
     tracer.install()
     try:
-        code = tracer.run_root(cli.main, argv + ["--in", str(images)])
+        code = tracer.run_root(cli.main, argv)
     finally:
         tracer.uninstall()
     assert code == 0
     assert tracer.missing == []
-    metrics, notes = spans.layer_metrics(tracer.spans, tracer.missing, 4)
+    metrics, notes = spans.layer_metrics(tracer.spans, tracer.missing, items)
     assert not [note for note in notes if "missing" in note]
     assert metrics and all(math.isfinite(value) for value, _ in metrics.values()), metrics
     json.dumps({name: value for name, (value, _) in metrics.items()}, allow_nan=False)
