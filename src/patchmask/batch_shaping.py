@@ -8,12 +8,11 @@ Kept indices are stored ascending with padding last, so outputs diff
 cleanly across runs.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cluster_masker import mask_image
+from .cluster_masker import ceil_count, mask_image
 from .errors import ConfigError, DataError
 
 
@@ -49,8 +48,8 @@ class ShapedBatch:
 
 def visible_slots(length, beta):
     """V = L - ceil(beta * L); rounding the mask count up guarantees the
-    minimum mask ratio."""
-    return length - math.ceil(beta * length - 1e-9)
+    minimum mask ratio, so a positive beta masks at least one slot."""
+    return length - ceil_count(beta * length)
 
 
 def check_beta(beta):

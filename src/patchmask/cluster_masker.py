@@ -111,6 +111,12 @@ def _round_half_up(x):
     return int(math.floor(x + 0.5))
 
 
+def ceil_count(x):
+    """ceil(x) for a count x >= 0, forgiving 1e-9 of rounding error above
+    an integer, and at least 1 when x is positive."""
+    return max(1, math.ceil(x - 1e-9)) if x > 0 else 0
+
+
 def check_anchor_ratio(anchor_ratio):
     """Raise ConfigError unless anchor_ratio lies in (0, 0.5]."""
     if not 0.0 < anchor_ratio <= 0.5:
@@ -158,6 +164,12 @@ def kmeans_cluster(vectors, k, max_iters, rng):
     was last assigned to. The returned labels are always nearest-centroid
     optimal for the returned centroids.
 
+    An iteration redoes only what moved: the screen's centroid.point
+    products are recomputed for the centroids whose bits changed, and the
+    sums for the clusters that a point left or joined. The rest is kept
+    from the iteration before, so labels and centroids are those of a full
+    recomputation bit for bit.
+
     Returns (labels, centroids).
     """
     vectors = np.ascontiguousarray(vectors, dtype=np.float64)
@@ -170,9 +182,11 @@ def kmeans_cluster(vectors, k, max_iters, rng):
     with np.errstate(all="ignore"):  # an overflowed norm only widens the screen
         sq_points = np.einsum("ij,ij->i", vectors, vectors)
 
-    labels = nearest_centroids(vectors, centroids, sq_points)
+    products = np.empty((k, n))
+    labels = nearest_centroids(vectors, centroids, sq_points, products)
+    sums = touched = None
     for _ in range(max_iters):
-        sums, counts = centroid_sums(vectors, labels, k)
+        sums, counts = centroid_sums(vectors, labels, k, sums, touched)
         occupied = counts > 0
         updated = np.where(occupied[:, None], sums / np.maximum(counts, 1)[:, None], centroids)
         if not occupied.all():
@@ -182,10 +196,16 @@ def kmeans_cluster(vectors, k, max_iters, rng):
                 far = int(np.argmax(farness))
                 updated[j] = vectors[far]
                 farness[far] = -1.0
+        # bits, not values: a re-seed or a flipped zero sign counts as a move
+        moved = (updated.view(np.int64) != centroids.view(np.int64)).any(axis=1)
         centroids = updated
-        new_labels = nearest_centroids(vectors, centroids, sq_points)
-        if np.array_equal(new_labels, labels):
+        new_labels = nearest_centroids(vectors, centroids, sq_points, products, moved)
+        changed = new_labels != labels
+        if not changed.any():
             break
+        touched = np.zeros(k, dtype=np.bool_)
+        touched[labels[changed]] = True
+        touched[new_labels[changed]] = True
         labels = new_labels
     return labels, centroids
 
@@ -202,7 +222,7 @@ def kmeans_mask_detail(vectors, k, max_iters, mask_fraction, rng):
         raise ConfigError(f"mask_fraction must lie in (0, 1), got {mask_fraction}")
     labels, centroids = kmeans_cluster(vectors, k, max_iters, rng)
     k_eff = centroids.shape[0]
-    n_masked = math.ceil(mask_fraction * k_eff - 1e-9)
+    n_masked = ceil_count(mask_fraction * k_eff)
     chosen = np.sort(rng.choice(k_eff, size=n_masked, replace=False))
     mask = Mask(masked=np.isin(labels, chosen), anchors=np.empty(0, dtype=np.int64))
     return mask, labels, centroids, chosen

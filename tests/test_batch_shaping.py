@@ -47,6 +47,15 @@ class TestVisibleSlots:
         assert visible_slots(196, 0.3) == 196 - 59  # ceil(58.8)
         assert visible_slots(10, 0.25) == 7  # ceil(2.5) = 3 masked
 
+    @pytest.mark.parametrize("beta", [1e-300, 1e-12, 1e-10, 1e-9])
+    def test_tiny_beta_masks_one_slot(self, beta):
+        assert visible_slots(196, beta) == 195
+        assert visible_slots(2, beta) == 1
+
+    def test_tiny_beta_batch_keeps_the_minimum_ratio(self, rng):
+        shaped = shape_batch([mask_with_visible(16, 16, rng)], 1e-12, rng)
+        assert shaped.slots == 15 and shaped.attention.all()
+
 
 class TestShapeBatch:
     def test_overfull_image_drops_to_slots(self, rng):

@@ -67,6 +67,21 @@ class TestMaskCommand:
             assert code == 0
             assert (out / "masks.txt").exists()
 
+    def test_tiny_fraction_and_beta_still_mask(self, image_dir, tmp_path):
+        # a positive fraction masks at least one cluster, a positive beta
+        # at least one slot
+        out = tmp_path / "out"
+        code = run_cli(
+            ["mask", "--in", image_dir, "--out", out, "--strategy", "kmeans",
+             "--kmeans-fraction", "1e-12", "--beta", "1e-12", "--patch-size", "8"]
+        )
+        assert code == 0
+        lines = (out / "masks.txt").read_text().splitlines()
+        assert len(lines) == 4 and all("1" in line for line in lines)
+        attention = [line for line in (out / "batch.txt").read_text().splitlines()
+                     if line.startswith("attn: ")]
+        assert [len(line) for line in attention] == [len("attn: ") + 15] * 4
+
     def test_kmeans_on_a_flat_image_writes_nothing_to_stderr(self, tmp_path):
         # one distinct patch reduces k to 1 without a warning line
         images = tmp_path / "flat"

@@ -14,6 +14,7 @@ from patchmask.cluster_masker import (
     MaskerConfig,
     Strategy,
     anchor_count,
+    ceil_count,
     cluster_mask_from_anchors,
     draw_anchors,
     kmeans_cluster,
@@ -154,6 +155,20 @@ class TestKMeansMask:
         assert sorted(set(labels.tolist())) == [0, 1, 2]
         assert caught == []
 
+    @pytest.mark.parametrize("fraction", [1e-12, 1e-9, 1e-3])
+    def test_tiny_fraction_masks_one_cluster(self, rng, fraction):
+        points = rng.standard_normal((60, 4))
+        mask, labels, _, chosen = kmeans_mask_detail(points, 12, 10, fraction, rng)
+        assert chosen.size == 1
+        assert mask.masked.any()
+        np.testing.assert_array_equal(mask.masked, labels == chosen[0])
+
+    def test_ceil_count(self):
+        assert ceil_count(0.0) == 0
+        assert [ceil_count(x) for x in (1e-300, 1e-12, 1e-9, 0.5, 1.0)] == [1] * 5
+        assert ceil_count(6.0) == 6 and ceil_count(6.0 + 1e-12) == 6
+        assert ceil_count(0.5 * 12) == 6 and ceil_count(0.5 * 7) == 4
+
     def test_fewer_points_than_k(self, rng):
         with pytest.raises(DataError):
             kmeans_cluster(rng.standard_normal((3, 2)), 5, 10, rng)
@@ -229,9 +244,9 @@ class TestKMeansRegression:
         nearest_centroids = cluster_masker.nearest_centroids
         calls = []
 
-        def counted(points, centroids, sq_points):
+        def counted(points, centroids, sq_points, *rest):
             calls.append(centroids.shape[0])
-            return nearest_centroids(points, centroids, sq_points)
+            return nearest_centroids(points, centroids, sq_points, *rest)
 
         monkeypatch.setattr(cluster_masker, "nearest_centroids", counted)
         mask, labels, centroids, chosen = kmeans_mask_detail(
@@ -267,8 +282,8 @@ def traced_kmeans(monkeypatch, vectors, k, seed):
         distance_calls.append(labels.size)
         return assigned(points, centroids, labels)
 
-    def counted_sums(points, labels, k):
-        result = sums(points, labels, k)
+    def counted_sums(points, labels, k, *rest):
+        result = sums(points, labels, k, *rest)
         emptied.append(bool((result[1] == 0).any()))
         return result
 

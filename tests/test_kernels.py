@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -156,6 +158,82 @@ class TestNearestCentroidsExact:
         assert_exact_nearest(points, centroids)
 
 
+def assert_cached_matches_fresh(points, before, after, moved):
+    """Labels from a product cache filled for the centroids ``before`` and
+    brought up to date for ``after`` through the rows marked in ``moved``
+    are those of a fresh call and of the broadcast formula."""
+    sq_points = squared_norms(points)
+    products = np.empty((before.shape[0], points.shape[0]))
+    _kernels.nearest_centroids(points, before, sq_points, products)
+    labels = _kernels.nearest_centroids(points, after, sq_points, products, moved)
+    np.testing.assert_array_equal(labels, _kernels.nearest_centroids(points, after, sq_points))
+    np.testing.assert_array_equal(labels, broadcast_nearest(points, after)[0])
+    return labels
+
+
+def moved_copy(centroids, moved, shift):
+    after = centroids.copy()
+    after[moved] += shift[moved]
+    return after
+
+
+class TestNearestCentroidsCache:
+    """A (k, n) product cache updated only for the moved centroids gives
+    the labels of a fresh call."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 30), k=st.integers(1, 8), d=st.integers(1, 12))
+    def test_random_moved_subsets(self, data, n, k, d):
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        points = rng.standard_normal((n, d))
+        before = rng.standard_normal((k, d))
+        moved = data.draw(hnp.arrays(np.bool_, k))
+        after = moved_copy(before, moved, rng.standard_normal((k, d)))
+        assert_cached_matches_fresh(points, before, after, moved)
+
+    def test_nothing_moved(self, rng):
+        points = rng.standard_normal((40, 6))
+        centroids = rng.standard_normal((5, 6))
+        assert_cached_matches_fresh(points, centroids, centroids.copy(), np.zeros(5, dtype=bool))
+
+    def test_duplicated_centroids(self, rng):
+        # a centroid moves onto another's position: the lowest index wins
+        base = rng.standard_normal((4, 10))
+        before = base[[2, 0, 3, 1]]
+        after = base[[2, 0, 2, 0]]
+        points = np.vstack([base, rng.standard_normal((30, 10))])
+        labels = assert_cached_matches_fresh(points, before, after, np.array([0, 0, 1, 1], bool))
+        assert set(labels.tolist()) <= {0, 1}
+
+    def test_large_common_offset_tiny_gaps(self, rng):
+        offset = rng.standard_normal(16) * 2500.0
+        before = offset + rng.standard_normal((8, 16)) * 1e-6
+        points = offset + rng.standard_normal((60, 16)) * 1e-6
+        moved = np.arange(8) % 3 == 0
+        after = moved_copy(before, moved, rng.standard_normal((8, 16)) * 1e-6)
+        assert_cached_matches_fresh(points, before, after, moved)
+
+    def test_non_finite_inputs(self, rng):
+        points = rng.standard_normal((8, 3))
+        points[2, 1] = np.nan
+        points[5, 0] = np.inf
+        before = rng.standard_normal((4, 3))
+        after = before.copy()
+        after[1, 2] = -np.inf
+        moved = np.array([False, True, False, False])
+        assert_cached_matches_fresh(points, before, after, moved)
+        # a non-finite centroid that stays put keeps its cached products
+        assert_cached_matches_fresh(points, after, moved_copy(after, ~moved, np.ones((4, 3))), ~moved)
+
+    def test_signed_zero_move(self):
+        # -0.0 and 0.0 are different bits but the same distances
+        points = np.array([[0.0, 1.0], [1.0, 0.0], [-1.0, 0.5]])
+        before = np.array([[0.0, 0.0], [1.0, 1.0]])
+        after = np.array([[-0.0, 0.0], [1.0, 1.0]])
+        assert_cached_matches_fresh(points, before, after, np.array([True, False]))
+
+
 class TestCentroidSums:
     def test_matches_per_label_sum(self, rng):
         points = rng.standard_normal((50, 5))
@@ -207,6 +285,30 @@ class TestCentroidSumsExact:
         sums, counts = _kernels.centroid_sums(points, labels, k)
         assert_bits_equal(sums, sequential_sums(points, labels, k))
         np.testing.assert_array_equal(counts, [(labels == j).sum() for j in range(k)])
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(1, 40),
+        d=st.integers(1, 6),
+        k=st.integers(1, 5),
+    )
+    def test_touched_clusters_resum_to_the_full_sums(self, data, n, d, k):
+        # a cluster no point left or joined keeps its sum bit for bit
+        points = data.draw(hnp.arrays(np.float64, (n, d), elements=finite_values))
+        before = data.draw(hnp.arrays(np.int64, n, elements=st.integers(0, k - 1)))
+        after = before.copy()
+        changed = data.draw(hnp.arrays(np.bool_, n))
+        after[changed] = data.draw(hnp.arrays(np.int64, n, elements=st.integers(0, k - 1)))[changed]
+        touched = np.zeros(k, dtype=bool)
+        touched[before[changed]] = True
+        touched[after[changed]] = True
+        previous, _ = _kernels.centroid_sums(points, before, k)
+        sums, counts = _kernels.centroid_sums(points, after, k, previous, touched)
+        full, full_counts = _kernels.centroid_sums(points, after, k)
+        assert sums is previous  # updated in place
+        assert_bits_equal(sums, full)
+        np.testing.assert_array_equal(counts, full_counts)
 
     def test_long_single_column(self, rng):
         # a single column is where numpy's own reductions sum pairwise
@@ -292,6 +394,42 @@ class TestDistinctRows:
         vectors[:10] = 0.0
         assert_bits_equal(unique_rows(vectors), np.unique(vectors, axis=0))
 
+
+    def test_shared_first_value_differs_later(self):
+        vectors = np.array([[1.0, 3.0, 0.0], [0.5, 9.0, 9.0], [1.0, 2.0, 5.0],
+                            [1.0, 3.0, -1.0], [1.0, 3.0, 0.0], [0.5, 9.0, 9.0]])
+        np.testing.assert_array_equal(_kernels.distinct_rows(vectors), [1, 2, 3, 0])
+        np.testing.assert_array_equal(unique_rows(vectors), np.unique(vectors, axis=0))
+
+    def test_nan_only_in_later_columns(self):
+        vectors = np.array([[2.0, np.nan], [2.0, 1.0], [2.0, np.nan], [-1.0, np.nan],
+                            [2.0, 1.0], [2.0, -np.inf]])
+        distinct = unique_rows(vectors)
+        np.testing.assert_array_equal(distinct, np.unique(vectors, axis=0))
+        assert distinct.shape == (5, 2)
+
+    def test_signed_zero_first_column_with_later_differences(self):
+        vectors = np.array([[-0.0, 2.0], [0.0, 1.0], [0.0, 2.0], [-0.0, 1.0], [-0.0, -4.0]])
+        np.testing.assert_array_equal(_kernels.distinct_rows(vectors), [4, 1, 0])
+        np.testing.assert_array_equal(unique_rows(vectors), np.unique(vectors, axis=0))
+
+    def test_one_run_spans_every_row(self, rng):
+        vectors = np.zeros((12, 5))
+        np.testing.assert_array_equal(_kernels.distinct_rows(vectors), [0])
+        vectors[[3, 7, 8], 4] = [1.0, -1.0, 1.0]
+        np.testing.assert_array_equal(_kernels.distinct_rows(vectors), [7, 0, 3])
+        np.testing.assert_array_equal(unique_rows(vectors), np.unique(vectors, axis=0))
+
+    def test_noise_rows_allocate_less_than_one_copy(self, rng):
+        # distinct first values: the full rows are never transformed
+        vectors = rng.standard_normal((196, 768))
+        tracemalloc.start()
+        try:
+            _kernels.distinct_rows(vectors)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < vectors.nbytes
 
 class TestMaskedByAnchors:
     def test_no_anchors_masks_nothing(self, rng):

@@ -94,3 +94,28 @@ def test_traced_run_reports_finite_metrics(tmp_path, command, items):
     assert not [note for note in notes if "missing" in note]
     assert metrics and all(math.isfinite(value) for value, _ in metrics.values()), metrics
     json.dumps({name: value for name, (value, _) in metrics.items()}, allow_nan=False)
+
+
+# K-Means runs once per image in a fresh process per CLI call, so a module
+# its first call imports (numpy.ma, behind np.unique and np.union1d, takes
+# over 10 ms) is paid on every invocation
+FIRST_KMEANS_CALL = """
+import sys
+import numpy.random
+import patchmask
+from patchmask.cluster_masker import kmeans_mask
+
+vectors = numpy.random.default_rng(3).standard_normal((196, 768))
+vectors[:40] = 0.0
+vectors[40:60] = vectors[60:80]
+before = set(sys.modules)
+kmeans_mask(vectors, 12, 10, 0.5, numpy.random.default_rng(1))
+print(sorted(set(sys.modules) - before))
+"""
+
+
+def test_first_kmeans_call_imports_no_module():
+    proc = subprocess.run([sys.executable, "-c", FIRST_KMEANS_CALL],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
