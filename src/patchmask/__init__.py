@@ -17,7 +17,6 @@ from .cluster_masker import (
     kmeans_mask,
     mask_image,
     mask_ratio,
-    prepare_image,
     random_mask,
 )
 from .errors import ConfigError, ConvergenceError, DataError, PatchmaskError
@@ -66,7 +65,6 @@ __all__ = [
     "mean_mask_ratio",
     "patchify",
     "pixel_normalize",
-    "prepare_image",
     "random_mask",
     "render_mask",
     "save_image",

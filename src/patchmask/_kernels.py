@@ -11,6 +11,10 @@ asked for alone or with every other row, as for the full matrix, so the
 two are equal bit for bit on any BLAS. The rows are never batched into
 one GEMM, whose rows differ from a GEMV's in their low bits.
 
+``reach_row`` is the one membership kernel: ``masked_by_anchors``
+thresholds it for one mask, and calibration keeps it per image to
+threshold it at every r it tries.
+
 The K-Means kernels are bit-identical to their exact formulas, and
 Lloyd's loop calls them so that an iteration redoes only what moved:
 
@@ -79,15 +83,24 @@ def cosine_rows(vectors, norms, rows):
     return sim
 
 
+def reach_row(rows, anchors):
+    """Per patch j, the largest rows[k, j] over the (A, L) anchor rows,
+    where rows[k] holds anchor anchors[k]'s similarities, and +inf at the
+    anchors themselves.
+
+    Patch j is in the cluster mask of these anchors at threshold r exactly
+    when reach[j] >= r, for every r but NaN: fmax skips NaN, and a column
+    with no number, as under zero anchors, stays NaN, which no r reaches.
+    """
+    reach = np.fmax.reduce(rows, axis=0, initial=np.nan)
+    reach[anchors] = np.inf
+    return reach
+
+
 def masked_by_anchors(rows, anchors, threshold):
     """Boolean mask over the L columns of the (A, L) anchor rows: the
-    anchors plus every j with rows[k, j] >= threshold for some k, where
-    rows[k] holds anchor anchors[k]'s similarities."""
-    masked = np.zeros(rows.shape[1], dtype=np.bool_)
-    if anchors.size:
-        masked = (rows >= threshold).any(axis=0)
-        masked[anchors] = True
-    return masked
+    anchors plus every j with rows[k, j] >= threshold for some k."""
+    return reach_row(rows, anchors) >= threshold
 
 
 def _screen_margin(sq_points, sq_centroids, d):

@@ -86,12 +86,13 @@ def shape_batch(masks, beta, rng):
 
 
 def mask_batch(prepared, config, beta, alpha, mask_key, shape_key):
-    """Mask each record of the iterable prepared, made by prepare_image, with
+    """Mask each PreparedImage record of the iterable prepared with
     mask_image and default_rng((*mask_key, i)) for the i-th, then shape the
     masks with default_rng(shape_key). Returns (masks, shaped batch).
 
-    Only the per-step work happens here; the records carry what is computed
-    once per image. A generator of records keeps one record alive at a time.
+    A record keeps what its first mask computed, so masking it again redoes
+    only the per-step draws. A generator of records keeps one record alive
+    at a time.
     """
     masks = []
     for record in prepared:

@@ -14,10 +14,11 @@ both sets is computed once and no L x L matrix is filled.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from ._kernels import reach_row
 from .cluster_masker import check_anchor_ratio, draw_anchors
 from .errors import ConfigError, ConvergenceError, DataError
 from .similarity import CosineRows
@@ -38,19 +39,8 @@ class CalibrationReport:
     converged: bool
     trace: list = field(default_factory=list)  # (r, mean_ratio) per evaluation
 
-    def to_dict(self):
-        return {
-            "target_ratio": self.target_ratio,
-            "found_r": self.found_r,
-            "achieved_ratio": self.achieved_ratio,
-            "iterations": self.iterations,
-            "sample_size": self.sample_size,
-            "converged": self.converged,
-            "trace": [[r, m] for r, m in self.trace],
-        }
-
     def to_json(self):
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        return json.dumps(asdict(self), indent=2) + "\n"
 
 
 def check_search(anchor_ratio, target_ratio, tolerance, max_iters):
@@ -71,19 +61,6 @@ def check_search(anchor_ratio, target_ratio, tolerance, max_iters):
 def draw_anchor_sets(lengths, anchor_ratio, rng):
     """One anchor set per image of lengths[i] patches, drawn as mask_image draws."""
     return [draw_anchors(length, anchor_ratio, rng) for length in lengths]
-
-
-def reach_row(rows, anchors):
-    """Per patch j, the largest rows[k, j] over the anchors' similarity
-    rows (rows[k] belongs to anchors[k]), and +inf at the anchors
-    themselves.
-
-    Patch j is in the cluster mask of these anchors at threshold r exactly
-    when reach[j] >= r: fmax skips NaN, so this holds for every r but NaN.
-    """
-    reach = np.fmax.reduce(rows, axis=0)
-    reach[anchors] = np.inf
-    return reach
 
 
 def _reach_rows(sample, lengths, frozen_sets, fresh_sets):

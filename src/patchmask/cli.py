@@ -32,9 +32,9 @@ import numpy as np
 
 from .batch_shaping import check_beta, mask_batch
 from .calibration import DEFAULT_MAX_ITERS, DEFAULT_TOLERANCE, calibrate_threshold, check_search
-from .cluster_masker import Mask, MaskerConfig, Strategy, prepare_image
+from .cluster_masker import Mask, MaskerConfig, PreparedImage, Strategy
 from .errors import ConfigError, ConvergenceError, DataError
-from .patch_grid import check_patch_size, patchify, pixel_normalize, unpatchify
+from .patch_grid import check_patch_size, grid_shape, patchify, pixel_normalize, unpatchify
 from .pnm import load_image, read_size, save_image
 from .render import render_mask
 from .similarity import check_alpha, cosine_matrix
@@ -170,15 +170,12 @@ def _patch_counts(paths, patch_size):
     counts = []
     for index, path in enumerate(paths):
         try:
-            height, width = read_size(path)
-            if height % patch_size or width % patch_size:
-                raise DataError(f"patch_size {patch_size} does not divide image dimensions "
-                                f"{height}x{width}")
+            rows, cols = grid_shape(*read_size(path), patch_size)
         except (DataError, OSError):
             for _ in _grids(paths[: index + 1], patch_size):
                 pass
             raise
-        counts.append((height // patch_size) * (width // patch_size))
+        counts.append(rows * cols)
     return counts
 
 
@@ -196,7 +193,7 @@ def _cmd_mask(args):
     grids = [] if options["render"] or args.dump_sim else None
     # generators, so one image's grid and record (its normalized vectors
     # and the anchors' cosine rows) are alive at a time
-    prepared = (prepare_image(grid, masker) for grid in _grids(paths, patch_size, grids))
+    prepared = (PreparedImage(grid, masker.seed) for grid in _grids(paths, patch_size, grids))
     # shape before opening any output, so a data error leaves nothing behind
     masks, shaped = mask_batch(
         prepared, masker, options["beta"], options["alpha"],

@@ -12,6 +12,7 @@ so only those are computed. All strategies are bit-reproducible given
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -135,9 +136,12 @@ def cluster_mask_from_anchors(rows, anchors, threshold_r):
     L patches, as sim[anchors] does for an L x L matrix sim.
 
     A patch j is masked iff j is an anchor or rows[k, j] >= threshold_r
-    for some k. This is the deterministic core of mask_image; calibration's
-    reach rows decide the same membership.
+    for some k. This is the deterministic core of mask_image; calibration
+    decides the same membership from the same reach rows. A NaN
+    threshold_r is a ConfigError.
     """
+    if math.isnan(threshold_r):
+        raise ConfigError("threshold_r must not be NaN")
     rows = np.ascontiguousarray(rows, dtype=np.float64)
     anchors = np.asarray(anchors, dtype=np.int64)
     if rows.ndim != 2 or anchors.shape != (rows.shape[0],):
@@ -254,57 +258,47 @@ def mask_ratio(mask):
 
 @dataclass
 class PreparedImage:
-    """What masking needs of one image that no anchor draw or alpha changes.
+    """What masking reads of one image, under any strategy.
 
-    grid is the unnormalized patch grid and strategy the strategy the
-    record was made for. Only the fields that strategy needs are set: the
-    normalized (L, d) patch vectors for kmeans, the cosine rows of those
-    vectors for both cluster strategies and those of the (L, dim)
-    embedding for cluster-embedding. A random record holds the grid alone.
-    The row sources compute a row when a mask first reads it and keep it
-    for the record's later masks; no L x L matrix is built.
+    grid is the unnormalized patch grid and seed the seed of the embedding
+    projection. The other fields are computed when a mask first reads them
+    and then kept: the normalized (L, d) patch vectors, their cosine rows
+    and the cosine rows of the (L, dim) embedding. So each strategy
+    computes only what it reads, once per image: kmeans the vectors,
+    cluster-rgb their rows too and cluster-embedding the embedding's rows
+    as well; random reads the grid alone. A row source computes a row when
+    a mask first reads it; no L x L matrix is built.
     """
 
     grid: PatchGrid
-    strategy: Strategy
-    normalized: np.ndarray = None
-    rgb_rows: CosineRows = None
-    emb_rows: CosineRows = None
+    seed: int
 
+    @cached_property
+    def normalized(self):
+        return pixel_normalize(self.grid).patches
 
-def prepare_image(grid, config):
-    """The once-per-image part of masking an unnormalized patch grid:
-    pixel_normalize, the embedding and the row sources of their cosines,
-    as far as config.strategy needs them. No cosine row is computed yet.
-    The embedding projection is seeded from config.seed."""
-    if config.strategy is Strategy.RANDOM:
-        return PreparedImage(grid=grid, strategy=config.strategy)
-    normalized = pixel_normalize(grid)
-    if config.strategy is Strategy.KMEANS:
-        return PreparedImage(grid=grid, strategy=config.strategy,
-                             normalized=normalized.patches)
-    rgb_rows, emb_rows = CosineRows(normalized.patches), None
-    if config.strategy is Strategy.CLUSTER_EMBEDDING:
-        emb_rows = CosineRows(toy_patch_embedding(grid, config.seed))
-    return PreparedImage(grid=grid, strategy=config.strategy, rgb_rows=rgb_rows,
-                         emb_rows=emb_rows)
+    @cached_property
+    def rgb_rows(self):
+        return CosineRows(self.normalized)
+
+    @cached_property
+    def emb_rows(self):
+        return CosineRows(toy_patch_embedding(self.grid, self.seed))
 
 
 def mask_image(prepared, config, rng, alpha=1.0):
-    """Mask one image, prepared by prepare_image, under the configured strategy.
+    """Mask one image, given by its PreparedImage record, under the
+    configured strategy.
 
-    This is the per-step part of masking: the random draw, K-Means on the
-    normalized vectors, or the anchor draw followed by the anchors' cosine
-    rows, blended for cluster-embedding and thresholded. alpha weights the
-    RGB similarity against the embedding similarity and only matters for
-    the cluster-embedding strategy, but every strategy rejects a value
-    outside [0, 1].
+    Masking is the random draw, K-Means on the normalized vectors, or the
+    anchor draw followed by the anchors' cosine rows, blended for
+    cluster-embedding and thresholded. The record computes what a mask
+    reads the first time, so its later masks redo none of it. alpha
+    weights the RGB similarity against the embedding similarity and only
+    matters for the cluster-embedding strategy, but every strategy rejects
+    a value outside [0, 1].
     """
     check_alpha(alpha)
-    if prepared.strategy is not config.strategy:
-        raise ConfigError(
-            f"image was prepared for {prepared.strategy.value}, not {config.strategy.value}"
-        )
     if config.strategy is Strategy.RANDOM:
         return random_mask(prepared.grid.n_patches, config.random_mask_ratio, rng)
     if config.strategy is Strategy.KMEANS:
@@ -312,8 +306,9 @@ def mask_image(prepared, config, rng, alpha=1.0):
             prepared.normalized, config.kmeans_k, config.kmeans_max_iters,
             config.kmeans_mask_fraction, rng,
         )
+    rgb_rows = prepared.rgb_rows  # an empty grid fails here, before the draw
     anchors = draw_anchors(prepared.grid.n_patches, config.anchor_ratio, rng)
-    rows = prepared.rgb_rows.rows(anchors)
+    rows = rgb_rows.rows(anchors)
     if config.strategy is Strategy.CLUSTER_EMBEDDING:
         rows = blend(rows, prepared.emb_rows.rows(anchors), alpha)
     return cluster_mask_from_anchors(rows, anchors, config.threshold_r)

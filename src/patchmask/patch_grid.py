@@ -73,22 +73,28 @@ def check_patch_size(patch_size):
         raise ConfigError(f"patch_size must be positive, got {patch_size}")
 
 
+def grid_shape(height, width, patch_size):
+    """(rows, cols) of the patch grid of a height x width image. A
+    patch_size below 1 is a ConfigError, one that does not divide both
+    dimensions a DataError."""
+    check_patch_size(patch_size)
+    if height % patch_size or width % patch_size:
+        raise DataError(
+            f"patch_size {patch_size} does not divide image dimensions {height}x{width}"
+        )
+    return height // patch_size, width // patch_size
+
+
 def patchify(image, patch_size):
     """Split an image into non-overlapping square patches.
 
-    patch_size must divide both image dimensions; patch (i, j) holds
-    exactly the pixels of spatial block (i, j), flattened in the fixed
-    order documented at module level. The result is unnormalized. A
-    patch_size below 1 is a ConfigError, one that does not divide the
-    image a DataError.
+    patch_size must divide both image dimensions (see grid_shape); patch
+    (i, j) holds exactly the pixels of spatial block (i, j), flattened in
+    the fixed order documented at module level. The result is
+    unnormalized.
     """
-    check_patch_size(patch_size)
     h, w, c = image.data.shape
-    if h % patch_size or w % patch_size:
-        raise DataError(
-            f"patch_size {patch_size} does not divide image dimensions {h}x{w}"
-        )
-    rows, cols = h // patch_size, w // patch_size
+    rows, cols = grid_shape(h, w, patch_size)
     patches = (
         image.data.reshape(rows, patch_size, cols, patch_size, c)
         .transpose(0, 2, 1, 3, 4)

@@ -3,7 +3,7 @@
 import numpy as np
 
 from .errors import DataError
-from .patch_grid import Image
+from .patch_grid import Image, grid_shape
 
 MASK_FILL = 0.5
 ANCHOR_OUTLINE = np.array([1.0, 0.0, 0.0])
@@ -16,9 +16,7 @@ def render_mask(image, mask, patch_size):
     image has 3 channels. Unmasked pixels are never altered.
     """
     h, w, c = image.data.shape
-    if h % patch_size or w % patch_size:
-        raise DataError(f"patch_size {patch_size} does not divide image dimensions {h}x{w}")
-    rows, cols = h // patch_size, w // patch_size
+    rows, cols = grid_shape(h, w, patch_size)
     if mask.length != rows * cols:
         raise DataError(f"mask length {mask.length} does not match grid {rows}x{cols}")
 

@@ -17,6 +17,11 @@ from ._kernels import COSINE_EPS, cosine_rows, row_norms
 from .errors import ConfigError, DataError
 from .patch_grid import PatchGrid
 
+# sub-seed namespace of the embedding projection: a bare seed s would draw
+# the stream of (s, 0, 0, 0), the key SeedSequence pads it to, which is
+# the trainer's mask key for step 0 and image 0
+_NS_PROJECTION = 3
+
 __all__ = [
     "COSINE_EPS",
     "CosineRows",
@@ -118,11 +123,13 @@ def toy_patch_embedding(grid, projection_seed, dim=64):
     gives the embedding branch the spatial locality a real embedding
     layer would carry. Returns the (L, dim) float64 features, one row
     per patch in the grid's order. Same seed, same grid -> bit-identical
-    output. Each call redraws the projection from projection_seed; masking
-    calls this once per image per run, in prepare_image, never per step.
+    output. Each call redraws the projection from the key
+    (projection_seed, _NS_PROJECTION); masking calls this once per image
+    per run, when a PreparedImage's embedding rows are first read, never
+    per step.
     """
     if grid.n_patches == 0:
         raise DataError("cannot embed an empty grid")
-    rng = np.random.default_rng(projection_seed)
+    rng = np.random.default_rng((projection_seed, _NS_PROJECTION))
     projection = rng.standard_normal((grid.patch_dim, dim)) / np.sqrt(grid.patch_dim)
     return grid.patches @ projection + sincos_position_encoding(grid.rows, grid.cols, dim)

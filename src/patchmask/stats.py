@@ -1,7 +1,7 @@
 """Aggregate statistics over a batch of masks."""
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -17,22 +17,12 @@ class MaskStats:
     mean_ratio: float
     min_ratio: float
     max_ratio: float
-    histogram: list  # HISTOGRAM_BINS counts over [0, 1]
+    histogram_bins: int
+    histogram: list  # histogram_bins counts over [0, 1]
     mean_cluster_count: float  # clusters seeded per mask = anchor count
 
-    def to_dict(self):
-        return {
-            "count": self.count,
-            "mean_ratio": self.mean_ratio,
-            "min_ratio": self.min_ratio,
-            "max_ratio": self.max_ratio,
-            "histogram_bins": HISTOGRAM_BINS,
-            "histogram": self.histogram,
-            "mean_cluster_count": self.mean_cluster_count,
-        }
-
     def to_json(self):
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        return json.dumps(asdict(self), indent=2) + "\n"
 
     def to_text(self):
         lines = [
@@ -56,6 +46,7 @@ def stats_report(masks):
         mean_ratio=float(ratios.mean()),
         min_ratio=float(ratios.min()),
         max_ratio=float(ratios.max()),
+        histogram_bins=HISTOGRAM_BINS,
         histogram=[int(c) for c in hist],
         mean_cluster_count=float(np.mean([m.anchors.size for m in masks])),
     )

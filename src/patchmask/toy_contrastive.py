@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batch_shaping import mask_batch
-from .cluster_masker import mask_ratio, prepare_image
+from .cluster_masker import PreparedImage, mask_ratio
 from .errors import ConfigError, ConvergenceError, DataError
 from .patch_grid import patchify
 
@@ -222,12 +222,12 @@ def train_loop(
     encoders and one StepResult-shaped log row (step, loss, alpha,
     mean_mask_ratio) per step.
 
-    Once per run, each image is patchified and prepare_image computes what
-    its strategy needs: the normalized grid and the embedding. Each step
-    only draws the masks (blending the drawn anchors' cosine rows with that
-    epoch's alpha, or running K-Means), shapes the batch, pools and takes
-    the gradient step. A record computes each cosine row the first time a
-    mask reads it and keeps it, so over the run no row is computed twice.
+    Once per run, each image is patchified into one PreparedImage record.
+    Each step draws the masks (blending the drawn anchors' cosine rows with
+    that epoch's alpha, or running K-Means), shapes the batch, pools and
+    takes the gradient step. A record computes its normalized vectors, its
+    embedding and each cosine row the first time a mask reads them and
+    keeps them, so over the run none of these is computed twice.
 
     A step whose loss is not finite, as after a learning rate large enough
     to overflow the weights, raises ConvergenceError, and so do non-finite
@@ -248,7 +248,7 @@ def train_loop(
         temperature=temperature,
     )
     bags = np.asarray(bags, dtype=np.float64)
-    prepared = [prepare_image(patchify(image, patch_size), config) for image in images]
+    prepared = [PreparedImage(patchify(image, patch_size), config.seed) for image in images]
     encoders = init_encoders(prepared[0].grid.patch_dim, bags.shape[1], embed_dim, config.seed)
     rows = []
     for epoch in range(epochs):

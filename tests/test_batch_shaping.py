@@ -9,12 +9,12 @@ from patchmask.cli import _NS_CLI_MASK, _NS_CLI_SHAPE
 from patchmask.cluster_masker import (
     Mask,
     MaskerConfig,
+    PreparedImage,
     Strategy,
     anchor_count,
     cluster_mask_from_anchors,
     kmeans_mask,
     mask_ratio,
-    prepare_image,
     random_mask,
 )
 from patchmask.errors import ConfigError, DataError
@@ -266,7 +266,7 @@ class TestMaskBatch:
         drops = False
         for threshold_r in (0.35, 0.8):
             config = small_config(strategy, threshold_r, seed)
-            prepared = [prepare_image(grid, config) for grid in grids]
+            prepared = [PreparedImage(grid, config.seed) for grid in grids]
             for alpha in (1.0, 0.4):
                 masks, shaped = mask_batch(prepared, config, 0.5, alpha,
                                            (seed, _NS_CLI_MASK), (seed, _NS_CLI_SHAPE))
@@ -279,7 +279,7 @@ class TestMaskBatch:
         images = regression_images()
         config = small_config(strategy, 0.6, 3)
         grids = [patchify(image, 8) for image in images]
-        prepared = [prepare_image(grid, config) for grid in grids]
+        prepared = [PreparedImage(grid, config.seed) for grid in grids]
         alphas, drops = [], False
         for step in range(4):
             # alpha moves with the epoch: 0, 1/16, 1/4, 9/16
@@ -297,7 +297,7 @@ class TestMaskBatch:
 
     def test_draws_follow_the_seed_keys(self):
         config = MaskerConfig(strategy=Strategy.RANDOM)
-        grids = [prepare_image(patchify(image, 8), config) for image in regression_images()]
+        grids = [PreparedImage(patchify(image, 8), config.seed) for image in regression_images()]
         masks, shaped = mask_batch(grids, config, 0.5, 1.0, (1, 2), (1, 3))
         again, _ = mask_batch(grids, config, 0.5, 1.0, (1, 2), (1, 4))
         other, _ = mask_batch(grids, config, 0.5, 1.0, (1, 5), (1, 3))
@@ -324,7 +324,7 @@ class TestMaskBatch:
         np.testing.assert_array_equal(encoders.w_text, ref_encoders.w_text)
         assert len({row[2] for row in rows}) == 4  # alpha: 0, 1/4, 1/2, 3/4
 
-        prepared = [prepare_image(patchify(image, 8), config) for image in images]
+        prepared = [PreparedImage(patchify(image, 8), config.seed) for image in images]
         drops = False
         for step, (ref_masks, ref_shaped, ref_pooled) in enumerate(ref_steps):
             state = TrainState(epoch_total=4, epoch_current=step // 2, step=step)

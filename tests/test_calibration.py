@@ -4,7 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import cluster_mask, full_cosine, random_similarity
-from patchmask._kernels import masked_by_anchors
+from test_cluster_masker import brute_force_members
+from patchmask._kernels import reach_row
 from patchmask.calibration import (
     R_MAX,
     R_MIN,
@@ -12,7 +13,6 @@ from patchmask.calibration import (
     calibrate_threshold,
     draw_anchor_sets,
     mean_mask_ratio,
-    reach_row,
 )
 from patchmask.cluster_masker import cluster_mask_from_anchors, draw_anchors, mask_ratio
 from patchmask.errors import ConfigError, ConvergenceError, DataError
@@ -98,7 +98,7 @@ def _matrix_anchors_threshold(draw):
     entries = st.one_of(st.sampled_from(_SPECIAL), st.floats(-2.0, 2.0))
     sim = np.array(draw(st.lists(entries, min_size=length * length, max_size=length * length)))
     sim = sim.reshape(length, length)
-    anchors = np.array(draw(st.lists(st.integers(0, length - 1), min_size=1, unique=True)))
+    anchors = np.array(draw(st.lists(st.integers(0, length - 1), unique=True)), dtype=np.int64)
     ties = [v for v in sim.ravel().tolist() if v == v]
     thresholds = st.sampled_from(_SPECIAL[1:] + ties)
     r = draw(st.one_of(thresholds, st.floats(allow_nan=False)))
@@ -138,8 +138,8 @@ class TestObjective:
     @given(case=_matrix_anchors_threshold())
     def test_reach_row_decides_membership(self, case):
         sim, anchors, r = case
-        np.testing.assert_array_equal(reach_row(sim[anchors], anchors) >= r,
-                                      masked_by_anchors(sim[anchors], anchors, r))
+        reached = np.flatnonzero(reach_row(sim[anchors], anchors) >= r)
+        assert set(reached.tolist()) == brute_force_members(sim, anchors, r)
 
     def test_mean_sums_in_image_order(self):
         # numpy's blocked sum of these 20 ratios rounds differently, so only

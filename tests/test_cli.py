@@ -19,12 +19,14 @@ from patchmask.calibration import draw_anchor_sets
 from patchmask.cli import (
     _CALIBRATE, _DATASET, _MASK, _NS_CLI_CALIBRATE, _NS_CLI_MASK, _NS_CLI_SHAPE, _TRAIN, main,
 )
-from patchmask.cluster_masker import Mask, MaskerConfig, anchor_count, prepare_image
+from patchmask.cluster_masker import Mask, MaskerConfig, PreparedImage, anchor_count
 from patchmask.patch_grid import Image, patchify, pixel_normalize
 from patchmask.errors import DataError
 from patchmask.pnm import load_image, parse_pnm, save_image
 from patchmask.render import render_mask
-from patchmask.similarity import cosine_matrix
+from patchmask.similarity import _NS_PROJECTION, cosine_matrix
+from patchmask.synthetic import _NS_LAYOUT, _NS_TEXTURE
+from patchmask.toy_contrastive import _NS_ENCODER, _NS_MASK, _NS_SHAPE
 
 
 @pytest.fixture
@@ -175,7 +177,7 @@ class TestMaskCommand:
         config = MaskerConfig(strategy=strategy, threshold_r=0.4, kmeans_k=4, seed=6)
         paths = sorted(image_dir.iterdir())
         images = [load_image(path) for path in paths]
-        masks, _ = mask_batch([prepare_image(patchify(image, 8), config) for image in images],
+        masks, _ = mask_batch([PreparedImage(patchify(image, 8), config.seed) for image in images],
                               config, 0.5, 0.5, (6, _NS_CLI_MASK), (6, _NS_CLI_SHAPE))
         assert (out / "masks.txt").read_text() == "".join(m.to_line() + "\n" for m in masks)
         for path, image, mask in zip(paths, images, masks):
@@ -246,9 +248,14 @@ class TestCalibrateCommand:
              "--calibration-out", report_path]
         )
         assert code == 0
-        payload = json.loads(report_path.read_text())
+        text = report_path.read_text()
+        payload = json.loads(text)
         assert abs(payload["achieved_ratio"] - 0.5) <= 0.1
         assert payload["converged"] is True
+        assert list(payload) == ["target_ratio", "found_r", "achieved_ratio", "iterations",
+                                 "sample_size", "converged", "trace"]
+        assert all(len(pair) == 2 for pair in payload["trace"])
+        assert text == json.dumps(payload, indent=2) + "\n"
         assert "calibrated r=" in capsys.readouterr().out
 
     def test_each_sampled_image_is_patchified_once(self, image_dir, calls_to):
@@ -435,6 +442,39 @@ class TestTrainCommand:
         assert run_cli(["train", "--config", config, "--out", tmp_path / "log"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and err.count("\n") == 1
+
+
+def test_every_stream_key_seeds_its_own_stream(image_dir, tmp_path, monkeypatch):
+    # SeedSequence pads a key with zeros, so a bare seed s draws the stream
+    # of (s, 0, 0, 0), the trainer's mask key for step 0 and image 0; every
+    # key that mask, calibrate and train runs pass to default_rng must give
+    # a state of its own
+    keys = set()
+    default_rng = np.random.default_rng
+
+    def recording(seed=None):
+        keys.add(tuple(np.atleast_1d(seed).tolist()))
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", recording)
+    config = tmp_path / "train.json"
+    config.write_text(json.dumps({
+        "strategy": "cluster-embedding", "epochs": 3, "steps_per_epoch": 2,
+        "dataset": {"n_images": 4, "image_size": 16, "patch_size": 4},
+    }))
+    for seed in (0, 1, 7):
+        out = tmp_path / f"seed{seed}"
+        assert run_cli(["mask", "--in", image_dir, "--out", out, "--patch-size", "8",
+                        "--strategy", "cluster-embedding", "--seed", seed]) == 0
+        assert run_cli(["calibrate", "--in", image_dir, "--patch-size", "8",
+                        "--seed", seed]) in (0, 4)
+        assert run_cli(["train", "--config", config, "--out", out, "--seed", seed]) == 0
+    namespaces = {key[1] for key in keys if len(key) > 1}
+    assert namespaces == {_NS_CLI_MASK, _NS_CLI_SHAPE, _NS_CLI_CALIBRATE,
+                          _NS_MASK, _NS_SHAPE, _NS_ENCODER, _NS_LAYOUT, _NS_TEXTURE,
+                          _NS_PROJECTION}
+    states = {tuple(np.random.SeedSequence(key).generate_state(4).tolist()) for key in keys}
+    assert len(states) == len(keys)
 
 
 class TestConfigErrors:
@@ -731,8 +771,11 @@ class TestStatsCommand:
         json_out = tmp_path / "stats.json"
         assert run_cli(["stats", "--in", masks, "--json", json_out]) == 0
         assert "mean=0.5000" in capsys.readouterr().out
-        payload = json.loads(json_out.read_text())
-        assert payload["count"] == 3
+        # the keys and bytes the report has always had
+        expected = {"count": 3, "mean_ratio": 0.5, "min_ratio": 0.0, "max_ratio": 1.0,
+                    "histogram_bins": 20, "histogram": [1] + [0] * 9 + [1] + [0] * 8 + [1],
+                    "mean_cluster_count": 0.0}
+        assert json_out.read_text() == json.dumps(expected, indent=2) + "\n"
 
     def test_malformed_line_is_data_error(self, tmp_path):
         masks = tmp_path / "masks.txt"

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from patchmask import pnm
 from patchmask.cluster_masker import Mask, random_mask
-from patchmask.errors import DataError
+from patchmask.errors import ConfigError, DataError
 from patchmask.patch_grid import Image
 from patchmask.pnm import encode_pnm, load_image, parse_pnm, read_size, save_image
 from patchmask.render import render_mask
@@ -161,6 +161,14 @@ class TestRenderMask:
         image = Image(data=rng.random((8, 8, 3)))
         with pytest.raises(DataError):
             render_mask(image, empty_mask(9), 4)
+
+    @pytest.mark.parametrize("patch_size, error",
+                             [(0, ConfigError), (-4, ConfigError), (3, DataError)])
+    def test_bad_patch_size(self, rng, patch_size, error):
+        # -4 once read as a -2 x -2 grid, which matched the mask's 4 patches
+        image = Image(data=rng.random((8, 8, 3)))
+        with pytest.raises(error):
+            render_mask(image, empty_mask(4), patch_size)
 
 
 class TestStatsReport:

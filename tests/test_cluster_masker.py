@@ -7,11 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cluster_mask, full_cosine, random_similarity, smoothed_noise_images
+from conftest import (
+    cluster_mask,
+    full_cosine,
+    prepared_counts,
+    random_similarity,
+    rows_by_source,
+    smoothed_noise_images,
+)
 from patchmask import cluster_masker
 from patchmask.cluster_masker import (
     Mask,
     MaskerConfig,
+    PreparedImage,
     Strategy,
     anchor_count,
     ceil_count,
@@ -22,7 +30,6 @@ from patchmask.cluster_masker import (
     kmeans_mask_detail,
     mask_image,
     mask_ratio,
-    prepare_image,
     random_mask,
 )
 from patchmask.errors import ConfigError, DataError
@@ -52,6 +59,11 @@ class TestClusterMask:
         sim = random_similarity(rng, 16)
         mask = cluster_mask(sim, 0.25, -1.01, rng)
         assert mask.masked.all()
+
+    def test_nan_threshold_is_a_config_error(self, rng):
+        sim = random_similarity(rng, 8)
+        with pytest.raises(ConfigError):
+            cluster_mask_from_anchors(sim[[0]], [0], float("nan"))
 
     def test_four_patch_hand_case(self):
         vectors = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
@@ -367,7 +379,7 @@ class TestMaskImage:
     def test_each_strategy_runs_and_reproduces(self, rng, strategy):
         image = Image(data=rng.random((32, 32, 3)))
         config = MaskerConfig(strategy=strategy, threshold_r=0.4, kmeans_k=4, seed=3)
-        prepared = prepare_image(patchify(image, 8), config)
+        prepared = PreparedImage(patchify(image, 8), config.seed)
         a = mask_image(prepared, config, np.random.default_rng(7), alpha=0.5)
         b = mask_image(prepared, config, np.random.default_rng(7), alpha=0.5)
         assert a.length == 16
@@ -383,7 +395,7 @@ class TestMaskImage:
         config = MaskerConfig(strategy=strategy, kmeans_k=4)
         for bad in (-0.5, 2.0, float("nan")):
             with pytest.raises(ConfigError):
-                mask_image(prepare_image(patchify(image, 8), config), config, rng, alpha=bad)
+                mask_image(PreparedImage(patchify(image, 8), config.seed), config, rng, alpha=bad)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5, 1.0])
     @pytest.mark.parametrize("strategy", [Strategy.CLUSTER_RGB, Strategy.CLUSTER_EMBEDDING])
@@ -394,7 +406,7 @@ class TestMaskImage:
         config = MaskerConfig(strategy=strategy, seed=4)
         for index, image in enumerate(smoothed_noise_images(2, 224, 224, 3, seed=14)):
             grid = patchify(image, 16)
-            prepared = prepare_image(grid, config)
+            prepared = PreparedImage(grid, config.seed)
             sim = cosine_matrix(pixel_normalize(grid))
             if strategy is Strategy.CLUSTER_EMBEDDING:
                 sim = blend(sim, full_cosine(toy_patch_embedding(grid, config.seed)), alpha)
@@ -410,11 +422,26 @@ class TestMaskImage:
                     assert mask.masked.tobytes() == expected.masked.tobytes()
                     assert mask.anchors.tobytes() == expected.anchors.tobytes()
 
-    def test_record_of_another_strategy_is_rejected(self, rng):
+    @pytest.mark.parametrize("order", [list(Strategy), list(Strategy)[::-1]])
+    def test_one_record_serves_every_strategy(self, rng, calls_to, prepare_calls, order):
+        # masked under each strategy in turn, one record gives the masks of
+        # fresh records and computes each of its fields once
         grid = patchify(Image(data=rng.random((32, 32, 3))), 8)
-        record = prepare_image(grid, MaskerConfig(strategy=Strategy.RANDOM))
-        with pytest.raises(ConfigError):
-            mask_image(record, MaskerConfig(strategy=Strategy.CLUSTER_RGB), rng)
+        configs = [MaskerConfig(strategy=s, threshold_r=0.4, kmeans_k=4, seed=3) for s in order]
+        expected = [mask_image(PreparedImage(grid, 3), config, np.random.default_rng(7), 0.5)
+                    for config in configs]
+        sources = calls_to("similarity", "CosineRows")
+        for calls in prepare_calls:
+            calls.clear()
+        record = PreparedImage(grid, 3)
+        for config, fresh in zip(configs, expected):
+            mask = mask_image(record, config, np.random.default_rng(7), 0.5)
+            assert mask.masked.tobytes() == fresh.masked.tobytes()
+            assert mask.anchors.tobytes() == fresh.anchors.tobytes()
+        assert prepared_counts(prepare_calls) == [1, 2, 1]
+        assert len(sources) == 2
+        for rows in rows_by_source(prepare_calls[1]):
+            assert sorted(set(rows)) == sorted(rows)
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):

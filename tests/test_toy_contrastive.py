@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import PREPARE_CALLS, prepared_counts, rows_by_source, smoothed_noise_images
-from patchmask.cluster_masker import MaskerConfig, Strategy, prepare_image
+from patchmask.cluster_masker import MaskerConfig, PreparedImage, Strategy
 from patchmask.errors import ConfigError, DataError
 from patchmask.patch_grid import Image, patchify
 from patchmask.synthetic import color_block_dataset
@@ -175,7 +175,7 @@ class TestGradients:
 
 
 def prepare(images, config):
-    return [prepare_image(patchify(image, 4), config) for image in images]
+    return [PreparedImage(patchify(image, 4), config.seed) for image in images]
 
 
 class TestTrainStep:
