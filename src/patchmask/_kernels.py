@@ -35,9 +35,10 @@ Lloyd's loop calls them so that an iteration redoes only what moved:
   row per centroid, and a call recomputes only the rows of the centroids
   it is told have moved. K-Means marks a centroid as moved when any of
   its bits changed, so a re-seed or a flipped zero sign counts.
-- ``assigned_distances`` applies the exact formula to each point and the
-  centroid it was assigned. K-Means reads distances only to re-seed an
-  empty cluster, so it calls this only when an update leaves one empty.
+- ``assigned_distances`` applies the exact formula to pairs of a point
+  and a centroid: the ambiguous pairs of ``nearest_centroids``, or each
+  point and the centroid it was assigned. K-Means reads the latter only
+  to re-seed an empty cluster, so only when an update leaves one empty.
 - ``centroid_sums`` adds each cluster's rows in point order from 0.0, the
   order of ``np.add.at``. numpy reduces a (m, d) block over axis 0 in that
   order when d >= 2 but sums a single column pairwise, so d == 1 keeps a
@@ -63,6 +64,7 @@ _SUBNORMAL = 2.0**-1074  # smallest positive subnormal
 _SAFE_SCALE = 2.0**1000  # below this no intermediate of either formula overflows
 _SIGN_BIT = np.int64(-(2**63))
 _KEY_BLOCK = 8192  # keys per block of distinct_rows' key transform
+_PAIR_ROWS = 16  # point/centroid pairs per block of assigned_distances
 
 
 def row_norms(vectors):
@@ -142,7 +144,8 @@ def nearest_centroids(points, centroids, sq_points, products=None, moved=None):
     the same points. moved, a boolean mask over the centroids, names the
     rows that are recomputed, every row when it is None; the other rows
     must hold the products of those same centroids.
-    Returns the labels. Ties go to the lowest centroid index.
+    Returns the labels. Ties go to the lowest centroid index. The exact
+    re-score takes the ambiguous pairs in blocks (assigned_distances).
     """
     d = points.shape[1]
     # the screen only widens the candidate set where it overflows or turns
@@ -163,23 +166,26 @@ def nearest_centroids(points, centroids, sq_points, products=None, moved=None):
     ambiguous = np.flatnonzero(candidates.sum(axis=0) > 1)
     if ambiguous.size:
         rows, cols = np.nonzero(candidates[:, ambiguous].T)
-        diff = points[ambiguous[rows]]
-        diff -= centroids[cols]
-        np.square(diff, out=diff)
         exact = np.full((ambiguous.size, centroids.shape[0]), np.inf)
-        exact[rows, cols] = diff.sum(axis=1)
+        exact[rows, cols] = assigned_distances(points, centroids, cols, ambiguous[rows])
         labels[ambiguous] = np.argmin(exact, axis=1)
     return labels
 
 
-def assigned_distances(points, centroids, labels):
-    """Squared distance of each point to its assigned centroid, by the
-    exact formula: each row is subtracted, squared and summed as
-    nearest_centroids re-scores a pair."""
-    diff = centroids[labels]
-    np.subtract(points, diff, out=diff)
-    np.square(diff, out=diff)
-    return diff.sum(axis=1)
+def assigned_distances(points, centroids, labels, rows=None):
+    """Squared distance of points[rows[i]] (point i if rows is None) to
+    centroids[labels[i]], by the exact formula, _PAIR_ROWS pairs at a time:
+    a pair's sum is the same in any block, and a gather of all pairs, up to
+    k times points' size, would take fresh pages on every call."""
+    rows = np.arange(len(labels)) if rows is None else rows
+    distances = np.empty(len(labels))
+    for start in range(0, len(labels), _PAIR_ROWS):
+        pairs = slice(start, start + _PAIR_ROWS)
+        block = points[rows[pairs]]
+        block -= centroids[labels[pairs]]
+        np.square(block, out=block)
+        distances[pairs] = block.sum(axis=1)
+    return distances
 
 
 def centroid_sums(points, labels, k, sums=None, touched=None):

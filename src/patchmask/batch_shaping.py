@@ -39,10 +39,12 @@ class ShapedBatch:
         return self.kept_indices.shape[1]
 
     def to_debug_text(self):
+        names = [str(i) for i in range(self.length + 1)]  # every index and the sentinel
+        attention = np.where(self.attention, ord("1"), ord("0")).astype(np.uint8)
         lines = []
-        for kept, attn in zip(self.kept_indices, self.attention):
-            lines.append("kept: " + ",".join(str(i) for i in kept))
-            lines.append("attn: " + "".join("1" if a else "0" for a in attn))
+        for kept, attn in zip(self.kept_indices.tolist(), attention):
+            lines.append("kept: " + ",".join([names[i] for i in kept]))
+            lines.append("attn: " + attn.tobytes().decode("ascii"))
         return "\n".join(lines) + "\n"
 
 

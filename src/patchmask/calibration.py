@@ -27,6 +27,7 @@ R_MIN = -1.0
 R_MAX = 1.05
 DEFAULT_TOLERANCE = 0.02
 DEFAULT_MAX_ITERS = 40
+_NS_DEFAULT_DRAWS = 4  # (0, 4): the anchor draws of a call given no rng
 
 
 @dataclass
@@ -122,12 +123,13 @@ def calibrate_threshold(
     the found threshold, and the converged flag reflects that fresh pass.
     The fresh sets are drawn right after the frozen ones; the bisection
     draws nothing, so they are the sets a draw after it would give.
+    Without rng, the draws come from default_rng((0, 4)), a key of their own.
 
     Raises ConvergenceError, once the whole sample has been read, when the
     target sits below the anchors-only ratio, which no threshold can reach.
     """
     if rng is None:
-        rng = np.random.default_rng(0)
+        rng = np.random.default_rng((0, _NS_DEFAULT_DRAWS))
     if lengths is None:
         sample = list(sample)
         lengths = [len(vectors) for vectors in sample]

@@ -32,10 +32,10 @@ import numpy as np
 
 from .batch_shaping import check_beta, mask_batch
 from .calibration import DEFAULT_MAX_ITERS, DEFAULT_TOLERANCE, calibrate_threshold, check_search
-from .cluster_masker import Mask, MaskerConfig, PreparedImage, Strategy
+from .cluster_masker import Mask, MaskerConfig, PreparedImage, Strategy, check_seed
 from .errors import ConfigError, ConvergenceError, DataError
-from .patch_grid import check_patch_size, grid_shape, patchify, pixel_normalize, unpatchify
-from .pnm import load_image, read_size, save_image
+from .patch_grid import check_patch_size, grid_shape, pixel_normalize, unpatchify
+from .pnm import load_image, load_patches, read_size, save_image
 from .render import render_mask
 from .similarity import check_alpha, cosine_matrix
 from .stats import stats_report
@@ -148,13 +148,13 @@ def _input_paths(directory, limit=None):
 
 
 def _grids(paths, patch_size, keep=None):
-    """Each path's patch grid, lazily; no image is held beyond its patchify.
+    """Each path's patch grid, lazily, loaded integers first (load_patches).
 
     A list keep gets each grid appended as it is made; without one, no grid
     is held past the making of the next.
     """
     for path in paths:
-        grid = patchify(load_image(path), patch_size)
+        grid = load_patches(path, patch_size)
         if keep is not None:
             keep.append(grid)
         yield grid
@@ -164,16 +164,17 @@ def _patch_counts(paths, patch_size):
     """Patches per image, from each file's header alone.
 
     A file whose header fails, or whose size patch_size does not divide,
-    is loaded and patchified after every file before it, so the first bad
-    file in name order raises the error a full load would.
+    is loaded after every file before it, so the first bad file in name
+    order raises the error a full load would: its own load's error, or
+    else the one its header gave.
     """
     counts = []
     for index, path in enumerate(paths):
         try:
             rows, cols = grid_shape(*read_size(path), patch_size)
         except (DataError, OSError):
-            for _ in _grids(paths[: index + 1], patch_size):
-                pass
+            for earlier in paths[: index + 1]:
+                load_image(earlier)
             raise
         counts.append(rows * cols)
     return counts
@@ -229,8 +230,7 @@ def _cmd_calibrate(args):
     sample_size, seed = options["sample_size"], options["seed"]
     if sample_size < 1:
         raise ConfigError(f"sample_size must be >= 1, got {sample_size}")
-    if seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {seed}")
+    check_seed(seed)
     check_search(options["anchor_ratio"], options["target"], options["tolerance"],
                  options["max_iters"])
     patch_size = options["patch_size"]

@@ -71,16 +71,9 @@ class MaskerConfig:
             raise ConfigError(f"kmeans_k must be >= 2, got {self.kmeans_k}")
         if self.kmeans_max_iters < 1:
             raise ConfigError(f"kmeans_max_iters must be >= 1, got {self.kmeans_max_iters}")
-        if not 0.0 < self.kmeans_mask_fraction < 1.0:
-            raise ConfigError(
-                f"kmeans_mask_fraction must lie in (0, 1), got {self.kmeans_mask_fraction}"
-            )
-        if not 0.0 < self.random_mask_ratio < 1.0:
-            raise ConfigError(
-                f"random_mask_ratio must lie in (0, 1), got {self.random_mask_ratio}"
-            )
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        check_kmeans_mask_fraction(self.kmeans_mask_fraction)
+        check_random_mask_ratio(self.random_mask_ratio)
+        check_seed(self.seed)
 
 
 @dataclass
@@ -97,7 +90,7 @@ class Mask:
 
     def to_line(self):
         """Serialize as one line of '0'/'1' characters."""
-        return "".join("1" if m else "0" for m in self.masked)
+        return np.where(self.masked, ord("1"), ord("0")).astype(np.uint8).tobytes().decode("ascii")
 
     @staticmethod
     def from_line(line):
@@ -122,6 +115,24 @@ def check_anchor_ratio(anchor_ratio):
     """Raise ConfigError unless anchor_ratio lies in (0, 0.5]."""
     if not 0.0 < anchor_ratio <= 0.5:
         raise ConfigError(f"anchor_ratio must lie in (0, 0.5], got {anchor_ratio}")
+
+
+def check_kmeans_mask_fraction(fraction):
+    """Raise ConfigError unless the K-Means mask fraction lies in (0, 1)."""
+    if not 0.0 < fraction < 1.0:
+        raise ConfigError(f"kmeans_mask_fraction must lie in (0, 1), got {fraction}")
+
+
+def check_random_mask_ratio(ratio):
+    """Raise ConfigError unless the random mask ratio lies in (0, 1)."""
+    if not 0.0 < ratio < 1.0:
+        raise ConfigError(f"random_mask_ratio must lie in (0, 1), got {ratio}")
+
+
+def check_seed(seed):
+    """Raise ConfigError unless seed is non-negative."""
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
 
 
 def anchor_count(anchor_ratio, length):
@@ -222,8 +233,7 @@ def kmeans_mask_detail(vectors, k, max_iters, mask_fraction, rng):
     ceil(mask_fraction * k) clusters chosen uniformly at random.
     Returns (mask, labels, centroids, chosen_clusters).
     """
-    if not 0.0 < mask_fraction < 1.0:
-        raise ConfigError(f"mask_fraction must lie in (0, 1), got {mask_fraction}")
+    check_kmeans_mask_fraction(mask_fraction)
     labels, centroids = kmeans_cluster(vectors, k, max_iters, rng)
     k_eff = centroids.shape[0]
     n_masked = ceil_count(mask_fraction * k_eff)
@@ -241,8 +251,7 @@ def kmeans_mask(vectors, k, max_iters, mask_fraction, rng):
 
 def random_mask(length, ratio, rng):
     """Mask exactly round(ratio * L) uniformly chosen positions."""
-    if not 0.0 < ratio < 1.0:
-        raise ConfigError(f"mask ratio must lie in (0, 1), got {ratio}")
+    check_random_mask_ratio(ratio)
     n = _round_half_up(ratio * length)
     masked = np.zeros(length, dtype=np.bool_)
     masked[rng.choice(length, size=n, replace=False)] = True

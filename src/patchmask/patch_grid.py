@@ -6,7 +6,7 @@ is flattened in C order. The order is fixed so masks are bit-reproducible
 across runs.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -15,6 +15,7 @@ from .errors import ConfigError, DataError
 # patches with population std below this are treated as constant and
 # normalize to the all-zero vector
 CONSTANT_PATCH_STD = 1e-8
+_SQUARE_ROWS = 16  # rows per block of pixel_normalize's squares
 
 
 @dataclass
@@ -93,21 +94,18 @@ def patchify(image, patch_size):
     the fixed order documented at module level. The result is
     unnormalized.
     """
-    h, w, c = image.data.shape
+    return raster_patches(image.data, patch_size)
+
+
+def raster_patches(raster, patch_size, maxval=1.0):
+    """patchify's grid of an (H, W, C) raster, each sample divided by maxval
+    on its way in: 1 for intensities, a file's maxval for its integers."""
+    h, w, c = raster.shape
     rows, cols = grid_shape(h, w, patch_size)
-    patches = (
-        image.data.reshape(rows, patch_size, cols, patch_size, c)
-        .transpose(0, 2, 1, 3, 4)
-        .reshape(rows * cols, patch_size * patch_size * c)
-    )
-    return PatchGrid(
-        rows=rows,
-        cols=cols,
-        patch_size=patch_size,
-        channels=c,
-        patches=np.ascontiguousarray(patches),
-        normalized=False,
-    )
+    blocks = raster.reshape(rows, patch_size, cols, patch_size, c).transpose(0, 2, 1, 3, 4)
+    patches = np.empty((rows * cols, patch_size * patch_size * c))
+    np.divide(blocks, maxval, out=patches.reshape(blocks.shape))
+    return PatchGrid(rows=rows, cols=cols, patch_size=patch_size, channels=c, patches=patches)
 
 
 def unpatchify(grid):
@@ -134,22 +132,22 @@ def pixel_normalize(grid):
     the same order, so the result equals
     where(constant, 0, (p - p.mean(1)) / where(constant, 1, p.std(1)))
     bit for bit; the division and the zeroing work in place on the one
-    centred copy.
+    centred copy. The squares go through one small buffer, a block of rows
+    at a time: a row's sum is the same reduction in any block, and a
+    second (L, d) array's fresh pages would cost more than the squaring.
     """
     if grid.normalized:
         raise DataError("grid is already normalized")
     patches = grid.patches
     n = patches.shape[1]
     centred = patches - np.add.reduce(patches, axis=1, keepdims=True) / n
-    stds = np.sqrt(np.add.reduce(np.square(centred), axis=1, keepdims=True) / n)  # ddof=0
+    squares = np.empty((min(_SQUARE_ROWS, len(centred)), n))
+    sums = np.empty((len(centred), 1))
+    for start in range(0, len(centred), _SQUARE_ROWS):
+        block = np.square(centred[start : start + _SQUARE_ROWS], out=squares[: len(sums) - start])
+        np.add.reduce(block, axis=1, keepdims=True, out=sums[start : start + _SQUARE_ROWS])
+    stds = np.sqrt(sums / n)  # ddof=0
     constant = stds < CONSTANT_PATCH_STD
     centred /= np.where(constant, 1.0, stds)
     centred[constant[:, 0]] = 0.0
-    return PatchGrid(
-        rows=grid.rows,
-        cols=grid.cols,
-        patch_size=grid.patch_size,
-        channels=grid.channels,
-        patches=np.ascontiguousarray(centred),
-        normalized=True,
-    )
+    return replace(grid, patches=np.ascontiguousarray(centred), normalized=True)

@@ -1,14 +1,17 @@
 """Binary portable pixmap (P6) and graymap (P5) reading and writing.
 
 Only the binary variants are supported; intensities are scaled to [0, 1]
-on load (8-bit data divides by 255, 16-bit by its maxval) and written
-back as 8-bit with maxval 255. Parse failures report the byte offset.
+on load (each sample divides by the file's maxval) and written back as
+8-bit with maxval 255. Parse failures report the byte offset.
+load_patches range-checks and patchifies the integer samples, and
+converts and divides each once, straight into the grid: no float64
+raster is made, and the grid is patchify(load_image(path)) bit for bit.
 """
 
 import numpy as np
 
 from .errors import DataError
-from .patch_grid import Image
+from .patch_grid import Image, raster_patches
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
 _HEADER_CHUNK = 256  # bytes read_size reads first; a usual header takes ~15
@@ -70,21 +73,27 @@ def _parse_header(data):
     return width, height, channels, maxval, scanner.pos + 1
 
 
-def parse_pnm(data):
-    """Decode P5/P6 bytes into an Image."""
+def _decode(data):
+    """(samples, maxval) of P5/P6 bytes: the (H, W, C) uint8 or >u2
+    samples, a view of data, each checked to be at most maxval."""
     width, height, channels, maxval, start = _parse_header(data)
-    bytes_per_sample = 1 if maxval < 256 else 2
-    expected = width * height * channels * bytes_per_sample
-    raster = data[start : start + expected]
-    if len(raster) < expected:
+    dtype = np.dtype(np.uint8 if maxval < 256 else ">u2")
+    expected = width * height * channels * dtype.itemsize
+    if len(data) - start < expected:
         raise DataError(
             f"truncated pixel data: expected {expected} bytes from byte "
             f"{start}, file ends at byte {len(data)}"
         )
-    dtype = np.uint8 if bytes_per_sample == 1 else np.dtype(">u2")
-    samples = np.frombuffer(raster, dtype=dtype).astype(np.float64)
-    samples /= maxval  # in place: one float64 copy of the raster, not two
-    return Image(data=samples.reshape(height, width, channels))
+    samples = np.frombuffer(data, dtype=dtype, count=expected // dtype.itemsize, offset=start)
+    if samples.max() > maxval:
+        raise DataError("image intensities must lie in [0, 1]")
+    return samples.reshape(height, width, channels), maxval
+
+
+def parse_pnm(data):
+    """Decode P5/P6 bytes into an Image."""
+    samples, maxval = _decode(data)
+    return Image(data=samples / float(maxval))
 
 
 def encode_pnm(image):
@@ -104,6 +113,15 @@ def load_image(path):
     """Read a binary P5/P6 file into an Image with intensities in [0, 1]."""
     with open(path, "rb") as fh:
         return parse_pnm(fh.read())
+
+
+def load_patches(path, patch_size):
+    """The unnormalized PatchGrid of a binary P5/P6 file, made as
+    patchify(load_image(path), patch_size) makes it, bit for bit, and
+    failing as it does: with the file's own errors before patch_size's."""
+    with open(path, "rb") as fh:
+        samples, maxval = _decode(fh.read())
+    return raster_patches(samples, patch_size, float(maxval))
 
 
 def read_size(path):

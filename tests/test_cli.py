@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import PREPARE_CALLS, prepared_counts, rows_by_source, smoothed_noise_images
 from patchmask.batch_shaping import mask_batch
-from patchmask.calibration import draw_anchor_sets
+from patchmask.calibration import _NS_DEFAULT_DRAWS, calibrate_threshold, draw_anchor_sets
 from patchmask.cli import (
     _CALIBRATE, _DATASET, _MASK, _NS_CLI_CALIBRATE, _NS_CLI_MASK, _NS_CLI_SHAPE, _TRAIN, main,
 )
@@ -205,7 +205,8 @@ class TestMaskCommand:
         assert peak < 8 * 96 * 96 * 3 * 8, peak
 
     def test_each_image_is_patchified_once(self, image_dir, tmp_path, calls_to):
-        patchify_calls = calls_to("patch_grid", "patchify")
+        # load_patches reads and patchifies a file in one call
+        patchify_calls = calls_to("pnm", "load_patches")
         for strategy in ("cluster-embedding", "kmeans"):
             patchify_calls.clear()
             code = run_cli(["mask", "--in", image_dir, "--out", tmp_path / strategy,
@@ -259,7 +260,7 @@ class TestCalibrateCommand:
         assert "calibrated r=" in capsys.readouterr().out
 
     def test_each_sampled_image_is_patchified_once(self, image_dir, calls_to):
-        patchify_calls = calls_to("patch_grid", "patchify")
+        patchify_calls = calls_to("pnm", "load_patches")
         assert run_cli(["calibrate", "--in", image_dir, "--target", "0.5", "--anchor-ratio",
                         "0.1", "--tolerance", "0.1", "--patch-size", "8"]) == 0
         assert [args[0] for args in patchify_calls] == [8] * 4
@@ -356,6 +357,12 @@ class TestCalibrateDataErrors:
                                             "--anchor-ratio", "0.17"],
              "convergence failure: target ratio 0.18 is unreachable: anchors alone mask "
              "0.1875 of the sample\n"),
+            # a 16-bit sample above its maxval, alone and in a size patch_size
+            # does not divide
+            ([_GOOD, b"P5\n32 32\n1000\n" + (1001).to_bytes(2, "big") * 1024, _GOOD], [],
+             "data error: image intensities must lie in [0, 1]\n"),
+            ([_GOOD, b"P5\n20 20\n1000\n" + (1001).to_bytes(2, "big") * 400, _GOOD], [],
+             "data error: image intensities must lie in [0, 1]\n"),
         ],
     )
     def test_first_bad_file_wins(self, tmp_path, capsys, files, flags, expected):
@@ -448,7 +455,8 @@ def test_every_stream_key_seeds_its_own_stream(image_dir, tmp_path, monkeypatch)
     # SeedSequence pads a key with zeros, so a bare seed s draws the stream
     # of (s, 0, 0, 0), the trainer's mask key for step 0 and image 0; every
     # key that mask, calibrate and train runs pass to default_rng must give
-    # a state of its own
+    # a state of its own, as must calibrate_threshold's default stream
+    sample = [np.arange(36.0).reshape(9, 4) % 5]
     keys = set()
     default_rng = np.random.default_rng
 
@@ -469,8 +477,9 @@ def test_every_stream_key_seeds_its_own_stream(image_dir, tmp_path, monkeypatch)
         assert run_cli(["calibrate", "--in", image_dir, "--patch-size", "8",
                         "--seed", seed]) in (0, 4)
         assert run_cli(["train", "--config", config, "--out", out, "--seed", seed]) == 0
+    calibrate_threshold(sample, 0.1, 0.5)
     namespaces = {key[1] for key in keys if len(key) > 1}
-    assert namespaces == {_NS_CLI_MASK, _NS_CLI_SHAPE, _NS_CLI_CALIBRATE,
+    assert namespaces == {_NS_CLI_MASK, _NS_CLI_SHAPE, _NS_CLI_CALIBRATE, _NS_DEFAULT_DRAWS,
                           _NS_MASK, _NS_SHAPE, _NS_ENCODER, _NS_LAYOUT, _NS_TEXTURE,
                           _NS_PROJECTION}
     states = {tuple(np.random.SeedSequence(key).generate_state(4).tolist()) for key in keys}

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from patchmask import pnm
 from patchmask.cluster_masker import Mask, random_mask
 from patchmask.errors import ConfigError, DataError
-from patchmask.patch_grid import Image
-from patchmask.pnm import encode_pnm, load_image, parse_pnm, read_size, save_image
+from patchmask.patch_grid import Image, patchify, pixel_normalize
+from patchmask.pnm import encode_pnm, load_image, load_patches, parse_pnm, read_size, save_image
 from patchmask.render import render_mask
 from patchmask.stats import stats_report
 
@@ -75,6 +75,58 @@ class TestPnm:
         path = tmp_path / "img.pgm"
         save_image(Image(data=quantized), path)
         np.testing.assert_array_equal(load_image(path).data, quantized)
+
+
+def pnm_bytes(samples, maxval):
+    """Binary P5/P6 bytes of (H, W, C) integer samples under maxval."""
+    height, width, channels = samples.shape
+    magic = b"P6" if channels == 3 else b"P5"
+    dtype = np.uint8 if maxval < 256 else np.dtype(">u2")
+    header = magic + f"\n{width} {height}\n{maxval}\n".encode("ascii")
+    return header + samples.astype(dtype).tobytes()
+
+
+class TestLoadPatches:
+    @pytest.mark.parametrize("patch_size", [4, 16])
+    @pytest.mark.parametrize("maxval", [255, 100, 1000, 65535])
+    @pytest.mark.parametrize("channels", [1, 3], ids=["P5", "P6"])
+    def test_equals_the_float_path_bit_for_bit(self, tmp_path, rng, channels, maxval, patch_size):
+        samples = rng.integers(0, maxval + 1, size=(32, 48, channels))
+        samples[:16, :16] = maxval // 3  # flat patches, which normalize to zeros
+        samples[-1, -1] = maxval
+        path = tmp_path / "a.pnm"
+        path.write_bytes(pnm_bytes(samples, maxval))
+        grid = load_patches(path, patch_size)
+        expected = patchify(load_image(path), patch_size)
+        fields = ("rows", "cols", "patch_size", "channels", "normalized")
+        assert [getattr(grid, f) for f in fields] == [getattr(expected, f) for f in fields]
+        assert grid.patches.tobytes() == expected.patches.tobytes()
+        normalized = pixel_normalize(grid).patches
+        assert normalized.tobytes() == pixel_normalize(expected).patches.tobytes()
+
+    @pytest.mark.parametrize("data, patch_size", [
+        (b"P5\n2 2\n255\n" + bytes(3), 2),  # truncated
+        (b"P3\n2 2\n255\n", 2),
+        (b"P5\n5 5\n100\n" + bytes(24) + bytes([101]), 2),  # out of range, size indivisible
+        (b"P5\n2 1\n1000\n" + (1000).to_bytes(2, "big") + (1001).to_bytes(2, "big"), 1),
+        (b"P6\n1 1\n65535\n" + bytes(6), 2),  # in range, size indivisible
+    ])
+    def test_fails_as_the_float_path_fails(self, tmp_path, data, patch_size):
+        # the image's own errors come before patch_size's, as when the
+        # image is loaded before it is patchified
+        path = tmp_path / "a.pnm"
+        path.write_bytes(data)
+        with pytest.raises(DataError) as expected:
+            patchify(load_image(path), patch_size)
+        with pytest.raises(DataError) as raised:
+            load_patches(path, patch_size)
+        assert str(raised.value) == str(expected.value)
+
+    def test_range_error_wins_over_patch_size(self, tmp_path):
+        path = tmp_path / "a.pgm"
+        path.write_bytes(b"P5\n5 5\n100\n" + bytes(24) + bytes([101]))
+        with pytest.raises(DataError, match=r"^image intensities must lie in \[0, 1\]$"):
+            load_patches(path, 2)
 
 
 _MAGICS = [b"P5", b"P6", b"P3", b"P", b""]

@@ -1,15 +1,18 @@
 """The repository's tooling: its pytest settings report a failing property
 test as a failure with its falsifying example, not as an internal error,
-and the pipeline benchmark's timing shims still fit the package."""
+the pipeline benchmark's timing shims still fit the package, and the hot
+kernels allocate no array of the size of their input beyond their output."""
 
 import importlib
 import json
 import math
 import subprocess
 import sys
+import tracemalloc
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 CONFIG = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -119,3 +122,43 @@ def test_first_kmeans_call_imports_no_module():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak of the memory its call allocated, in bytes."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_pixel_normalize_allocates_its_output_and_a_small_buffer():
+    # its squares go through a block buffer, not a second (L, d) array
+    from patchmask.patch_grid import PatchGrid, pixel_normalize
+
+    patches = np.random.default_rng(5).random((196, 768))
+    grid = PatchGrid(rows=14, cols=14, patch_size=16, channels=3, patches=patches)
+    result, peak = traced_peak(pixel_normalize, grid)
+    assert peak < patches.nbytes + patches.nbytes // 4, peak
+    # no patch is constant, so this is the unblocked mean/std formula
+    reference = (patches - patches.mean(axis=1, keepdims=True)) / patches.std(axis=1, keepdims=True)
+    assert result.patches.tobytes() == reference.tobytes()
+
+
+def test_nearest_centroids_rescores_pairs_in_blocks():
+    # every point ties between the two copies of each centroid, so all of
+    # its pairs are re-scored; no (pairs, d) array may hold them at once
+    from patchmask._kernels import nearest_centroids
+
+    points = np.random.default_rng(6).standard_normal((196, 768))
+    centroids = np.concatenate([points[:4], points[:4]])
+    sq_points = np.einsum("ij,ij->i", points, points)
+    labels, peak = traced_peak(nearest_centroids, points, centroids, sq_points)
+    pairs_nbytes = 2 * points.nbytes  # at least two candidates per point
+    assert peak < pairs_nbytes // 8, peak
+    # the unblocked exact formula, with the first minimum winning ties
+    exact = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    np.testing.assert_array_equal(labels, np.argmin(exact, axis=1))
