@@ -192,9 +192,15 @@ def _cmd_mask(args):
     paths = _input_paths(args.in_dir)
     # only --render and --dump-sim read a grid after its mask is drawn
     grids = [] if options["render"] or args.dump_sim else None
+    # cluster-rgb and kmeans read the patches normalized alone, so a grid
+    # no flag keeps is standardized in place: one (L, d) array per image
+    in_place = grids is None and masker.strategy in (Strategy.CLUSTER_RGB, Strategy.KMEANS)
     # generators, so one image's grid and record (its normalized vectors
     # and the anchors' cosine rows) are alive at a time
-    prepared = (PreparedImage(grid, masker.seed) for grid in _grids(paths, patch_size, grids))
+    prepared = (
+        PreparedImage(pixel_normalize(grid, in_place=True) if in_place else grid, masker.seed)
+        for grid in _grids(paths, patch_size, grids)
+    )
     # shape before opening any output, so a data error leaves nothing behind
     masks, shaped = mask_batch(
         prepared, masker, options["beta"], options["alpha"],
@@ -238,8 +244,9 @@ def _cmd_calibrate(args):
 
     paths = _input_paths(args.in_dir, sample_size)
     lengths = _patch_counts(paths, patch_size)
-    # a generator, so one image's patch vectors are alive at a time
-    sample = (pixel_normalize(grid).patches for grid in _grids(paths, patch_size))
+    # a generator, so one image's patch vectors are alive at a time, each
+    # standardized in the grid it was loaded into
+    sample = (pixel_normalize(grid, in_place=True).patches for grid in _grids(paths, patch_size))
 
     report = calibrate_threshold(
         sample,

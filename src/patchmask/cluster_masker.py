@@ -238,7 +238,9 @@ def kmeans_mask_detail(vectors, k, max_iters, mask_fraction, rng):
     k_eff = centroids.shape[0]
     n_masked = ceil_count(mask_fraction * k_eff)
     chosen = np.sort(rng.choice(k_eff, size=n_masked, replace=False))
-    mask = Mask(masked=np.isin(labels, chosen), anchors=np.empty(0, dtype=np.int64))
+    is_chosen = np.zeros(k_eff, dtype=np.bool_)
+    is_chosen[chosen] = True
+    mask = Mask(masked=is_chosen[labels], anchors=np.empty(0, dtype=np.int64))
     return mask, labels, centroids, chosen
 
 
@@ -269,14 +271,19 @@ def mask_ratio(mask):
 class PreparedImage:
     """What masking reads of one image, under any strategy.
 
-    grid is the unnormalized patch grid and seed the seed of the embedding
+    grid is the image's patch grid and seed the seed of the embedding
     projection. The other fields are computed when a mask first reads them
     and then kept: the normalized (L, d) patch vectors, their cosine rows
     and the cosine rows of the (L, dim) embedding. So each strategy
     computes only what it reads, once per image: kmeans the vectors,
     cluster-rgb their rows too and cluster-embedding the embedding's rows
-    as well; random reads the grid alone. A row source computes a row when
-    a mask first reads it; no L x L matrix is built.
+    as well; random reads the grid's size alone. A row source computes a
+    row when a mask first reads it; no L x L matrix is built.
+
+    The grid may come normalized already, as pixel_normalize(grid,
+    in_place=True) leaves it: normalized is then its patches as they are,
+    and emb_rows raises DataError, since the raw pixels the embedding
+    reads are gone. Such a record serves kmeans, cluster-rgb and random.
     """
 
     grid: PatchGrid
@@ -284,6 +291,8 @@ class PreparedImage:
 
     @cached_property
     def normalized(self):
+        if self.grid.normalized:
+            return self.grid.patches
         return pixel_normalize(self.grid).patches
 
     @cached_property

@@ -121,26 +121,34 @@ def unpatchify(grid):
     return Image(data=data)
 
 
-def pixel_normalize(grid):
+def pixel_normalize(grid, in_place=False):
     """Standardize each patch to zero mean and unit population std.
 
     Constant patches (std < 1e-8) map to the all-zero vector instead of
     raising: flat regions are legitimate and must not abort the pipeline.
     Uses the population (not sample) standard deviation.
 
+    By default the result is a new grid and the input is left untouched.
+    With in_place=True the grid's own patches are standardized and the
+    grid itself, now marked normalized, is returned: the raw values are
+    gone, so only a caller that never reads them again passes it, and an
+    image then needs one (L, d) array from its samples to its vectors.
+    Both forms run the one body below and give the same bits.
+
     The mean and std are the same reductions numpy's mean and std run, in
     the same order, so the result equals
     where(constant, 0, (p - p.mean(1)) / where(constant, 1, p.std(1)))
     bit for bit; the division and the zeroing work in place on the one
-    centred copy. The squares go through one small buffer, a block of rows
-    at a time: a row's sum is the same reduction in any block, and a
+    centred array. The squares go through one small buffer, a block of
+    rows at a time: a row's sum is the same reduction in any block, and a
     second (L, d) array's fresh pages would cost more than the squaring.
     """
     if grid.normalized:
         raise DataError("grid is already normalized")
     patches = grid.patches
     n = patches.shape[1]
-    centred = patches - np.add.reduce(patches, axis=1, keepdims=True) / n
+    means = np.add.reduce(patches, axis=1, keepdims=True) / n
+    centred = np.subtract(patches, means, out=patches if in_place else None)
     squares = np.empty((min(_SQUARE_ROWS, len(centred)), n))
     sums = np.empty((len(centred), 1))
     for start in range(0, len(centred), _SQUARE_ROWS):
@@ -150,4 +158,7 @@ def pixel_normalize(grid):
     constant = stds < CONSTANT_PATCH_STD
     centred /= np.where(constant, 1.0, stds)
     centred[constant[:, 0]] = 0.0
+    if in_place:
+        grid.normalized = True
+        return grid
     return replace(grid, patches=np.ascontiguousarray(centred), normalized=True)

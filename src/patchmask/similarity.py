@@ -126,8 +126,11 @@ def toy_patch_embedding(grid, projection_seed, dim=64):
     output. Each call redraws the projection from the key
     (projection_seed, _NS_PROJECTION); masking calls this once per image
     per run, when a PreparedImage's embedding rows are first read, never
-    per step.
+    per step. The projection reads raw pixels, so a normalized grid is a
+    DataError.
     """
+    if grid.normalized:
+        raise DataError("cannot embed a normalized grid (the embedding reads raw pixels)")
     if grid.n_patches == 0:
         raise DataError("cannot embed an empty grid")
     rng = np.random.default_rng((projection_seed, _NS_PROJECTION))

@@ -14,15 +14,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import PREPARE_CALLS, prepared_counts, rows_by_source, smoothed_noise_images
+from patchmask import cli
 from patchmask.batch_shaping import mask_batch
 from patchmask.calibration import _NS_DEFAULT_DRAWS, calibrate_threshold, draw_anchor_sets
 from patchmask.cli import (
     _CALIBRATE, _DATASET, _MASK, _NS_CLI_CALIBRATE, _NS_CLI_MASK, _NS_CLI_SHAPE, _TRAIN, main,
 )
-from patchmask.cluster_masker import Mask, MaskerConfig, PreparedImage, anchor_count
+from patchmask.cluster_masker import Mask, MaskerConfig, PreparedImage, anchor_count, mask_image
 from patchmask.patch_grid import Image, patchify, pixel_normalize
 from patchmask.errors import DataError
-from patchmask.pnm import load_image, parse_pnm, save_image
+from patchmask.pnm import load_image, load_patches, parse_pnm, save_image
 from patchmask.render import render_mask
 from patchmask.similarity import _NS_PROJECTION, cosine_matrix
 from patchmask.synthetic import _NS_LAYOUT, _NS_TEXTURE
@@ -35,6 +36,20 @@ def image_dir(tmp_path):
     directory.mkdir()
     for i, image in enumerate(smoothed_noise_images(4, 32, 32, 3, seed=11)):
         save_image(image, directory / f"img_{i:02d}.ppm")
+    return directory
+
+
+GRID_96 = 96 * 96 * 3 * 8  # bytes of one float64 grid of a 96x96 RGB image
+
+
+@pytest.fixture
+def noise_96_dir(tmp_path):
+    """64 images of 96x96 noise: one float64 grid is 216 KiB, all 64 are 13.5 MiB."""
+    directory = tmp_path / "imgs96"
+    directory.mkdir()
+    rng = np.random.default_rng(13)
+    for i in range(64):
+        save_image(Image(data=rng.random((96, 96, 3))), directory / f"img_{i:02d}.ppm")
     return directory
 
 
@@ -188,21 +203,42 @@ class TestMaskCommand:
             rows = "".join("\t".join(f"{v:.10g}" for v in row) + "\n" for row in sim)
             assert (out / f"{path.stem}_sim.tsv").read_text() == rows
 
-    def test_one_grid_alive_at_a_time(self, tmp_path):
-        # 64 images of 96x96: one float64 grid is 216 KiB, all 64 are 13.5 MiB
-        directory = tmp_path / "imgs"
-        directory.mkdir()
-        rng = np.random.default_rng(13)
-        for i in range(64):
-            save_image(Image(data=rng.random((96, 96, 3))), directory / f"img_{i:02d}.ppm")
+    def test_one_grid_alive_at_a_time(self, noise_96_dir, tmp_path):
         tracemalloc.start()
         try:
-            assert run_cli(["mask", "--in", directory, "--out", tmp_path / "out", "--strategy",
+            assert run_cli(["mask", "--in", noise_96_dir, "--out", tmp_path / "out", "--strategy",
                             "cluster-rgb", "--patch-size", "16"]) == 0
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 96 * 96 * 3 * 8, peak
+        assert peak < 8 * GRID_96, peak
+
+    @pytest.mark.parametrize("strategy", ["cluster-rgb", "cluster-embedding", "kmeans", "random"])
+    @pytest.mark.parametrize("flag", [None, "--render", "--dump-sim"])
+    def test_a_grid_no_one_reads_raw_is_normalized_in_place(
+            self, image_dir, tmp_path, monkeypatch, strategy, flag):
+        # the masks are those of records of the raw loaded grids; only
+        # cluster-rgb and kmeans, with neither flag, get the grid normalized
+        grids = []
+
+        def record(grid, seed):
+            grids.append(grid)
+            return PreparedImage(grid, seed)
+
+        monkeypatch.setattr(cli, "PreparedImage", record)
+        out = tmp_path / "out"
+        args = ["mask", "--in", image_dir, "--out", out, "--strategy", strategy, "--kmeans-k", "4",
+                "--threshold", "0.4", "--alpha", "0.5", "--patch-size", "8", "--seed", "6"]
+        assert run_cli(args + [flag] * (flag is not None)) == 0
+        in_place = flag is None and strategy in ("cluster-rgb", "kmeans")
+        assert [grid.normalized for grid in grids] == [in_place] * 4
+        config = MaskerConfig(strategy=strategy, threshold_r=0.4, kmeans_k=4, seed=6)
+        lines = [
+            mask_image(PreparedImage(load_patches(path, 8), 6), config,
+                       np.random.default_rng((6, _NS_CLI_MASK, index)), 0.5).to_line() + "\n"
+            for index, path in enumerate(sorted(image_dir.iterdir()))
+        ]
+        assert (out / "masks.txt").read_text() == "".join(lines)
 
     def test_each_image_is_patchified_once(self, image_dir, tmp_path, calls_to):
         # load_patches reads and patchifies a file in one call
@@ -238,6 +274,29 @@ class TestMaskCommand:
             assert code == 0
             outputs.append((out / "masks.txt").read_text())
         assert outputs[0] != outputs[1]
+
+
+@pytest.mark.parametrize("command, bound", [
+    (["mask", "--strategy", "cluster-rgb"], 2.9),
+    (["mask", "--strategy", "kmeans"], 2.95),
+    (["calibrate"], 3.85),
+])
+def test_one_float64_buffer_per_image(noise_96_dir, tmp_path, command, bound):
+    # each loaded grid is standardized in place, so no second (L, d) array
+    # is made per image. Peaks in grids: 3.13, 3.82 and 4.37 with a
+    # normalized copy, 3.13, 3.12 and 4.37 with the centring alone out of
+    # place, and 2.69, 2.78 and 3.37 in place
+    args = [command[0], "--in", noise_96_dir, "--patch-size", "16", *command[1:]]
+    if command[0] == "mask":
+        args += ["--out", tmp_path / "out"]
+    assert run_cli(args) == 0  # an untraced run first: imports and caches are not counted
+    tracemalloc.start()
+    try:
+        assert run_cli(args) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * GRID_96, peak / GRID_96
 
 
 class TestCalibrateCommand:

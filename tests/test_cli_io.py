@@ -103,6 +103,10 @@ class TestLoadPatches:
         assert grid.patches.tobytes() == expected.patches.tobytes()
         normalized = pixel_normalize(grid).patches
         assert normalized.tobytes() == pixel_normalize(expected).patches.tobytes()
+        # the copy leaves the loaded bits alone; in place, as mask and
+        # calibrate normalize, they become the copy's
+        assert grid.patches.tobytes() == expected.patches.tobytes()
+        assert pixel_normalize(grid, in_place=True).patches.tobytes() == normalized.tobytes()
 
     @pytest.mark.parametrize("data, patch_size", [
         (b"P5\n2 2\n255\n" + bytes(3), 2),  # truncated

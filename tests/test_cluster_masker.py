@@ -443,6 +443,21 @@ class TestMaskImage:
         for rows in rows_by_source(prepare_calls[1]):
             assert sorted(set(rows)) == sorted(rows)
 
+    @pytest.mark.parametrize("strategy", [Strategy.CLUSTER_RGB, Strategy.KMEANS, Strategy.RANDOM])
+    def test_a_record_of_a_grid_normalized_in_place(self, rng, strategy):
+        # its vectors are the grid's own patches, and its masks are those
+        # of the record of the raw grid
+        grid = patchify(Image(data=rng.random((32, 32, 3))), 8)
+        config = MaskerConfig(strategy=strategy, threshold_r=0.4, kmeans_k=4, seed=3)
+        expected = mask_image(PreparedImage(grid, 3), config, np.random.default_rng(7))
+        record = PreparedImage(pixel_normalize(grid, in_place=True), 3)
+        assert record.normalized is grid.patches
+        mask = mask_image(record, config, np.random.default_rng(7))
+        assert mask.masked.tobytes() == expected.masked.tobytes()
+        assert mask.anchors.tobytes() == expected.anchors.tobytes()
+        with pytest.raises(DataError, match="normalized"):
+            record.emb_rows
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             MaskerConfig(anchor_ratio=0.7)

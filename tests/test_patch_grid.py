@@ -107,7 +107,12 @@ class TestPixelNormalize:
                          patches=patches.copy())
         out = pixel_normalize(grid).patches
         assert out.tobytes() == normalize_reference(patches).tobytes()
-        assert np.array_equal(grid.patches, patches)  # the input is left alone
+        assert grid.patches.tobytes() == patches.tobytes()  # the input is left alone
+        # in place, the grid's own buffer takes the same bits
+        buffer = grid.patches
+        assert pixel_normalize(grid, in_place=True) is grid
+        assert grid.normalized and grid.patches is buffer
+        assert buffer.tobytes() == out.tobytes()
 
     def test_constant_patch_is_zeroed(self):
         grid = PatchGrid(rows=1, cols=1, patch_size=2, channels=1,

@@ -184,3 +184,10 @@ class TestToyPatchEmbedding:
         grid = patchify(Image(data=rng.random((8, 8, 1))), 4)
         with pytest.raises(ConfigError):
             toy_patch_embedding(grid, 0, dim=10)
+
+    def test_rejects_a_normalized_grid(self, rng):
+        # the projection reads raw pixels; a record built from a grid
+        # standardized in place must not embed its normalized patches
+        grid = patchify(Image(data=rng.random((16, 16, 3))), 8)
+        with pytest.raises(DataError, match="normalized"):
+            toy_patch_embedding(pixel_normalize(grid, in_place=True), 0, dim=16)

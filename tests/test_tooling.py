@@ -148,6 +148,19 @@ def test_pixel_normalize_allocates_its_output_and_a_small_buffer():
     assert result.patches.tobytes() == reference.tobytes()
 
 
+def test_pixel_normalize_in_place_allocates_a_small_buffer_alone():
+    # the centring writes into the grid's own patches
+    from patchmask.patch_grid import PatchGrid, pixel_normalize
+
+    patches = np.random.default_rng(5).random((196, 768))
+    grid = PatchGrid(rows=14, cols=14, patch_size=16, channels=3, patches=patches.copy())
+    result, peak = traced_peak(lambda: pixel_normalize(grid, in_place=True))
+    assert peak < patches.nbytes // 4, peak
+    assert result is grid
+    reference = (patches - patches.mean(axis=1, keepdims=True)) / patches.std(axis=1, keepdims=True)
+    assert grid.patches.tobytes() == reference.tobytes()
+
+
 def test_nearest_centroids_rescores_pairs_in_blocks():
     # every point ties between the two copies of each centroid, so all of
     # its pairs are re-scored; no (pairs, d) array may hold them at once
