@@ -25,6 +25,7 @@ from .pnm import load_image, save_image
 from .render import render_mask
 from .similarity import blend, cosine_matrix, toy_patch_embedding
 from .stats import stats_report
+from .streams import Stream, stream
 from .toy_contrastive import (
     ToyEncoders,
     TrainState,
@@ -49,6 +50,7 @@ __all__ = [
     "PreparedImage",
     "ShapedBatch",
     "Strategy",
+    "Stream",
     "ToyEncoders",
     "TrainState",
     "alpha_schedule",
@@ -70,6 +72,7 @@ __all__ = [
     "save_image",
     "shape_batch",
     "stats_report",
+    "stream",
     "toy_patch_embedding",
     "train_loop",
     "train_step",

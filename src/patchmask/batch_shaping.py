@@ -14,6 +14,7 @@ import numpy as np
 
 from .cluster_masker import ceil_count, mask_image
 from .errors import ConfigError, DataError
+from .streams import stream
 
 
 @dataclass
@@ -89,8 +90,8 @@ def shape_batch(masks, beta, rng):
 
 def mask_batch(prepared, config, beta, alpha, mask_key, shape_key):
     """Mask each PreparedImage record of the iterable prepared with
-    mask_image and default_rng((*mask_key, i)) for the i-th, then shape the
-    masks with default_rng(shape_key). Returns (masks, shaped batch).
+    mask_image and stream(*mask_key, i) for the i-th, then shape the masks
+    with stream(*shape_key). Returns (masks, shaped batch).
 
     A record keeps what its first mask computed, so masking it again redoes
     only the per-step draws. A generator of records keeps one record alive
@@ -98,8 +99,8 @@ def mask_batch(prepared, config, beta, alpha, mask_key, shape_key):
     """
     masks = []
     for record in prepared:
-        rng = np.random.default_rng((*mask_key, len(masks)))
+        rng = stream(*mask_key, len(masks))
         masks.append(mask_image(record, config, rng, alpha))
         # drop the record before a generator prepares the next one
         del record
-    return masks, shape_batch(masks, beta, np.random.default_rng(shape_key))
+    return masks, shape_batch(masks, beta, stream(*shape_key))

@@ -22,12 +22,12 @@ from ._kernels import reach_row
 from .cluster_masker import check_anchor_ratio, draw_anchors
 from .errors import ConfigError, ConvergenceError, DataError
 from .similarity import CosineRows
+from .streams import Stream, stream
 
 R_MIN = -1.0
 R_MAX = 1.05
 DEFAULT_TOLERANCE = 0.02
 DEFAULT_MAX_ITERS = 40
-_NS_DEFAULT_DRAWS = 4  # (0, 4): the anchor draws of a call given no rng
 
 
 @dataclass
@@ -70,7 +70,8 @@ def _reach_rows(sample, lengths, frozen_sets, fresh_sets):
     come from its own CosineRows, which computes only the anchors' rows,
     each once, and is dropped with the image."""
     frozen, fresh = [], []
-    for index, vectors in enumerate(sample):
+    for vectors in sample:  # not enumerate, whose reused tuple holds the last item
+        index = len(frozen)
         if index == len(lengths):
             raise DataError(f"calibration sample holds more than {len(lengths)} images")
         vectors = np.ascontiguousarray(vectors, dtype=np.float64)
@@ -82,6 +83,7 @@ def _reach_rows(sample, lengths, frozen_sets, fresh_sets):
         source = CosineRows(vectors)
         frozen.append(reach_row(source.rows(frozen_sets[index]), frozen_sets[index]))
         fresh.append(reach_row(source.rows(fresh_sets[index]), fresh_sets[index]))
+        del vectors, source  # before the next image is read
     if len(frozen) < len(lengths):
         raise DataError(f"calibration sample holds {len(frozen)} of {len(lengths)} images")
     return frozen, fresh
@@ -123,13 +125,13 @@ def calibrate_threshold(
     the found threshold, and the converged flag reflects that fresh pass.
     The fresh sets are drawn right after the frozen ones; the bisection
     draws nothing, so they are the sets a draw after it would give.
-    Without rng, the draws come from default_rng((0, 4)), a key of their own.
+    Without rng, the draws come from Stream.CALIBRATE_DEFAULT's stream.
 
     Raises ConvergenceError, once the whole sample has been read, when the
     target sits below the anchors-only ratio, which no threshold can reach.
     """
     if rng is None:
-        rng = np.random.default_rng((0, _NS_DEFAULT_DRAWS))
+        rng = stream(0, Stream.CALIBRATE_DEFAULT)
     if lengths is None:
         sample = list(sample)
         lengths = [len(vectors) for vectors in sample]

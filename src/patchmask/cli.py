@@ -26,9 +26,8 @@ import argparse
 import dataclasses
 import json
 import sys
+from itertools import repeat
 from pathlib import Path
-
-import numpy as np
 
 from .batch_shaping import check_beta, mask_batch
 from .calibration import DEFAULT_MAX_ITERS, DEFAULT_TOLERANCE, calibrate_threshold, check_search
@@ -39,12 +38,9 @@ from .pnm import load_image, load_patches, read_size, save_image
 from .render import render_mask
 from .similarity import check_alpha, cosine_matrix
 from .stats import stats_report
+from .streams import Stream, stream
 from .synthetic import color_block_dataset
 from .toy_contrastive import train_loop
-
-_NS_CLI_MASK = 20
-_NS_CLI_SHAPE = 21
-_NS_CLI_CALIBRATE = 22
 
 _IMAGE_SUFFIXES = {".ppm", ".pgm", ".pnm"}
 
@@ -147,17 +143,16 @@ def _input_paths(directory, limit=None):
     return paths
 
 
-def _grids(paths, patch_size, keep=None):
-    """Each path's patch grid, lazily, loaded integers first (load_patches).
-
-    A list keep gets each grid appended as it is made; without one, no grid
-    is held past the making of the next.
-    """
+def _grids(paths, patch_size, keep=None, in_place=False):
+    """Each path's patch grid, lazily, loaded integers first (load_patches)
+    and, with in_place, standardized in place. A list keep gets each grid
+    appended; without one, no grid is held while the next file loads."""
     for path in paths:
         grid = load_patches(path, patch_size)
         if keep is not None:
             keep.append(grid)
-        yield grid
+        yield pixel_normalize(grid, in_place=True) if in_place else grid
+        del grid
 
 
 def _patch_counts(paths, patch_size):
@@ -195,16 +190,13 @@ def _cmd_mask(args):
     # cluster-rgb and kmeans read the patches normalized alone, so a grid
     # no flag keeps is standardized in place: one (L, d) array per image
     in_place = grids is None and masker.strategy in (Strategy.CLUSTER_RGB, Strategy.KMEANS)
-    # generators, so one image's grid and record (its normalized vectors
-    # and the anchors' cosine rows) are alive at a time
-    prepared = (
-        PreparedImage(pixel_normalize(grid, in_place=True) if in_place else grid, masker.seed)
-        for grid in _grids(paths, patch_size, grids)
-    )
+    # lazy maps, so one image's grid and record (its normalized vectors and
+    # the anchors' cosine rows) are alive at a time, also while the next loads
+    prepared = map(PreparedImage, _grids(paths, patch_size, grids, in_place), repeat(masker.seed))
     # shape before opening any output, so a data error leaves nothing behind
     masks, shaped = mask_batch(
         prepared, masker, options["beta"], options["alpha"],
-        (masker.seed, _NS_CLI_MASK), (masker.seed, _NS_CLI_SHAPE),
+        (masker.seed, Stream.MASK), (masker.seed, Stream.SHAPE),
     )
 
     out = Path(args.out_dir)
@@ -244,9 +236,9 @@ def _cmd_calibrate(args):
 
     paths = _input_paths(args.in_dir, sample_size)
     lengths = _patch_counts(paths, patch_size)
-    # a generator, so one image's patch vectors are alive at a time, each
-    # standardized in the grid it was loaded into
-    sample = (pixel_normalize(grid, in_place=True).patches for grid in _grids(paths, patch_size))
+    # a lazy map, so one image's patch vectors are alive at a time, also
+    # while the next loads, each standardized in the grid it was loaded into
+    sample = map(lambda grid: grid.patches, _grids(paths, patch_size, in_place=True))
 
     report = calibrate_threshold(
         sample,
@@ -254,7 +246,7 @@ def _cmd_calibrate(args):
         target_ratio=options["target"],
         tolerance=options["tolerance"],
         max_iters=options["max_iters"],
-        rng=np.random.default_rng((seed, _NS_CLI_CALIBRATE)),
+        rng=stream(seed, Stream.CALIBRATE),
         lengths=lengths,
     )
     if args.calibration_out:

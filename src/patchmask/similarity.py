@@ -16,11 +16,7 @@ import numpy as np
 from ._kernels import COSINE_EPS, cosine_rows, row_norms
 from .errors import ConfigError, DataError
 from .patch_grid import PatchGrid
-
-# sub-seed namespace of the embedding projection: a bare seed s would draw
-# the stream of (s, 0, 0, 0), the key SeedSequence pads it to, which is
-# the trainer's mask key for step 0 and image 0
-_NS_PROJECTION = 3
+from .streams import Stream, stream
 
 __all__ = [
     "COSINE_EPS",
@@ -123,8 +119,8 @@ def toy_patch_embedding(grid, projection_seed, dim=64):
     gives the embedding branch the spatial locality a real embedding
     layer would carry. Returns the (L, dim) float64 features, one row
     per patch in the grid's order. Same seed, same grid -> bit-identical
-    output. Each call redraws the projection from the key
-    (projection_seed, _NS_PROJECTION); masking calls this once per image
+    output. Each call redraws the projection from Stream.PROJECTION's
+    stream of projection_seed; masking calls this once per image
     per run, when a PreparedImage's embedding rows are first read, never
     per step. The projection reads raw pixels, so a normalized grid is a
     DataError.
@@ -133,6 +129,6 @@ def toy_patch_embedding(grid, projection_seed, dim=64):
         raise DataError("cannot embed a normalized grid (the embedding reads raw pixels)")
     if grid.n_patches == 0:
         raise DataError("cannot embed an empty grid")
-    rng = np.random.default_rng((projection_seed, _NS_PROJECTION))
+    rng = stream(projection_seed, Stream.PROJECTION)
     projection = rng.standard_normal((grid.patch_dim, dim)) / np.sqrt(grid.patch_dim)
     return grid.patches @ projection + sincos_position_encoding(grid.rows, grid.cols, dim)

@@ -1,0 +1,26 @@
+"""The table of random streams: every draw comes from stream(seed, namespace, *index).
+
+SeedSequence pads a key with zeros, so a bare seed s would draw the stream of
+(s, 0, 0, 0), TRAIN_MASK's key for step 0 and image 0: each key names its namespace."""
+
+from enum import IntEnum
+
+import numpy as np
+
+
+class Stream(IntEnum):
+    TRAIN_MASK = 0  # (seed, 0, step, image)
+    TRAIN_SHAPE = 1  # (seed, 1, step)
+    ENCODER = 2  # (seed, 2): the toy encoders' initial weights
+    PROJECTION = 3  # (seed, 3): toy_patch_embedding's projection
+    CALIBRATE_DEFAULT = 4  # (0, 4): calibrate_threshold's draws without rng
+    LAYOUT = 11  # (seed, 11, image): color_block_dataset
+    TEXTURE = 12  # (seed, 12, color): color_block_dataset
+    MASK = 20  # (seed, 20, image): patchmask mask
+    SHAPE = 21  # (seed, 21): patchmask mask
+    CALIBRATE = 22  # (seed, 22): patchmask calibrate
+
+
+def stream(seed, namespace, *index):
+    """The Generator of the key (seed, namespace, *index)."""
+    return np.random.default_rng((seed, namespace, *index))

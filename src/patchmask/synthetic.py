@@ -10,9 +10,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .patch_grid import Image
-
-_NS_LAYOUT = 11
-_NS_TEXTURE = 12
+from .streams import Stream, stream
 
 PALETTE = np.array(
     [
@@ -50,13 +48,13 @@ def color_block_dataset(count, image_size, patch_size, n_colors=8, seed=0):
 
     textures = []
     for c in range(n_colors):
-        t = np.random.default_rng((seed, _NS_TEXTURE, c)).standard_normal((patch_size, patch_size))
+        t = stream(seed, Stream.TEXTURE, c).standard_normal((patch_size, patch_size))
         t = (t - t.mean()) / max(t.std(), 1e-12)
         textures.append(t)
 
     images, bags = [], np.zeros((count, n_colors))
     for i in range(count):
-        rng = np.random.default_rng((seed, _NS_LAYOUT, i))
+        rng = stream(seed, Stream.LAYOUT, i)
         present = rng.choice(n_colors, size=int(rng.integers(2, 4)), replace=False)
         layout = present[rng.integers(0, present.size, size=(blocks, blocks))]
         data = np.empty((image_size, image_size, 3))

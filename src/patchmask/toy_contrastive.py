@@ -17,13 +17,9 @@ from .batch_shaping import mask_batch
 from .cluster_masker import PreparedImage, mask_ratio
 from .errors import ConfigError, ConvergenceError, DataError
 from .patch_grid import patchify
+from .streams import Stream, stream
 
 _NORM_GUARD = 1e-12
-
-# sub-seed namespaces: (seed, namespace, ...) feeds np.random.default_rng
-_NS_MASK = 0  # (seed, 0, step, image_index)
-_NS_SHAPE = 1  # (seed, 1, step)
-_NS_ENCODER = 2  # (seed, 2)
 
 
 @dataclass
@@ -63,7 +59,7 @@ class ToyEncoders:
 
 
 def init_encoders(patch_dim, vocab_size, dim, seed):
-    rng = np.random.default_rng((seed, _NS_ENCODER))
+    rng = stream(seed, Stream.ENCODER)
     return ToyEncoders(
         w_image=rng.standard_normal((dim, patch_dim)) / np.sqrt(patch_dim),
         w_text=rng.standard_normal((dim, vocab_size)) / np.sqrt(vocab_size),
@@ -159,14 +155,14 @@ def prepare_step_inputs(prepared, config, state, beta):
     """Masks, shaped batch, and pooled features for one training step.
 
     prepared holds the images' PreparedImage records, made once per run.
-    Masks are regenerated per step with sub-seeds derived from
-    (config.seed, step, image index), so repeating a step is bit-exact
-    while successive steps see fresh masks.
+    Masks are regenerated per step from the step's TRAIN_MASK and
+    TRAIN_SHAPE streams, so repeating a step is bit-exact while
+    successive steps see fresh masks.
     """
     alpha = alpha_schedule(state)
     masks, shaped = mask_batch(
         prepared, config, beta, alpha,
-        (config.seed, _NS_MASK, state.step), (config.seed, _NS_SHAPE, state.step),
+        (config.seed, Stream.TRAIN_MASK, state.step), (config.seed, Stream.TRAIN_SHAPE, state.step),
     )
     return StepInputs(
         masks=masks,

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from conftest import full_cosine, smoothed_noise_images
 from patchmask.batch_shaping import mask_batch, shape_batch, visible_slots
-from patchmask.cli import _NS_CLI_MASK, _NS_CLI_SHAPE
 from patchmask.cluster_masker import (
     Mask,
     MaskerConfig,
@@ -20,9 +19,8 @@ from patchmask.cluster_masker import (
 from patchmask.errors import ConfigError, DataError
 from patchmask.patch_grid import Image, patchify, pixel_normalize
 from patchmask.similarity import blend, check_alpha, cosine_matrix, toy_patch_embedding
+from patchmask.streams import Stream
 from patchmask.toy_contrastive import (
-    _NS_MASK,
-    _NS_SHAPE,
     ToyEncoders,
     TrainState,
     alpha_schedule,
@@ -187,9 +185,9 @@ def frozen_pool(grids, shaped):
 def frozen_cli_mask(images, patch_size, masker, beta, alpha):
     masks = []
     for idx, image in enumerate(images):
-        rng = np.random.default_rng((masker.seed, _NS_CLI_MASK, idx))
+        rng = np.random.default_rng((masker.seed, Stream.MASK, idx))
         masks.append(frozen_mask_image(patchify(image, patch_size), masker, rng, alpha))
-    shaped = shape_batch(masks, beta, np.random.default_rng((masker.seed, _NS_CLI_SHAPE)))
+    shaped = shape_batch(masks, beta, np.random.default_rng((masker.seed, Stream.SHAPE)))
     return masks, shaped
 
 
@@ -197,9 +195,9 @@ def frozen_prepare_step_inputs(grids, config, state, beta):
     alpha = alpha_schedule(state)
     masks = []
     for i, grid in enumerate(grids):
-        rng = np.random.default_rng((config.seed, _NS_MASK, state.step, i))
+        rng = np.random.default_rng((config.seed, Stream.TRAIN_MASK, state.step, i))
         masks.append(frozen_mask_image(grid, config, rng, alpha))
-    shaped = shape_batch(masks, beta, np.random.default_rng((config.seed, _NS_SHAPE, state.step)))
+    shaped = shape_batch(masks, beta, np.random.default_rng((config.seed, Stream.TRAIN_SHAPE, state.step)))
     return masks, shaped, frozen_pool(grids, shaped), alpha
 
 
@@ -269,7 +267,7 @@ class TestMaskBatch:
             prepared = [PreparedImage(grid, config.seed) for grid in grids]
             for alpha in (1.0, 0.4):
                 masks, shaped = mask_batch(prepared, config, 0.5, alpha,
-                                           (seed, _NS_CLI_MASK), (seed, _NS_CLI_SHAPE))
+                                           (seed, Stream.MASK), (seed, Stream.SHAPE))
                 assert_same_batch(masks, shaped, *frozen_cli_mask(images, 8, config, 0.5, alpha))
                 drops |= has_drops(masks, shaped)
         assert drops

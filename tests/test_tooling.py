@@ -1,8 +1,10 @@
 """The repository's tooling: its pytest settings report a failing property
 test as a failure with its falsifying example, not as an internal error,
-the pipeline benchmark's timing shims still fit the package, and the hot
-kernels allocate no array of the size of their input beyond their output."""
+the pipeline benchmark's timing shims still fit the package, the hot
+kernels allocate no array of the size of their input beyond their output,
+and every random stream is seeded through patchmask.streams."""
 
+import ast
 import importlib
 import json
 import math
@@ -39,6 +41,33 @@ def test_failing_property_test_prints_its_example(tmp_path):
 
 
 SPANS = Path(__file__).resolve().parents[1] / "pipebench" / "spans.py"
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "patchmask"
+
+
+def test_every_stream_is_seeded_through_the_table():
+    # streams.py holds the one table of namespaces and the one call of
+    # default_rng; a namespace constant or a default_rng elsewhere would
+    # be a second source of truth for some stream's key
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert "streams.py" in [path.name for path in modules]
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        if path.name != "streams.py":
+            names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+            names |= {alias.name for node in ast.walk(tree)
+                      if isinstance(node, ast.ImportFrom) for alias in node.names}
+            assert "default_rng" not in names, path.name
+        defined = set()
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                defined |= {alias.asname or alias.name for alias in node.names}
+        assert not [name for name in defined if name.startswith("_NS_")], path.name
 
 
 def load_spans():
