@@ -156,12 +156,12 @@ def _grids(paths, patch_size, keep=None, in_place=False):
 
 
 def _patch_counts(paths, patch_size):
-    """Patches per image, from each file's header alone.
+    """Patches per image, from each file's header and length alone.
 
-    A file whose header fails, or whose size patch_size does not divide,
-    is loaded after every file before it, so the first bad file in name
-    order raises the error a full load would: its own load's error, or
-    else the one its header gave.
+    A file whose header fails, that is shorter than its header claims, or
+    whose size patch_size does not divide, is loaded after every file
+    before it, so the first bad file in name order raises the error a full
+    load would: its own load's error, or else the one its header gave.
     """
     counts = []
     for index, path in enumerate(paths):

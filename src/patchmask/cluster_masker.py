@@ -130,9 +130,10 @@ def check_random_mask_ratio(ratio):
 
 
 def check_seed(seed):
-    """Raise ConfigError unless seed is non-negative."""
-    if seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {seed}")
+    """Raise ConfigError unless seed is one 32-bit word: SeedSequence
+    splits a larger one into words, aliasing another stream's key."""
+    if not 0 <= seed < 2**32:
+        raise ConfigError(f"seed must lie in [0, 2**32), got {seed}")
 
 
 def anchor_count(anchor_ratio, length):

@@ -1,7 +1,9 @@
 """The table of random streams: every draw comes from stream(seed, namespace, *index).
 
 SeedSequence pads a key with zeros, so a bare seed s would draw the stream of
-(s, 0, 0, 0), TRAIN_MASK's key for step 0 and image 0: each key names its namespace."""
+(s, 0, 0, 0), TRAIN_MASK's key for step 0 and image 0: each key names its namespace.
+A seed is one 32-bit word (check_seed): SeedSequence splits a larger integer into
+words, so (2**32, 20, 0) would draw the stream of (0, 1, 20)."""
 
 from enum import IntEnum
 

@@ -439,6 +439,28 @@ class TestCalibrateDataErrors:
         assert (code, captured.err, captured.out) == (4 if "convergence" in expected else 3,
                                                       expected, "")
 
+    @pytest.mark.parametrize("side", [1600000, 160000])
+    def test_a_short_file_claiming_a_huge_raster_fails_before_any_draw(
+            self, tmp_path, capsys, side):
+        # the header pass checks each file's length against its header, so
+        # no anchor set is drawn for pixels the file does not hold
+        directory = tmp_path / "imgs"
+        directory.mkdir()
+        (directory / "a.ppm").write_bytes(_GOOD)
+        header = b"P6\n%d %d\n255\n" % (side, side)
+        (directory / "b.ppm").write_bytes(header + bytes(123 - len(header)))
+        with pytest.raises(DataError) as loaded:
+            load_image(directory / "b.ppm")
+        tracemalloc.start()
+        try:
+            code = run_cli(["calibrate", "--in", directory, "--patch-size", "8"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, capsys.readouterr().err) == (3, f"data error: {loaded.value}\n")
+        assert str(loaded.value).startswith("truncated pixel data: ")
+        assert peak < 10 * 2**20, peak
+
     def test_unreadable_file_wins_as_in_load_order(self, tmp_path, capsys):
         directory = tmp_path / "imgs"
         directory.mkdir()
@@ -612,6 +634,13 @@ class TestConfigErrors:
             ("calibrate", {}, ["--in", "/nonexistent", "--patch-size", "0"]),
             # InfoNCE contrasts at least two pairs
             ("train", {"dataset": {"n_images": 1}}, []),
+            # SeedSequence splits a seed past one 32-bit word, aliasing keys
+            ("mask", {"seed": 2**32}, []),
+            ("calibrate", {"seed": 2**32}, []),
+            ("train", {"seed": 2**32}, []),
+            ("mask", {}, ["--in", "/nonexistent", "--seed", "4294967296"]),
+            ("calibrate", {}, ["--in", "/nonexistent", "--seed", "4294967296"]),
+            ("train", {}, ["--seed", "4294967296"]),
         ],
     )
     def test_bad_value_exits_2(self, image_dir, tmp_path, capsys, command, config, flags):
@@ -625,6 +654,18 @@ class TestConfigErrors:
         assert run_cli(args) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
+
+    def test_the_largest_seed_is_accepted(self, image_dir, tmp_path):
+        seed = str(2**32 - 1)
+        assert run_cli(["mask", "--in", image_dir, "--out", tmp_path / "out", "--seed", seed,
+                        "--patch-size", "8"]) == 0
+        assert run_cli(["calibrate", "--in", image_dir, "--seed", seed,
+                        "--patch-size", "8"]) in (0, 4)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(
+            {"epochs": 1, "dataset": {"n_images": 4, "image_size": 16, "patch_size": 4}}))
+        assert run_cli(["train", "--config", config, "--out", tmp_path / "log",
+                        "--seed", seed]) == 0
 
     def test_mixed_image_sizes_write_nothing(self, tmp_path):
         directory = tmp_path / "imgs"

@@ -135,7 +135,9 @@ class TestLoadPatches:
 
 _MAGICS = [b"P5", b"P6", b"P3", b"P", b""]
 _FIELDS = [b"2", b"16", b"255", b"256", b"65535", b"65536", b"0", b"-1", b"x", b""]
-_SEPARATORS = [b" ", b"\n", b"\t\r", b"\n# note\n", b"# note\n", b"#", b""]
+# the long comment runs past read_size's first read, _HEADER_CHUNK bytes
+_SEPARATORS = [b" ", b"\n", b"\t\r", b"\n# note\n", b"# note\n", b"#", b"", b"\r", b"\x0b",
+               b"\x0c", b"#c\r", b"#" + b"c" * 300 + b"\n"]
 
 
 def _piece(choices, valid):
@@ -153,28 +155,136 @@ def _headers(draw):
     return b"".join(parts) + draw(st.binary(max_size=8))
 
 
+# A frozen copy of the byte-by-byte header scanner that pnm's compiled
+# pattern replaced. It pins _parse_header's values, error texts and offsets
+# to those of before.
+
+_FROZEN_WHITESPACE = b" \t\n\r\x0b\x0c"
+
+
+class _FrozenHeaderScanner:
+    def __init__(self, data):
+        self.data = data
+        self.pos = 0
+
+    def fail(self, message):
+        raise DataError(f"{message} at byte {self.pos}")
+
+    def skip_separators(self):
+        while self.pos < len(self.data):
+            byte = self.data[self.pos : self.pos + 1]
+            if byte in (b"#",):
+                while self.pos < len(self.data) and self.data[self.pos : self.pos + 1] not in (b"\n", b"\r"):
+                    self.pos += 1
+            elif byte in _FROZEN_WHITESPACE and byte:
+                self.pos += 1
+            else:
+                return
+
+    def read_int(self, name):
+        self.skip_separators()
+        start = self.pos
+        while self.pos < len(self.data) and self.data[self.pos : self.pos + 1] not in _FROZEN_WHITESPACE:
+            self.pos += 1
+        token = self.data[start : self.pos]
+        if not token or not token.isdigit():
+            self.pos = start
+            self.fail(f"expected integer {name}")
+        try:
+            return int(token)
+        except ValueError:  # more digits than CPython converts
+            self.pos = start
+            self.fail(f"integer {name} has {len(token)} digits")
+
+
+def frozen_parse_header(data):
+    scanner = _FrozenHeaderScanner(data)
+    magic = data[:2]
+    if magic not in (b"P5", b"P6"):
+        raise DataError(f"unsupported format {magic!r}: only binary P5/P6 are handled")
+    scanner.pos = 2
+    channels = 3 if magic == b"P6" else 1
+    width = scanner.read_int("width")
+    height = scanner.read_int("height")
+    maxval = scanner.read_int("maxval")
+    if width < 1 or height < 1:
+        scanner.fail(f"dimensions must be positive, got {width}x{height}")
+    if not 1 <= maxval <= 65535:
+        scanner.fail(f"maxval must lie in [1, 65535], got {maxval}")
+    if scanner.pos >= len(data) or data[scanner.pos : scanner.pos + 1] not in _FROZEN_WHITESPACE:
+        scanner.fail("expected single whitespace before pixel data")
+    return width, height, channels, maxval, scanner.pos + 1
+
+
+def _outcome(parse, data):
+    """parse(data), or the text of the DataError it raises."""
+    try:
+        return parse(data)
+    except DataError as exc:
+        return str(exc)
+
+
+class TestParseHeader:
+    @settings(max_examples=500)
+    @given(data=_headers())
+    def test_matches_the_frozen_scanner(self, data):
+        assert _outcome(pnm._parse_header, data) == _outcome(frozen_parse_header, data)
+
+    def test_each_byte_separates_as_before(self):
+        # \s of a bytes pattern and bytes.isspace() match exactly the six
+        # ASCII whitespace bytes, whatever the byte's place in the header
+        for sep in map(bytes, zip(range(256))):
+            for data in (b"P5" + sep + b"2 2 255" + sep, b"P5 2" + sep + b"2 255 x",
+                         b"P6 2 2#" + sep + b"9 255 " + sep):
+                assert _outcome(pnm._parse_header, data) == _outcome(frozen_parse_header, data)
+
+    def test_an_integer_past_the_digit_limit_names_its_offset(self):
+        data = b"P5 2 " + b"1" * 5000 + b" 255 "
+        assert _outcome(pnm._parse_header, data) == "integer height has 5000 digits at byte 5"
+        assert _outcome(frozen_parse_header, data) == _outcome(pnm._parse_header, data)
+
+
 class TestReadSize:
     def test_reads_the_header_alone(self, tmp_path):
         path = tmp_path / "a.ppm"
-        path.write_bytes(b"P6\n# made by hand\n3 2\n255\n")  # no pixel data
-        assert read_size(path) == (2, 3)
+        path.write_bytes(b"P6\n# made by hand\n300 2\n255\n" + bytes(1800))
+        with mock.patch.object(pnm, "_parse_header", wraps=pnm._parse_header) as parse:
+            assert read_size(path) == (2, 300)
+        # the first read holds the whole header, so no more is read
+        assert [len(call.args[0]) for call in parse.call_args_list] == [pnm._HEADER_CHUNK]
+
+    @pytest.mark.parametrize("side", [1600000, 160000, 2])
+    def test_a_file_shorter_than_its_pixels_fails_as_its_load(self, tmp_path, side):
+        # the header's claim alone is checked against the file's length
+        path = tmp_path / "a.ppm"
+        path.write_bytes(b"P6\n%d %d\n255\n" % (side, side) + bytes(min(100, side * side * 3 - 1)))
+        with pytest.raises(DataError) as loaded:
+            load_image(path)
+        assert str(loaded.value).startswith("truncated pixel data: ")
+        with pytest.raises(DataError) as raised:
+            read_size(path)
+        assert str(raised.value) == str(loaded.value)
 
     @settings(max_examples=300)
-    @given(data=_headers(), chunk=st.integers(1, 16))
-    def test_agrees_with_the_full_parse(self, data, chunk):
-        # whatever the header, and wherever a read ends in it, read_size
-        # gives the full parse's size or raises its error
+    @given(data=_headers(), pixels=st.integers(0, 1600),
+           chunk=st.one_of(st.integers(1, 16), st.just(pnm._HEADER_CHUNK)))
+    def test_agrees_with_the_full_parse(self, data, pixels, chunk):
+        # whatever the header, wherever a read ends in it, and however many
+        # pixel bytes follow, read_size gives the full parse's size or
+        # raises its header or length error
+        data += bytes(pixels)
         with tempfile.TemporaryDirectory() as tmp, mock.patch.object(pnm, "_HEADER_CHUNK", chunk):
             path = Path(tmp) / "a.pnm"
             path.write_bytes(data)
             try:
-                width, height = pnm._parse_header(data)[:2]
+                header = pnm._parse_header(data)
+                pnm._sample_dtype(header, len(data))
             except DataError as exc:
                 with pytest.raises(DataError) as raised:
                     read_size(path)
                 assert str(raised.value) == str(exc)
             else:
-                assert read_size(path) == (height, width)
+                assert read_size(path) == (header[1], header[0])
 
 
 class TestRenderMask:

@@ -2,12 +2,14 @@
 test as a failure with its falsifying example, not as an internal error,
 the pipeline benchmark's timing shims still fit the package, the hot
 kernels allocate no array of the size of their input beyond their output,
-and every random stream is seeded through patchmask.streams."""
+every random stream is seeded through patchmask.streams, and the README's
+table of config keys is the CLI's."""
 
 import ast
 import importlib
 import json
 import math
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -83,6 +85,34 @@ def test_every_benchmark_target_is_a_callable_of_the_package():
     for module_name, func_name, _ in spans.TARGETS:
         module = importlib.import_module(f"patchmask.{module_name}")
         assert callable(getattr(module, func_name, None)), f"{module_name}.{func_name}"
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _flags(parser, command):
+    """{dest: option strings} of one subcommand's options."""
+    sub = next(action for action in parser._actions if action.dest == "command").choices[command]
+    return {action.dest: action.option_strings for action in sub._actions}
+
+
+def test_readme_key_table_is_the_cli():
+    # each key's flag is the key with dashes unless the row names another
+    # in parentheses; train's row names the only keys that have flags
+    from patchmask import cli
+
+    rows = dict(re.findall(r"^\| `(\w+)` \| (.*) \|$", README.read_text(encoding="utf-8"), re.M))
+    parser = cli.build_parser()
+    for command, table in [("mask", cli._MASK), ("calibrate", cli._CALIBRATE)]:
+        keys = dict(re.findall(r"`(\w+)`(?: \(`(--[\w-]+)`\))?", rows[command]))
+        assert sorted(keys) == sorted(table), command
+        flags = _flags(parser, command)
+        for key, flag in keys.items():
+            assert flags[key] == [flag or "--" + key.replace("_", "-")], (command, key)
+    flags = _flags(parser, "train")
+    exposed = {flag for key in cli._TRAIN if key in flags for flag in flags[key]}
+    assert exposed == set(re.findall(r"`(--[\w-]+)`", rows["train"]))
+    assert exposed == {"--epochs", "--seed"}
 
 
 # a small train run: 4 images of 16 px at P=4 for 3 one-step epochs
