@@ -1,10 +1,10 @@
 """Threshold search: find r so the mean mask ratio over a sample hits a target.
 
 The objective mean_ratio(r) is a non-increasing step function of r once
-the per-image anchor sets are frozen, so bisection over [-1, 1.05]
-converges quickly; the extra 0.05 above the cosine maximum makes the
-anchors-only regime reachable. The achieved ratio is then re-estimated
-with fresh anchor draws to report how the calibrated r generalizes.
+the per-image anchor sets are frozen, so bisection over the range that
+threshold_r may take, [THRESHOLD_MIN, THRESHOLD_MAX], converges quickly.
+The achieved ratio is then re-estimated with fresh anchor draws to report
+how the calibrated r generalizes.
 
 With the anchors frozen, a patch's membership at any r depends only on
 its largest similarity to an anchor, so each image is kept as one such
@@ -19,13 +19,10 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from ._kernels import reach_row
-from .cluster_masker import check_anchor_ratio, draw_anchors
+from .cluster_masker import THRESHOLD_MAX, THRESHOLD_MIN, check_anchor_ratio, draw_anchors
 from .errors import ConfigError, ConvergenceError, DataError
 from .similarity import CosineRows
-from .streams import Stream, stream
 
-R_MIN = -1.0
-R_MAX = 1.05
 DEFAULT_TOLERANCE = 0.02
 DEFAULT_MAX_ITERS = 40
 
@@ -98,15 +95,8 @@ def mean_mask_ratio(reach_rows, r):
     return total / len(reach_rows)
 
 
-def calibrate_threshold(
-    sample,
-    anchor_ratio,
-    target_ratio,
-    tolerance=DEFAULT_TOLERANCE,
-    max_iters=DEFAULT_MAX_ITERS,
-    rng=None,
-    lengths=None,
-):
+def calibrate_threshold(sample, anchor_ratio, target_ratio, tolerance=DEFAULT_TOLERANCE,
+                        max_iters=DEFAULT_MAX_ITERS, *, rng, lengths):
     """Bisect the similarity threshold until the sample's mean mask ratio
     matches target_ratio.
 
@@ -114,8 +104,8 @@ def calibrate_threshold(
     vectors, read once: each is reduced to its frozen-anchor and
     fresh-anchor reach rows as it arrives, from the anchors' cosine rows
     alone, so a generator keeps one image's vectors alive at a time.
-    lengths, the L of each image, lets the anchor sets be drawn before the
-    first image is read; without it sample is read into a list first.
+    lengths, the L of each image, lets the anchor sets be drawn from rng
+    before the first image is read.
 
     Anchor sets are drawn once and held fixed, making the objective a
     deterministic monotone step function of r; bisection stops once the
@@ -125,16 +115,10 @@ def calibrate_threshold(
     the found threshold, and the converged flag reflects that fresh pass.
     The fresh sets are drawn right after the frozen ones; the bisection
     draws nothing, so they are the sets a draw after it would give.
-    Without rng, the draws come from Stream.CALIBRATE_DEFAULT's stream.
 
     Raises ConvergenceError, once the whole sample has been read, when the
     target sits below the anchors-only ratio, which no threshold can reach.
     """
-    if rng is None:
-        rng = stream(0, Stream.CALIBRATE_DEFAULT)
-    if lengths is None:
-        sample = list(sample)
-        lengths = [len(vectors) for vectors in sample]
     if len(lengths) == 0:
         raise ConfigError("calibration sample must be nonempty")
     check_search(anchor_ratio, target_ratio, tolerance, max_iters)
@@ -152,10 +136,9 @@ def calibrate_threshold(
             f"{anchors_only:.4f} of the sample"
         )
 
-    lo, hi = R_MIN, R_MAX
+    lo, hi = THRESHOLD_MIN, THRESHOLD_MAX
     trace = []
-    mid = (lo + hi) / 2.0
-    for _ in range(max_iters):
+    for _ in range(max_iters):  # check_search allows no fewer than one, so mid is set
         mid = (lo + hi) / 2.0
         mean = mean_mask_ratio(frozen_rows, mid)
         trace.append((mid, mean))
@@ -166,11 +149,10 @@ def calibrate_threshold(
         else:
             hi = mid
 
-    found_r = mid
-    achieved = mean_mask_ratio(fresh_rows, found_r)
+    achieved = mean_mask_ratio(fresh_rows, mid)
     return CalibrationReport(
         target_ratio=float(target_ratio),
-        found_r=float(found_r),
+        found_r=float(mid),
         achieved_ratio=float(achieved),
         iterations=len(trace),
         sample_size=len(lengths),

@@ -4,43 +4,31 @@ Exit codes: 0 success, 2 configuration error, 3 data error (running out
 of memory included), 4 convergence failure.
 
 A JSON config file (--config) may set any of a command's config keys;
-a flag given on the command line wins over the file. The keys are
-
-  mask       strategy, anchor_ratio, threshold_r (--threshold), kmeans_k,
-             kmeans_max_iters (--kmeans-iters), kmeans_mask_fraction
-             (--kmeans-fraction), random_mask_ratio (--random-ratio),
-             seed, beta, patch_size, alpha, render
-  calibrate  anchor_ratio, target, tolerance, max_iters, patch_size,
-             sample_size, seed
-  train      mask's keys from strategy to beta, then epochs,
-             steps_per_epoch, learning_rate, temperature, alpha_exponent,
-             embed_dim, and dataset: an object with the keys n_images,
-             image_size, patch_size and n_colors. Only epochs and seed
-             have flags.
-
-A key without a flag in parentheses has the flag of its name with dashes
-for underscores.
+a flag given on the command line wins over the file. README.md's CLI
+section lists each command's keys and flags; here the tables _MASK,
+_CALIBRATE and _TRAIN below declare them.
 """
 
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from itertools import repeat
 from pathlib import Path
 
 from .batch_shaping import check_beta, mask_batch
 from .calibration import DEFAULT_MAX_ITERS, DEFAULT_TOLERANCE, calibrate_threshold, check_search
-from .cluster_masker import Mask, MaskerConfig, PreparedImage, Strategy, check_seed
+from .cluster_masker import Mask, MaskerConfig, PreparedImage, Strategy
 from .errors import ConfigError, ConvergenceError, DataError
 from .patch_grid import check_patch_size, grid_shape, pixel_normalize, unpatchify
 from .pnm import load_image, load_patches, read_size, save_image
 from .render import render_mask
-from .similarity import check_alpha, cosine_matrix
+from .similarity import EMBED_DIM, check_alpha, cosine_matrix
 from .stats import stats_report
-from .streams import Stream, stream
-from .synthetic import color_block_dataset
-from .toy_contrastive import train_loop
+from .streams import Stream, check_seed, stream
+from .synthetic import check_dataset, color_block_dataset
+from .toy_contrastive import check_train, train_loop
 
 _IMAGE_SUFFIXES = {".ppm", ".pgm", ".pnm"}
 
@@ -259,25 +247,37 @@ def _cmd_calibrate(args):
     return 0 if report.converged else 4
 
 
+def _check_addressable(dataset, embed_dim):
+    """Raise MemoryError, as for an array that does not fit in memory,
+    unless numpy can address every array a train run makes: numpy raises
+    ValueError for one whose float64 bytes exceed the largest intp."""
+    n, size, colors = dataset["n_images"], dataset["image_size"], dataset["n_colors"]
+    length, patch_dim = (size // dataset["patch_size"]) ** 2, 3 * dataset["patch_size"] ** 2
+    for shape in [
+        (size, size, 3),  # an image, and its (L, patch_dim) patches
+        (n, max(patch_dim, colors, embed_dim, length)),  # pooled, bags, embedded, slots
+        (n, n),  # logits
+        (embed_dim, max(patch_dim, colors)),  # encoder weights
+        (length, length),  # an image's cosine row cache, or its K-Means products
+        (max(patch_dim, length), EMBED_DIM),  # patch embedding and its projection
+    ]:
+        if math.prod(shape) * 8 > sys.maxsize:
+            raise MemoryError(f"an array of shape {shape} exceeds the address space")
+
+
 def _cmd_train(args):
     options = _options(args, _load_config_file(args.config), _TRAIN)
     dataset = _options(None, options["dataset"], _DATASET)
     masker = MaskerConfig(**{key: options[key] for key in _MASKER})
+    loop = {key: options[key] for key in _TRAIN_LOOP}
+    # every setting is checked, and every array found addressable, before
+    # any data is made
+    check_dataset(**dataset)
+    check_train(dataset["n_images"], **loop)
+    _check_addressable(dataset, loop["embed_dim"])
 
-    images, bags = color_block_dataset(
-        count=dataset["n_images"],
-        image_size=dataset["image_size"],
-        patch_size=dataset["patch_size"],
-        n_colors=dataset["n_colors"],
-        seed=masker.seed,
-    )
-    _, rows = train_loop(
-        images,
-        bags,
-        masker,
-        patch_size=dataset["patch_size"],
-        **{key: options[key] for key in _TRAIN_LOOP},
-    )
+    images, bags = color_block_dataset(**dataset, seed=masker.seed)
+    _, rows = train_loop(images, bags, masker, patch_size=dataset["patch_size"], **loop)
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)

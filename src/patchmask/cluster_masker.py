@@ -26,9 +26,11 @@ from ._kernels import (
 from .errors import ConfigError, DataError
 from .patch_grid import PatchGrid, pixel_normalize
 from .similarity import CosineRows, blend, check_alpha, toy_patch_embedding
+from .streams import check_seed
 
-# calibration may push the threshold slightly above the cosine maximum so
-# the anchors-only regime is reachable; configs accept the same range
+# the range of threshold_r, which calibration bisects: slightly above the
+# cosine maximum, so the anchors-only regime is reachable
+THRESHOLD_MIN = -1.0
 THRESHOLD_MAX = 1.05
 
 
@@ -63,10 +65,9 @@ class MaskerConfig:
                 f"{[s.value for s in Strategy]}"
             )
         check_anchor_ratio(self.anchor_ratio)
-        if not -1.0 <= self.threshold_r <= THRESHOLD_MAX:
-            raise ConfigError(
-                f"threshold_r must lie in [-1, {THRESHOLD_MAX}], got {self.threshold_r}"
-            )
+        if not THRESHOLD_MIN <= self.threshold_r <= THRESHOLD_MAX:
+            raise ConfigError(f"threshold_r must lie in [{THRESHOLD_MIN:g}, "
+                              f"{THRESHOLD_MAX:g}], got {self.threshold_r}")
         if self.kmeans_k < 2:
             raise ConfigError(f"kmeans_k must be >= 2, got {self.kmeans_k}")
         if self.kmeans_max_iters < 1:
@@ -129,13 +130,6 @@ def check_random_mask_ratio(ratio):
         raise ConfigError(f"random_mask_ratio must lie in (0, 1), got {ratio}")
 
 
-def check_seed(seed):
-    """Raise ConfigError unless seed is one 32-bit word: SeedSequence
-    splits a larger one into words, aliasing another stream's key."""
-    if not 0 <= seed < 2**32:
-        raise ConfigError(f"seed must lie in [0, 2**32), got {seed}")
-
-
 def anchor_count(anchor_ratio, length):
     """Number of anchors: max(1, round(anchor_ratio * L)), half rounded up."""
     check_anchor_ratio(anchor_ratio)
@@ -173,12 +167,13 @@ def kmeans_cluster(vectors, k, max_iters, rng):
     """Lloyd's algorithm with seeded initial centroids drawn from the data.
 
     Initial centroids are a random sample (without replacement) of the
-    distinct input rows; if fewer than k distinct rows exist, k shrinks to
-    that count, which the returned centroids show. Iterates until
-    assignments stabilize or max_iters centroid updates have run; empty
-    clusters are re-seeded from the point farthest from the centroid it
-    was last assigned to. The returned labels are always nearest-centroid
-    optimal for the returned centroids.
+    distinct input rows; if fewer than k distinct rows exist, as with fewer
+    than k rows, k shrinks to that count, which the returned centroids
+    show; no rows at all is a DataError. Iterates until assignments
+    stabilize or max_iters centroid updates have run; empty clusters are
+    re-seeded from the point farthest from the centroid it was last
+    assigned to. The returned labels are always nearest-centroid optimal
+    for the returned centroids.
 
     An iteration redoes only what moved: the screen's centroid.point
     products are recomputed for the centroids whose bits changed, and the
@@ -190,8 +185,8 @@ def kmeans_cluster(vectors, k, max_iters, rng):
     """
     vectors = np.ascontiguousarray(vectors, dtype=np.float64)
     n = vectors.shape[0]
-    if n < k:
-        raise DataError(f"need at least k={k} patches, got {n}")
+    if n == 0:
+        raise DataError("cannot cluster an empty grid")
     distinct = distinct_rows(vectors)
     k = min(k, distinct.size)
     centroids = vectors[distinct[rng.choice(distinct.size, size=k, replace=False)]]

@@ -111,7 +111,10 @@ def sincos_position_encoding(rows, cols, dim):
     return np.concatenate([_sincos_1d(r, dim // 2), _sincos_1d(c, dim // 2)], axis=1)
 
 
-def toy_patch_embedding(grid, projection_seed, dim=64):
+EMBED_DIM = 64  # toy_patch_embedding's default width
+
+
+def toy_patch_embedding(grid, projection_seed, dim=EMBED_DIM):
     """Frozen random linear projection of patches plus positional codes.
 
     Desk-scale stand-in for a trained patch-embedding layer: the seeded

@@ -2,12 +2,14 @@
 
 SeedSequence pads a key with zeros, so a bare seed s would draw the stream of
 (s, 0, 0, 0), TRAIN_MASK's key for step 0 and image 0: each key names its namespace.
-A seed is one 32-bit word (check_seed): SeedSequence splits a larger integer into
-words, so (2**32, 20, 0) would draw the stream of (0, 1, 20)."""
+stream takes a seed of one 32-bit word alone (check_seed): SeedSequence splits a
+larger integer into words, so (2**32, 20, 0) would draw the stream of (0, 1, 20)."""
 
 from enum import IntEnum
 
 import numpy as np
+
+from .errors import ConfigError
 
 
 class Stream(IntEnum):
@@ -15,7 +17,6 @@ class Stream(IntEnum):
     TRAIN_SHAPE = 1  # (seed, 1, step)
     ENCODER = 2  # (seed, 2): the toy encoders' initial weights
     PROJECTION = 3  # (seed, 3): toy_patch_embedding's projection
-    CALIBRATE_DEFAULT = 4  # (0, 4): calibrate_threshold's draws without rng
     LAYOUT = 11  # (seed, 11, image): color_block_dataset
     TEXTURE = 12  # (seed, 12, color): color_block_dataset
     MASK = 20  # (seed, 20, image): patchmask mask
@@ -23,6 +24,14 @@ class Stream(IntEnum):
     CALIBRATE = 22  # (seed, 22): patchmask calibrate
 
 
+def check_seed(seed):
+    """Raise ConfigError unless seed is one 32-bit word, in [0, 2**32)."""
+    if not 0 <= seed < 2**32:
+        raise ConfigError(f"seed must lie in [0, 2**32), got {seed}")
+
+
 def stream(seed, namespace, *index):
-    """The Generator of the key (seed, namespace, *index)."""
+    """The Generator of the key (seed, namespace, *index); a seed that
+    check_seed rejects is a ConfigError."""
+    check_seed(seed)
     return np.random.default_rng((seed, namespace, *index))

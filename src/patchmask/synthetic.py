@@ -26,7 +26,19 @@ PALETTE = np.array(
 )
 
 
-def color_block_dataset(count, image_size, patch_size, n_colors=8, seed=0):
+def check_dataset(n_images, image_size, patch_size, n_colors):
+    """Raise ConfigError unless color_block_dataset can make this dataset."""
+    if n_images < 1:
+        raise ConfigError(f"n_images must be >= 1, got {n_images}")
+    if not 2 <= n_colors <= PALETTE.shape[0]:
+        raise ConfigError(f"n_colors must lie in [2, {PALETTE.shape[0]}], got {n_colors}")
+    if patch_size < 1 or image_size < patch_size or image_size % patch_size:
+        raise ConfigError(
+            f"patch_size must be >= 1 and divide image_size, got {patch_size} and {image_size}"
+        )
+
+
+def color_block_dataset(n_images, image_size, patch_size, n_colors=8, *, seed):
     """Images of textured color blocks with caption token-bag counts.
 
     Each patch-sized block is painted with one of 2-3 palette colors
@@ -34,16 +46,9 @@ def color_block_dataset(count, image_size, patch_size, n_colors=8, seed=0):
     same-color blocks are identical vectors. The token bag over the color
     vocabulary counts how many blocks show each color.
 
-    Returns (images, bags) with bags of shape (count, n_colors).
+    Returns (images, bags) with bags of shape (n_images, n_colors).
     """
-    if count < 1:
-        raise ConfigError(f"count must be >= 1, got {count}")
-    if not 2 <= n_colors <= PALETTE.shape[0]:
-        raise ConfigError(f"n_colors must lie in [2, {PALETTE.shape[0]}], got {n_colors}")
-    if patch_size < 1 or image_size < patch_size or image_size % patch_size:
-        raise ConfigError(
-            f"patch_size must be >= 1 and divide image_size, got {patch_size} and {image_size}"
-        )
+    check_dataset(n_images, image_size, patch_size, n_colors)
     blocks = image_size // patch_size
 
     textures = []
@@ -52,8 +57,8 @@ def color_block_dataset(count, image_size, patch_size, n_colors=8, seed=0):
         t = (t - t.mean()) / max(t.std(), 1e-12)
         textures.append(t)
 
-    images, bags = [], np.zeros((count, n_colors))
-    for i in range(count):
+    images, bags = [], np.zeros((n_images, n_colors))
+    for i in range(n_images):
         rng = stream(seed, Stream.LAYOUT, i)
         present = rng.choice(n_colors, size=int(rng.integers(2, 4)), replace=False)
         layout = present[rng.integers(0, present.size, size=(blocks, blocks))]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batch_shaping import mask_batch
+from .batch_shaping import check_beta, mask_batch
 from .cluster_masker import PreparedImage, mask_ratio
 from .errors import ConfigError, ConvergenceError, DataError
 from .patch_grid import patchify
@@ -34,7 +34,7 @@ class TrainState:
 
     def __post_init__(self):
         if self.epoch_total <= 0:
-            raise ConfigError(f"epoch_total must be positive, got {self.epoch_total}")
+            raise ConfigError(f"epochs must be positive, got {self.epoch_total}")
         if not 0 <= self.epoch_current <= self.epoch_total:
             raise ConfigError(
                 f"epoch_current must lie in [0, {self.epoch_total}], got {self.epoch_current}"
@@ -199,6 +199,26 @@ def train_step(encoders, prepared, bags, config, state, beta, learning_rate):
     return updated, StepResult(loss=loss, alpha=inputs.alpha, mean_mask_ratio=inputs.mean_mask_ratio)
 
 
+def check_train(n_images, epochs, beta, learning_rate, embed_dim, steps_per_epoch,
+                alpha_exponent, temperature):
+    """Raise ConfigError unless train_loop can run over n_images images
+    with these settings, and return the run's first TrainState.
+
+    These are train_loop's checks, beta's among them, which shape_batch
+    would reach only at the first step; they read no image, so a caller
+    can run them before it makes any data."""
+    if steps_per_epoch < 1:
+        raise ConfigError(f"steps_per_epoch must be >= 1, got {steps_per_epoch}")
+    if embed_dim < 1:
+        raise ConfigError(f"embed_dim must be >= 1, got {embed_dim}")
+    if not learning_rate > 0.0:
+        raise ConfigError(f"learning_rate must be positive, got {learning_rate}")
+    if n_images < 2:
+        raise ConfigError(f"InfoNCE needs at least 2 images, got {n_images}")
+    check_beta(beta)
+    return TrainState(epoch_total=epochs, alpha_exponent=alpha_exponent, temperature=temperature)
+
+
 def train_loop(
     images,
     bags,
@@ -225,24 +245,13 @@ def train_loop(
     embedding and each cosine row the first time a mask reads them and
     keeps them, so over the run none of these is computed twice.
 
-    A step whose loss is not finite, as after a learning rate large enough
-    to overflow the weights, raises ConvergenceError, and so do non-finite
-    weights after the last step (earlier ones make the next step's loss
-    non-finite).
+    The settings are checked first, by check_train. A step whose loss is
+    not finite, as after a learning rate large enough to overflow the
+    weights, raises ConvergenceError, and so do non-finite weights after
+    the last step (earlier ones make the next step's loss non-finite).
     """
-    if steps_per_epoch < 1:
-        raise ConfigError(f"steps_per_epoch must be >= 1, got {steps_per_epoch}")
-    if embed_dim < 1:
-        raise ConfigError(f"embed_dim must be >= 1, got {embed_dim}")
-    if not learning_rate > 0.0:
-        raise ConfigError(f"learning_rate must be positive, got {learning_rate}")
-    if len(images) < 2:
-        raise ConfigError(f"InfoNCE needs at least 2 images, got {len(images)}")
-    state = TrainState(
-        epoch_total=epochs,
-        alpha_exponent=alpha_exponent,
-        temperature=temperature,
-    )
+    state = check_train(len(images), epochs, beta, learning_rate, embed_dim, steps_per_epoch,
+                        alpha_exponent, temperature)
     bags = np.asarray(bags, dtype=np.float64)
     prepared = [PreparedImage(patchify(image, patch_size), config.seed) for image in images]
     encoders = init_encoders(prepared[0].grid.patch_dim, bags.shape[1], embed_dim, config.seed)

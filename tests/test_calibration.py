@@ -7,14 +7,19 @@ from conftest import cluster_mask, full_cosine, random_similarity
 from test_cluster_masker import brute_force_members
 from patchmask._kernels import reach_row
 from patchmask.calibration import (
-    R_MAX,
-    R_MIN,
     CalibrationReport,
     calibrate_threshold,
     draw_anchor_sets,
     mean_mask_ratio,
 )
-from patchmask.cluster_masker import cluster_mask_from_anchors, draw_anchors, mask_ratio
+from patchmask.cluster_masker import (
+    THRESHOLD_MAX,
+    THRESHOLD_MIN,
+    MaskerConfig,
+    cluster_mask_from_anchors,
+    draw_anchors,
+    mask_ratio,
+)
 from patchmask.errors import ConfigError, ConvergenceError, DataError
 
 
@@ -59,9 +64,8 @@ def reference_calibrate_threshold(sample, anchor_ratio, target_ratio, tolerance,
             f"{anchors_only:.4f} of the sample"
         )
 
-    lo, hi = R_MIN, R_MAX
+    lo, hi = THRESHOLD_MIN, THRESHOLD_MAX
     trace = []
-    mid = (lo + hi) / 2.0
     for _ in range(max_iters):
         mid = (lo + hi) / 2.0
         mean = reference_mean_mask_ratio(sample, anchor_sets, mid)
@@ -161,7 +165,7 @@ class TestCalibrateThreshold:
         sample = small_sample(rng, count=60)
         report = calibrate_threshold(
             sample, anchor_ratio=0.1, target_ratio=0.5, tolerance=0.05,
-            rng=np.random.default_rng(3),
+            rng=np.random.default_rng(3), lengths=lengths_of(sample),
         )
         assert report.converged
         assert abs(report.achieved_ratio - 0.5) <= 0.05
@@ -175,7 +179,8 @@ class TestCalibrateThreshold:
     def test_trace_is_monotone_in_r(self, rng):
         sample = small_sample(rng)
         report = calibrate_threshold(
-            sample, 0.1, 0.4, tolerance=0.01, rng=np.random.default_rng(0)
+            sample, 0.1, 0.4, tolerance=0.01, rng=np.random.default_rng(0),
+            lengths=lengths_of(sample),
         )
         by_r = sorted(report.trace)
         ratios = [m for _, m in by_r]
@@ -183,17 +188,20 @@ class TestCalibrateThreshold:
 
     def test_reproducible_report(self, rng):
         sample = small_sample(rng)
-        first = calibrate_threshold(sample, 0.1, 0.5, rng=np.random.default_rng(8))
-        second = calibrate_threshold(sample, 0.1, 0.5, rng=np.random.default_rng(8))
+        lengths = lengths_of(sample)
+        first = calibrate_threshold(sample, 0.1, 0.5, rng=np.random.default_rng(8), lengths=lengths)
+        second = calibrate_threshold(sample, 0.1, 0.5, rng=np.random.default_rng(8),
+                                     lengths=lengths)
         assert first == second
 
     def test_found_r_in_search_interval(self, rng):
         sample = small_sample(rng)
         for target in (0.2, 0.5, 0.8):
             report = calibrate_threshold(
-                sample, 0.1, target, tolerance=0.02, rng=np.random.default_rng(1)
+                sample, 0.1, target, tolerance=0.02, rng=np.random.default_rng(1),
+                lengths=lengths_of(sample),
             )
-            assert R_MIN <= report.found_r <= R_MAX
+            assert THRESHOLD_MIN <= report.found_r <= THRESHOLD_MAX
 
     def test_unreachable_target(self, rng):
         # L=10 at anchor_ratio 0.25 rounds up to 3 anchors: the floor is a
@@ -202,29 +210,52 @@ class TestCalibrateThreshold:
         with pytest.raises(ConvergenceError):
             calibrate_threshold(
                 sample, anchor_ratio=0.25, target_ratio=0.26, tolerance=1e-6,
-                max_iters=5, rng=np.random.default_rng(0),
+                max_iters=5, rng=np.random.default_rng(0), lengths=lengths_of(sample),
             )
 
     def test_precondition_errors(self, rng):
         sample = small_sample(rng, count=2)
+        keys = {"rng": np.random.default_rng(0), "lengths": lengths_of(sample)}
         with pytest.raises(ConfigError):
-            calibrate_threshold([], 0.1, 0.5, rng=np.random.default_rng(0))
+            calibrate_threshold([], 0.1, 0.5, rng=np.random.default_rng(0), lengths=[])
         with pytest.raises(ConfigError):
-            calibrate_threshold(sample, 0.1, 1.2, rng=np.random.default_rng(0))
+            calibrate_threshold(sample, 0.1, 1.2, **keys)
         with pytest.raises(ConfigError):
-            calibrate_threshold(sample, 0.1, 0.5, tolerance=0.0, rng=np.random.default_rng(0))
+            calibrate_threshold(sample, 0.1, 0.5, tolerance=0.0, **keys)
         with pytest.raises(ConfigError):
-            calibrate_threshold(sample, 0.1, 0.5, tolerance=float("nan"))
+            calibrate_threshold(sample, 0.1, 0.5, tolerance=float("nan"), **keys)
         with pytest.raises(ConfigError):
-            calibrate_threshold(sample, 0.1, 0.5, max_iters=0)
+            calibrate_threshold(sample, 0.1, 0.5, max_iters=0, **keys)
         with pytest.raises(ConfigError):
-            calibrate_threshold(sample, 0.7, 0.9)
+            calibrate_threshold(sample, 0.7, 0.9, **keys)
+
+    def test_rng_and_lengths_are_required(self, rng):
+        # no hidden default stream, and no path that reads the sample into
+        # a list to learn its lengths
+        sample = small_sample(rng, count=2)
+        with pytest.raises(TypeError, match="rng"):
+            calibrate_threshold(sample, 0.1, 0.5, lengths=lengths_of(sample))
+        with pytest.raises(TypeError, match="lengths"):
+            calibrate_threshold(sample, 0.1, 0.5, rng=np.random.default_rng(0))
+
+    def test_bisection_bracket_is_the_threshold_range(self, rng):
+        # the bracket's ends are the extreme thresholds a config accepts
+        MaskerConfig(threshold_r=THRESHOLD_MIN)
+        MaskerConfig(threshold_r=THRESHOLD_MAX)
+        for outside in (np.nextafter(THRESHOLD_MIN, -2.0), np.nextafter(THRESHOLD_MAX, 2.0)):
+            with pytest.raises(ConfigError, match=r"\[-1, 1.05\]"):
+                MaskerConfig(threshold_r=float(outside))
+        sample = small_sample(rng, count=4)
+        report = calibrate_threshold(sample, 0.1, 0.5, max_iters=1,
+                                     rng=np.random.default_rng(0), lengths=lengths_of(sample))
+        assert report.trace[0][0] == (THRESHOLD_MIN + THRESHOLD_MAX) / 2.0
 
     def test_report_json_fields(self, rng):
         import json
 
+        sample = small_sample(rng)
         report = calibrate_threshold(
-            small_sample(rng), 0.1, 0.5, rng=np.random.default_rng(2)
+            sample, 0.1, 0.5, rng=np.random.default_rng(2), lengths=lengths_of(sample)
         )
         payload = json.loads(report.to_json())
         assert set(payload) == {
@@ -235,25 +266,27 @@ class TestCalibrateThreshold:
 
     def test_lengths_must_match_the_sample(self, rng):
         sample = small_sample(rng, count=3, length=9)
+        draws = np.random.default_rng(0)
         with pytest.raises(DataError, match=r"must have shape \(8, d\)"):
-            calibrate_threshold(sample, 0.1, 0.5, lengths=[9, 8, 9])
+            calibrate_threshold(sample, 0.1, 0.5, rng=draws, lengths=[9, 8, 9])
         with pytest.raises(DataError, match="2 of 3"):
-            calibrate_threshold(iter(sample[:2]), 0.1, 0.5, lengths=[9, 9, 9])
+            calibrate_threshold(iter(sample[:2]), 0.1, 0.5, rng=draws, lengths=[9, 9, 9])
         with pytest.raises(DataError, match="more than 2"):
-            calibrate_threshold(iter(sample), 0.1, 0.5, lengths=[9, 9])
+            calibrate_threshold(iter(sample), 0.1, 0.5, rng=draws, lengths=[9, 9])
         with pytest.raises(DataError, match=r"must have shape \(9, d\)"):
-            calibrate_threshold([np.zeros(9)], 0.1, 0.5)
+            calibrate_threshold([np.zeros(9)], 0.1, 0.5, rng=draws, lengths=[9])
 
     @pytest.mark.parametrize("shape", [(0, 3), (0, 0)])
     def test_an_image_of_no_patches_is_a_data_error(self, rng, shape):
         # checked before the anchor draw, which cannot draw from no patches
+        draws = np.random.default_rng(0)
         with pytest.raises(DataError, match="patch vectors 0 must hold at least one patch"):
-            calibrate_threshold([np.zeros(shape)], 0.1, 0.5)
+            calibrate_threshold([np.zeros(shape)], 0.1, 0.5, rng=draws, lengths=[0])
         sample = small_sample(rng, count=2) + [np.zeros(shape)]
         with pytest.raises(DataError, match="patch vectors 2 must hold at least one patch"):
-            calibrate_threshold(sample, 0.1, 0.5)
+            calibrate_threshold(sample, 0.1, 0.5, rng=draws, lengths=lengths_of(sample))
         with pytest.raises(DataError, match="patch vectors 1 must hold at least one patch"):
-            calibrate_threshold(iter(sample[1:]), 0.1, 0.5, lengths=[36, 0])
+            calibrate_threshold(iter(sample[1:]), 0.1, 0.5, rng=draws, lengths=[36, 0])
 
 
 class TestReferenceEquality:
@@ -271,12 +304,9 @@ class TestReferenceEquality:
         sample = mixed_sample(np.random.default_rng((seed, 5)))
         expected = reference_calibrate_threshold(
             sample, anchor_ratio, target, tolerance, max_iters, np.random.default_rng(seed))
-        from_list = calibrate_threshold(
-            sample, anchor_ratio, target, tolerance, max_iters, np.random.default_rng(seed))
         streamed = calibrate_threshold(
             (sim for sim in sample), anchor_ratio, target, tolerance, max_iters,
-            np.random.default_rng(seed), lengths=lengths_of(sample))
-        assert from_list.to_json() == expected.to_json()
+            rng=np.random.default_rng(seed), lengths=lengths_of(sample))
         assert streamed.to_json() == expected.to_json()
         if max_iters == 3:
             assert not expected.converged
@@ -287,6 +317,6 @@ class TestReferenceEquality:
         with pytest.raises(ConvergenceError) as expected:
             reference_calibrate_threshold(sample, *args, np.random.default_rng(4))
         with pytest.raises(ConvergenceError) as streamed:
-            calibrate_threshold(iter(sample), *args, np.random.default_rng(4),
+            calibrate_threshold(iter(sample), *args, rng=np.random.default_rng(4),
                                 lengths=lengths_of(sample))
         assert str(streamed.value) == str(expected.value)

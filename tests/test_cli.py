@@ -18,17 +18,17 @@ from conftest import (
 )
 from patchmask import cli
 from patchmask.batch_shaping import mask_batch
-from patchmask.calibration import calibrate_threshold, draw_anchor_sets
+from patchmask.calibration import draw_anchor_sets
 from patchmask.cli import _CALIBRATE, _DATASET, _MASK, _TRAIN, main
 from patchmask.cluster_masker import (
     Mask, MaskerConfig, PreparedImage, anchor_count, mask_image, mask_ratio,
 )
 from patchmask.patch_grid import Image, patchify, pixel_normalize
-from patchmask.errors import DataError
+from patchmask.errors import ConfigError, DataError
 from patchmask.pnm import load_image, load_patches, parse_pnm, save_image
 from patchmask.render import render_mask
 from patchmask.similarity import cosine_matrix
-from patchmask.streams import Stream
+from patchmask.streams import Stream, stream
 
 
 @pytest.fixture
@@ -115,6 +115,16 @@ class TestMaskCommand:
         assert run_cli([*args, "--out", tmp_path / "in"]) == 0
         masks = (tmp_path / "sub" / "masks.txt").read_text()
         assert masks == (tmp_path / "in" / "masks.txt").read_text()
+
+    def test_kmeans_with_fewer_patches_than_k(self, tmp_path):
+        # one 32x32 image at the default P=16 has 4 patches, fewer than the
+        # default k=12: k shrinks to 4 and ceil(0.5 * 4) = 2 clusters are masked
+        images = tmp_path / "imgs"
+        images.mkdir()
+        save_image(smoothed_noise_images(1, 32, 32, 3, seed=2)[0], images / "a.ppm")
+        out = tmp_path / "out"
+        assert run_cli(["mask", "--in", images, "--out", out, "--strategy", "kmeans"]) == 0
+        assert (out / "masks.txt").read_text().count("1") == 2
 
     def test_dump_sim_writes_tsv(self, image_dir, tmp_path):
         out = tmp_path / "out"
@@ -527,9 +537,41 @@ class TestTrainCommand:
         assert captured.out == ""
         assert captured.err == "convergence failure: weights are not finite after step 0\n"
 
+    @pytest.mark.parametrize("config", [
+        {"embed_dim": 10**20},
+        {"embed_dim": 2**62},
+        {"dataset": {"image_size": 10**12, "patch_size": 8}},
+        {"dataset": {"n_images": 2**40}},
+        # each image fits the address space, its L x L cosine rows do not
+        {"dataset": {"image_size": 2**16, "patch_size": 1, "n_images": 2}},
+    ], ids=["embed-dim-past-intp", "embed-dim-2-62", "image-size-1e12", "n-images-2-40",
+            "cosine-rows-2-64"])
+    def test_unaddressable_array_is_data_error(self, tmp_path, capsys, config):
+        # numpy raises ValueError, not MemoryError, for an array of more bytes
+        # than an intp holds; the run is refused before any array is made
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "log"
+        assert run_cli(["train", "--config", path, "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1
+        assert "exceeds the address space" in err
+        assert not out.exists()
+
+    def test_kmeans_with_fewer_patches_than_k(self, tmp_path):
+        # 32x32 images at P=16 have 4 patches, fewer than the default k=12
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "strategy": "kmeans", "epochs": 2,
+            "dataset": {"n_images": 4, "image_size": 32, "patch_size": 16},
+        }))
+        out = tmp_path / "log"
+        assert run_cli(["train", "--config", config, "--out", out]) == 0
+        assert len((out / "train_log.csv").read_text().splitlines()) == 3
+
     def test_out_of_memory_is_data_error(self, tmp_path, capsys):
-        # 10**12 x 192 float64 weights exceed the address space, so the
-        # allocation fails before anything is allocated
+        # 10**12 x 192 float64 weights (1.5 PB) can be addressed but not
+        # allocated, so the allocation fails before anything is allocated
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"embed_dim": 10**12}))
         assert run_cli(["train", "--config", config, "--out", tmp_path / "log"]) == 3
@@ -538,10 +580,9 @@ class TestTrainCommand:
 
 
 def test_every_stream_key_seeds_its_own_stream(image_dir, tmp_path, monkeypatch):
-    # every key that mask, calibrate and train runs and calibrate_threshold's
-    # default draw must give a state of its own (the rule is in
-    # patchmask.streams), and every namespace of the table is drawn from
-    sample = [np.arange(36.0).reshape(9, 4) % 5]
+    # every key that mask, calibrate and train runs must give a state of its
+    # own (the rule is in patchmask.streams), and every namespace of the
+    # table is drawn from
     keys = set()
     default_rng = np.random.default_rng
 
@@ -562,12 +603,25 @@ def test_every_stream_key_seeds_its_own_stream(image_dir, tmp_path, monkeypatch)
         assert run_cli(["calibrate", "--in", image_dir, "--patch-size", "8",
                         "--seed", seed]) in (0, 4)
         assert run_cli(["train", "--config", config, "--out", out, "--seed", seed]) == 0
-    calibrate_threshold(sample, 0.1, 0.5)
     namespaces = {key[1] for key in keys if len(key) > 1}
     assert namespaces == set(Stream)
     assert _NS_IMAGE not in set(Stream)  # the test images' namespace
     states = {tuple(np.random.SeedSequence(key).generate_state(4).tolist()) for key in keys}
     assert len(states) == len(keys)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**32, 2**64])
+def test_stream_rejects_a_seed_outside_one_32_bit_word(seed):
+    # SeedSequence splits a larger seed into words: (2**32, 20, 0) would
+    # draw (0, 1, 20), train's shape stream for seed 0 at step 20
+    with pytest.raises(ConfigError, match=r"seed must lie in \[0, 2\*\*32\)"):
+        stream(seed, Stream.MASK, 0)
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, np.uint32(2**32 - 1)])
+def test_stream_takes_every_32_bit_seed(seed):
+    expected = np.random.default_rng((int(seed), Stream.MASK, 0)).random()
+    assert stream(seed, Stream.MASK, 0).random() == expected
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -641,6 +695,12 @@ class TestConfigErrors:
             ("mask", {}, ["--in", "/nonexistent", "--seed", "4294967296"]),
             ("calibrate", {}, ["--in", "/nonexistent", "--seed", "4294967296"]),
             ("train", {}, ["--seed", "4294967296"]),
+            # every train setting is checked before the dataset is made
+            ("train", {"learning_rate": -1, "dataset": {"n_images": 10**12}}, []),
+            ("train", {"beta": 1.5, "dataset": {"n_images": 10**12}}, []),
+            ("train", {"epochs": 0, "dataset": {"n_images": 10**12}}, []),
+            ("train", {"dataset": {"n_images": 1, "image_size": 10**12}}, []),
+            ("train", {"embed_dim": 10**20, "dataset": {"patch_size": 3}}, []),
         ],
     )
     def test_bad_value_exits_2(self, image_dir, tmp_path, capsys, command, config, flags):
@@ -654,6 +714,17 @@ class TestConfigErrors:
         assert run_cli(args) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("config, message", [
+        ({"dataset": {"n_images": 0}}, "n_images must be >= 1, got 0"),
+        ({"dataset": {"n_images": 1}}, "InfoNCE needs at least 2 images, got 1"),
+        ({"epochs": 0}, "epochs must be positive, got 0"),
+    ])
+    def test_train_errors_name_the_config_key(self, tmp_path, capsys, config, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert run_cli(["train", "--config", path, "--out", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     def test_the_largest_seed_is_accepted(self, image_dir, tmp_path):
         seed = str(2**32 - 1)

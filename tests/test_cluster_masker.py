@@ -182,8 +182,20 @@ class TestKMeansMask:
         assert ceil_count(0.5 * 12) == 6 and ceil_count(0.5 * 7) == 4
 
     def test_fewer_points_than_k(self, rng):
-        with pytest.raises(DataError):
-            kmeans_cluster(rng.standard_normal((3, 2)), 5, 10, rng)
+        # k shrinks to the count of distinct points, as for a flat image
+        points = rng.standard_normal((3, 2))
+        labels, centroids = kmeans_cluster(points, 5, 10, np.random.default_rng(1))
+        assert centroids.shape == (3, 2)
+        assert sorted(labels.tolist()) == [0, 1, 2]
+        np.testing.assert_array_equal(centroids[labels], points)
+        ref_labels, ref_centroids, _ = frozen_kmeans_cluster(points, 5, 10, np.random.default_rng(1))
+        np.testing.assert_array_equal(labels, ref_labels)
+        np.testing.assert_array_equal(centroids, ref_centroids)
+
+    @pytest.mark.parametrize("shape", [(0, 2), (0, 0)])
+    def test_no_points_is_a_data_error(self, shape):
+        with pytest.raises(DataError, match="empty grid"):
+            kmeans_cluster(np.zeros(shape), 5, 10, np.random.default_rng(0))
 
 
 def frozen_kmeans_cluster(vectors, k, max_iters, rng):
@@ -274,6 +286,22 @@ class TestKMeansRegression:
         assert len(calls) == updates + 1
         if name in ("flat", "blocks"):
             assert centroids.shape[0] < 12
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_fewer_patches_than_k_matches_frozen_kmeans(self, seed):
+        # a 32x32 image at P=16 has 4 patches, fewer than the default k=12
+        data = smoothed_noise_images(1, 32, 32, 3, seed=seed)[0].data
+        grid = pixel_normalize(patchify(Image(data=data), 16))
+        mask, labels, centroids, chosen = kmeans_mask_detail(
+            grid.patches, 12, 10, 0.5, np.random.default_rng(seed)
+        )
+        ref_labels, ref_centroids, ref_chosen, _ = frozen_kmeans_mask_detail(
+            grid.patches, 12, 10, 0.5, np.random.default_rng(seed)
+        )
+        assert centroids.shape[0] == 4 and chosen.size == 2
+        np.testing.assert_array_equal(labels, ref_labels)
+        np.testing.assert_array_equal(chosen, ref_chosen)
+        np.testing.assert_array_equal(mask.masked, np.isin(ref_labels, ref_chosen))
 
 
 def reseeding_case(seed):

@@ -2,8 +2,8 @@
 test as a failure with its falsifying example, not as an internal error,
 the pipeline benchmark's timing shims still fit the package, the hot
 kernels allocate no array of the size of their input beyond their output,
-every random stream is seeded through patchmask.streams, and the README's
-table of config keys is the CLI's."""
+every random stream is seeded through patchmask.streams with its caller's
+seed, and the README's table of config keys is the CLI's."""
 
 import ast
 import importlib
@@ -46,10 +46,33 @@ SPANS = Path(__file__).resolve().parents[1] / "pipebench" / "spans.py"
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "patchmask"
 
 
+def _literal_seeds(tree):
+    """Line numbers of the stream(...) calls in tree whose seed is a literal."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        seeds = node.args[:1] + [kw.value for kw in node.keywords if kw.arg == "seed"]
+        # a seed that names no variable, such as 0 or 2**32, is a literal
+        literal = [seed for seed in seeds
+                   if not any(isinstance(n, ast.Name) for n in ast.walk(seed))]
+        if name == "stream" and literal:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_literal_seeds_are_found():
+    tree = ast.parse("stream(0, Stream.MASK)\npm.stream(-1, 4)\nstream(seed=2**32, namespace=4)\n"
+                     "stream(seed, Stream.MASK)\nstream(*key, 0)\nother(0, 4)\n")
+    assert _literal_seeds(tree) == [1, 2, 3]
+
+
 def test_every_stream_is_seeded_through_the_table():
     # streams.py holds the one table of namespaces and the one call of
     # default_rng; a namespace constant or a default_rng elsewhere would
-    # be a second source of truth for some stream's key
+    # be a second source of truth for some stream's key, and a stream
+    # drawn from a literal seed would be one its caller's seed never moves
     modules = sorted(PACKAGE.glob("*.py"))
     assert "streams.py" in [path.name for path in modules]
     for path in modules:
@@ -70,6 +93,7 @@ def test_every_stream_is_seeded_through_the_table():
             elif isinstance(node, (ast.Import, ast.ImportFrom)):
                 defined |= {alias.asname or alias.name for alias in node.names}
         assert not [name for name in defined if name.startswith("_NS_")], path.name
+        assert not _literal_seeds(tree), (path.name, _literal_seeds(tree))
 
 
 def load_spans():
