@@ -23,9 +23,6 @@ from .cluster_masker import THRESHOLD_MAX, THRESHOLD_MIN, check_anchor_ratio, dr
 from .errors import ConfigError, ConvergenceError, DataError
 from .similarity import CosineRows
 
-DEFAULT_TOLERANCE = 0.02
-DEFAULT_MAX_ITERS = 40
-
 
 @dataclass
 class CalibrationReport:
@@ -95,8 +92,8 @@ def mean_mask_ratio(reach_rows, r):
     return total / len(reach_rows)
 
 
-def calibrate_threshold(sample, anchor_ratio, target_ratio, tolerance=DEFAULT_TOLERANCE,
-                        max_iters=DEFAULT_MAX_ITERS, *, rng, lengths):
+def calibrate_threshold(sample, anchor_ratio, target_ratio, tolerance=0.02, max_iters=40, *,
+                        rng, lengths):
     """Bisect the similarity threshold until the sample's mean mask ratio
     matches target_ratio.
 
@@ -110,11 +107,14 @@ def calibrate_threshold(sample, anchor_ratio, target_ratio, tolerance=DEFAULT_TO
     Anchor sets are drawn once and held fixed, making the objective a
     deterministic monotone step function of r; bisection stops once the
     frozen-anchor objective is within tolerance/2 of the target (leaving
-    margin for re-sampling noise) or after max_iters evaluations. The
-    reported achieved_ratio comes from an independent fresh-anchor pass at
-    the found threshold, and the converged flag reflects that fresh pass.
-    The fresh sets are drawn right after the frozen ones; the bisection
-    draws nothing, so they are the sets a draw after it would give.
+    margin for re-sampling noise), once the midpoint is an end of the
+    bracket (whose ends are then adjacent doubles), or after max_iters
+    evaluations. The reported achieved_ratio comes from an independent
+    fresh-anchor pass at the found threshold, and the converged flag
+    reflects that fresh pass. The fresh sets are drawn right after the
+    frozen ones; the bisection draws nothing, so they are the sets a draw
+    after it would give. The defaults are `patchmask calibrate`'s; the CLI
+    reads them from here.
 
     Raises ConvergenceError, once the whole sample has been read, when the
     target sits below the anchors-only ratio, which no threshold can reach.
@@ -142,7 +142,8 @@ def calibrate_threshold(sample, anchor_ratio, target_ratio, tolerance=DEFAULT_TO
         mid = (lo + hi) / 2.0
         mean = mean_mask_ratio(frozen_rows, mid)
         trace.append((mid, mean))
-        if abs(mean - target_ratio) <= tolerance / 2.0:
+        # once mid is an end of the bracket, every later mid would be it
+        if abs(mean - target_ratio) <= tolerance / 2.0 or mid in (lo, hi):
             break
         if mean > target_ratio:
             lo = mid

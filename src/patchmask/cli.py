@@ -6,11 +6,17 @@ of memory included), 4 convergence failure.
 A JSON config file (--config) may set any of a command's config keys;
 a flag given on the command line wins over the file. README.md's CLI
 section lists each command's keys and flags; here the tables _MASK,
-_CALIBRATE and _TRAIN below declare them.
+_CALIBRATE and _TRAIN below declare the keys, and _add_flags makes the
+flags from them. Each default is written once: the tables read the
+library's from MaskerConfig's fields and from the signatures of
+calibrate_threshold, train_loop and color_block_dataset, and hold only
+those of the keys no library function defaults (beta, patch_size, alpha,
+render, target, sample_size).
 """
 
 import argparse
 import dataclasses
+import inspect
 import json
 import math
 import sys
@@ -18,7 +24,7 @@ from itertools import repeat
 from pathlib import Path
 
 from .batch_shaping import check_beta, mask_batch
-from .calibration import DEFAULT_MAX_ITERS, DEFAULT_TOLERANCE, calibrate_threshold, check_search
+from .calibration import calibrate_threshold, check_search
 from .cluster_masker import Mask, MaskerConfig, PreparedImage, Strategy
 from .errors import ConfigError, ConvergenceError, DataError
 from .patch_grid import check_patch_size, grid_shape, pixel_normalize, unpatchify
@@ -95,29 +101,32 @@ def _options(args, config, defaults):
     return options
 
 
+def _keyword_defaults(fn):
+    """{name: default} of fn's parameters that have a default, in order."""
+    parameters = inspect.signature(fn).parameters.values()
+    return {p.name: p.default for p in parameters if p.default is not p.empty}
+
+
 # One table per command, from config key to default: the only place that
-# names a command's config keys.
+# names a command's config keys. Their order is the order the keys are
+# checked in, and the order of the commands' flags.
 _MASKER = {field.name: field.default for field in dataclasses.fields(MaskerConfig)}
 _MASK = {**_MASKER, "beta": 0.5, "patch_size": 16, "alpha": 1.0, "render": False}
 _CALIBRATE = {
     **{key: _MASK[key] for key in ("anchor_ratio", "patch_size", "seed")},
     "target": 0.5,
-    "tolerance": DEFAULT_TOLERANCE,
-    "max_iters": DEFAULT_MAX_ITERS,
+    **_keyword_defaults(calibrate_threshold),  # tolerance, max_iters
     "sample_size": 1024,
 }
 # keyword arguments of train_loop
-_TRAIN_LOOP = {
-    "beta": _MASK["beta"],
-    "epochs": 20,
-    "steps_per_epoch": 1,
-    "learning_rate": 0.5,
-    "temperature": 0.07,
-    "alpha_exponent": 1.0,
-    "embed_dim": 16,
-}
-_DATASET = {"n_images": 16, "image_size": 32, "patch_size": 8, "n_colors": 8}
+_TRAIN_LOOP = {"beta": _MASK["beta"], **_keyword_defaults(train_loop)}
+_DATASET = _keyword_defaults(color_block_dataset)
 _TRAIN = {**_MASKER, **_TRAIN_LOOP, "dataset": _DATASET}
+# the flags that are not their key with dashes, and the help lines
+_RENAMED = {"threshold_r": "--threshold", "kmeans_max_iters": "--kmeans-iters",
+            "kmeans_mask_fraction": "--kmeans-fraction", "random_mask_ratio": "--random-ratio"}
+_HELP = {"alpha": "pixel-cosine weight for the cluster-embedding strategy",
+         "render": "write mask overlay images"}
 
 
 def _input_paths(directory, limit=None):
@@ -307,6 +316,21 @@ def _cmd_stats(args):
     return 0
 
 
+def _add_flags(parser, table):
+    """One option flag per key of table, in its order, typed by the key's
+    default. A flag not given is None, so the key falls back to the config
+    file and then to the default (_options)."""
+    for key, default in table.items():
+        if isinstance(default, Strategy):
+            kind = {"choices": [s.value for s in Strategy]}
+        elif isinstance(default, bool):
+            kind = {"action": "store_true", "default": None}
+        else:
+            kind = {"type": type(default)}
+        flag = _RENAMED.get(key, "--" + key.replace("_", "-"))
+        parser.add_argument(flag, dest=key, help=_HELP.get(key), **kind)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="patchmask",
@@ -318,41 +342,21 @@ def build_parser():
     mask.add_argument("--in", dest="in_dir", required=True, help="input image directory")
     mask.add_argument("--out", dest="out_dir", required=True, help="output directory")
     mask.add_argument("--config", help="JSON config file (flags override)")
-    mask.add_argument("--strategy", choices=[s.value for s in Strategy])
-    mask.add_argument("--anchor-ratio", dest="anchor_ratio", type=float)
-    mask.add_argument("--threshold", dest="threshold_r", type=float)
-    mask.add_argument("--kmeans-k", dest="kmeans_k", type=int)
-    mask.add_argument("--kmeans-iters", dest="kmeans_max_iters", type=int)
-    mask.add_argument("--kmeans-fraction", dest="kmeans_mask_fraction", type=float)
-    mask.add_argument("--random-ratio", dest="random_mask_ratio", type=float)
-    mask.add_argument("--beta", type=float)
-    mask.add_argument("--patch-size", dest="patch_size", type=int)
-    mask.add_argument("--alpha", type=float,
-                      help="pixel-cosine weight for the cluster-embedding strategy")
-    mask.add_argument("--seed", type=int)
-    mask.add_argument("--render", action="store_true", default=None,
-                      help="write mask overlay images")
+    _add_flags(mask, _MASK)
     mask.add_argument("--dump-sim", action="store_true", help="write similarity TSVs")
     mask.set_defaults(func=_cmd_mask)
 
     cal = sub.add_parser("calibrate", help="search the similarity threshold")
     cal.add_argument("--in", dest="in_dir", required=True, help="input image directory")
     cal.add_argument("--config", help="JSON config file (flags override)")
-    cal.add_argument("--target", type=float)
-    cal.add_argument("--anchor-ratio", dest="anchor_ratio", type=float)
-    cal.add_argument("--tolerance", type=float)
-    cal.add_argument("--max-iters", dest="max_iters", type=int)
-    cal.add_argument("--patch-size", dest="patch_size", type=int)
-    cal.add_argument("--sample-size", dest="sample_size", type=int)
-    cal.add_argument("--seed", type=int)
+    _add_flags(cal, _CALIBRATE)
     cal.add_argument("--calibration-out", dest="calibration_out", help="write report JSON here")
     cal.set_defaults(func=_cmd_calibrate)
 
     train = sub.add_parser("train", help="run the toy contrastive trainer")
     train.add_argument("--config", help="JSON config file (flags override)")
-    train.add_argument("--epochs", type=int)
     train.add_argument("--out", dest="out_dir", required=True, help="log directory")
-    train.add_argument("--seed", type=int)
+    _add_flags(train, {key: _TRAIN[key] for key in ("epochs", "seed")})
     train.set_defaults(func=_cmd_train)
 
     stats = sub.add_parser("stats", help="summarize a masks.txt file")

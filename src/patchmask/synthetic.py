@@ -38,15 +38,16 @@ def check_dataset(n_images, image_size, patch_size, n_colors):
         )
 
 
-def color_block_dataset(n_images, image_size, patch_size, n_colors=8, *, seed):
+def color_block_dataset(n_images=16, image_size=32, patch_size=8, n_colors=8, *, seed):
     """Images of textured color blocks with caption token-bag counts.
 
-    Each patch-sized block is painted with one of 2-3 palette colors
-    chosen per image; every color carries a fixed seeded texture so
-    same-color blocks are identical vectors. The token bag over the color
-    vocabulary counts how many blocks show each color.
+    Each patch-sized block is painted with one of 2-3 palette colors (no
+    more than n_colors) chosen per image; every color carries a fixed
+    seeded texture so same-color blocks are identical vectors. The token
+    bag over the color vocabulary counts how many blocks show each color.
 
-    Returns (images, bags) with bags of shape (n_images, n_colors).
+    Returns (images, bags) with bags of shape (n_images, n_colors). The
+    defaults are `patchmask train`'s; the CLI reads them from here.
     """
     check_dataset(n_images, image_size, patch_size, n_colors)
     blocks = image_size // patch_size
@@ -60,7 +61,7 @@ def color_block_dataset(n_images, image_size, patch_size, n_colors=8, *, seed):
     images, bags = [], np.zeros((n_images, n_colors))
     for i in range(n_images):
         rng = stream(seed, Stream.LAYOUT, i)
-        present = rng.choice(n_colors, size=int(rng.integers(2, 4)), replace=False)
+        present = rng.choice(n_colors, size=min(int(rng.integers(2, 4)), n_colors), replace=False)
         layout = present[rng.integers(0, present.size, size=(blocks, blocks))]
         data = np.empty((image_size, image_size, 3))
         for bi in range(blocks):

@@ -219,19 +219,9 @@ def check_train(n_images, epochs, beta, learning_rate, embed_dim, steps_per_epoc
     return TrainState(epoch_total=epochs, alpha_exponent=alpha_exponent, temperature=temperature)
 
 
-def train_loop(
-    images,
-    bags,
-    config,
-    epochs,
-    patch_size,
-    beta,
-    learning_rate,
-    embed_dim=16,
-    steps_per_epoch=1,
-    alpha_exponent=1.0,
-    temperature=0.07,
-):
+def train_loop(images, bags, config, *, patch_size, beta, epochs=20, steps_per_epoch=1,
+               learning_rate=0.5, temperature=TrainState.temperature,
+               alpha_exponent=TrainState.alpha_exponent, embed_dim=16):
     """Run epochs x steps_per_epoch full-batch steps over a fixed dataset.
 
     The blend coefficient advances once per epoch. Returns the final
@@ -245,6 +235,7 @@ def train_loop(
     embedding and each cosine row the first time a mask reads them and
     keeps them, so over the run none of these is computed twice.
 
+    The defaults are `patchmask train`'s; the CLI reads them from here.
     The settings are checked first, by check_train. A step whose loss is
     not finite, as after a learning rate large enough to overflow the
     weights, raises ConvergenceError, and so do non-finite weights after

@@ -13,7 +13,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from conftest import random_similarity, smoothed_noise_images
+from conftest import _NS_IMAGE, random_similarity, smoothed_noise_image, smoothed_noise_images
 from patchmask.batch_shaping import shape_batch, visible_slots
 from patchmask.calibration import calibrate_threshold, draw_anchor_sets
 from patchmask.cluster_masker import (
@@ -62,8 +62,7 @@ def anchor_rows(vectors, anchors):
 def test_criterion_01_calibration_fidelity():
     with criterion(1, "calibration hits 0.50 +/- 0.02 over 1000 images in < 60 s"):
         start = time.monotonic()
-        images = smoothed_noise_images(1000, 224, 224, 3, seed=42)
-        lengths = [196] * len(images)
+        lengths = [196] * 1000
         # anchors the calibrator never sees: an independent re-evaluation,
         # and the draws the masker makes from one generator over the images
         fresh = draw_anchor_sets(lengths, 0.03, np.random.default_rng(987654321))
@@ -72,8 +71,11 @@ def test_criterion_01_calibration_fidelity():
 
         def sample():
             # streams each image's normalized patch vectors to the
-            # calibrator, keeping the other anchors' rows on the way
-            for image, a, b in zip(images, fresh, drawn):
+            # calibrator, keeping the other anchors' rows on the way; image
+            # i of smoothed_noise_images(1000, 224, 224, 3, seed=42) is made
+            # from its sub-seed when its turn comes, not held with the rest
+            for i, (a, b) in enumerate(zip(fresh, drawn)):
+                image = smoothed_noise_image(224, 224, 3, np.random.default_rng((42, _NS_IMAGE, i)))
                 vectors = pixel_normalize(patchify(image, 16)).patches
                 assert vectors.shape == (196, 768)
                 fresh_rows.append(anchor_rows(vectors, a))
@@ -86,7 +88,7 @@ def test_criterion_01_calibration_fidelity():
         )
         fresh_masks = [cluster_mask_from_anchors(rows, a, report.found_r)
                        for rows, a in zip(fresh_rows, fresh)]
-        independent = sum(mask_ratio(m) for m in fresh_masks) / len(images)
+        independent = sum(mask_ratio(m) for m in fresh_masks) / len(lengths)
         elapsed = time.monotonic() - start
 
         assert report.converged

@@ -21,6 +21,7 @@ from patchmask.cluster_masker import (
     mask_ratio,
 )
 from patchmask.errors import ConfigError, ConvergenceError, DataError
+from patchmask.patch_grid import Image, patchify, pixel_normalize
 
 
 def small_sample(rng, count=40, length=36):
@@ -310,6 +311,25 @@ class TestReferenceEquality:
         assert streamed.to_json() == expected.to_json()
         if max_iters == 3:
             assert not expected.converged
+
+    def test_an_exhausted_bracket_stops_the_search(self):
+        # no frozen ratio of 8 noise images at P=16 lies within 1e-300 of
+        # 0.503, so the reference ends by evaluating one midpoint, an end of
+        # its bracket, until max_iters; the search stops at its first repeat
+        rng = np.random.default_rng(5)
+        sample = [pixel_normalize(patchify(Image(data=rng.random((64, 64, 3))), 16)).patches
+                  for _ in range(8)]
+        args = (0.03, 0.503, 1e-300, 200)
+        expected = reference_calibrate_threshold(sample, *args, np.random.default_rng(0))
+        report = calibrate_threshold(iter(sample), *args, rng=np.random.default_rng(0),
+                                     lengths=lengths_of(sample))
+        n = report.iterations
+        assert n < expected.iterations == 200
+        assert report.trace == expected.trace[:n]
+        assert expected.trace[n:] == [report.trace[-1]] * (200 - n)
+        assert report.trace[-1] in report.trace[:-1]
+        assert (report.found_r, report.achieved_ratio, report.converged) == (
+            expected.found_r, expected.achieved_ratio, expected.converged)
 
     def test_equal_unreachable_message(self, rng):
         sample = mixed_sample(rng, count=12)

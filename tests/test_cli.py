@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -21,7 +22,7 @@ from patchmask.batch_shaping import mask_batch
 from patchmask.calibration import draw_anchor_sets
 from patchmask.cli import _CALIBRATE, _DATASET, _MASK, _TRAIN, main
 from patchmask.cluster_masker import (
-    Mask, MaskerConfig, PreparedImage, anchor_count, mask_image, mask_ratio,
+    Mask, MaskerConfig, PreparedImage, Strategy, anchor_count, mask_image, mask_ratio,
 )
 from patchmask.patch_grid import Image, patchify, pixel_normalize
 from patchmask.errors import ConfigError, DataError
@@ -351,6 +352,29 @@ class TestCalibrateCommand:
         )
         assert code == 4
 
+    def test_search_stops_when_its_bracket_is_exhausted(self, tmp_path, capsys):
+        # 8 noise images at P=16 give frozen ratios in steps of 1/128, none
+        # within 1e-300 of 0.503: the bisection narrows to adjacent doubles
+        # and stops at the first midpoint that is an end of its bracket, an
+        # earlier midpoint, which it used to evaluate again up to max_iters
+        directory = tmp_path / "imgs"
+        directory.mkdir()
+        rng = np.random.default_rng(5)
+        for i in range(8):
+            save_image(Image(data=rng.random((64, 64, 3))), directory / f"img_{i:02d}.ppm")
+        report_path = tmp_path / "report.json"
+        assert run_cli(["calibrate", "--in", directory, "--target", "0.503", "--tolerance",
+                        "1e-300", "--max-iters", "200", "--calibration-out", report_path]) == 4
+        report = json.loads(report_path.read_text())
+        mids = [mid for mid, _ in report["trace"]]
+        assert report["iterations"] == len(mids) < 200
+        assert len(set(mids[:-1])) == len(mids) - 1 and mids[-1] in mids[:-1]
+        assert report["found_r"] == mids[-1] and not report["converged"]
+        # r, ratio and verdict are those of the search run to max_iters
+        assert capsys.readouterr().out == (
+            "calibrated r=0.004738957015858488 achieved=0.4688 target=0.503 iterations=62 "
+            "converged=False\n")
+
     def test_one_matrix_alive_at_a_time(self, tmp_path, calls_to):
         # 64 images of L=256: one cosine matrix is 512 KiB, all 64 are 32 MiB;
         # the calibration computes only the frozen and fresh anchors' rows
@@ -569,6 +593,17 @@ class TestTrainCommand:
         assert run_cli(["train", "--config", config, "--out", out]) == 0
         assert len((out / "train_log.csv").read_text().splitlines()) == 3
 
+    def test_two_colors(self, tmp_path):
+        # an image draws 2 or 3 colors, no more than the palette's n_colors
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "epochs": 2, "dataset": {"n_images": 4, "image_size": 16, "patch_size": 4,
+                                     "n_colors": 2},
+        }))
+        out = tmp_path / "log"
+        assert run_cli(["train", "--config", config, "--out", out]) == 0
+        assert len((out / "train_log.csv").read_text().splitlines()) == 3
+
     def test_out_of_memory_is_data_error(self, tmp_path, capsys):
         # 10**12 x 192 float64 weights (1.5 PB) can be addressed but not
         # allocated, so the allocation fails before anything is allocated
@@ -577,6 +612,35 @@ class TestTrainCommand:
         assert run_cli(["train", "--config", config, "--out", tmp_path / "log"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and err.count("\n") == 1
+
+
+def _typed(table):
+    return [(key, type(value), value) for key, value in table.items()]
+
+
+def test_each_table_keeps_its_keys_defaults_and_order():
+    # the tables read most defaults from library signatures, so a default
+    # that moves there would change the CLI: these are the CLI's values,
+    # whose types also type the flags and whose order is the check order
+    dataset = {"n_images": 16, "image_size": 32, "patch_size": 8, "n_colors": 8}
+    assert _typed(_MASK) == [
+        ("strategy", Strategy, Strategy.CLUSTER_RGB), ("anchor_ratio", float, 0.03),
+        ("threshold_r", float, 0.5), ("kmeans_k", int, 12), ("kmeans_max_iters", int, 10),
+        ("kmeans_mask_fraction", float, 0.5), ("random_mask_ratio", float, 0.5),
+        ("seed", int, 0), ("beta", float, 0.5), ("patch_size", int, 16),
+        ("alpha", float, 1.0), ("render", bool, False),
+    ]
+    assert _typed(_CALIBRATE) == [
+        ("anchor_ratio", float, 0.03), ("patch_size", int, 16), ("seed", int, 0),
+        ("target", float, 0.5), ("tolerance", float, 0.02), ("max_iters", int, 40),
+        ("sample_size", int, 1024),
+    ]
+    assert _typed(_TRAIN) == _typed(_MASK)[:9] + [
+        ("epochs", int, 20), ("steps_per_epoch", int, 1), ("learning_rate", float, 0.5),
+        ("temperature", float, 0.07), ("alpha_exponent", float, 1.0), ("embed_dim", int, 16),
+        ("dataset", dict, dataset),
+    ]
+    assert _typed(_DATASET) == [(key, int, value) for key, value in dataset.items()]
 
 
 def test_every_stream_key_seeds_its_own_stream(image_dir, tmp_path, monkeypatch):
@@ -719,6 +783,9 @@ class TestConfigErrors:
         ({"dataset": {"n_images": 0}}, "n_images must be >= 1, got 0"),
         ({"dataset": {"n_images": 1}}, "InfoNCE needs at least 2 images, got 1"),
         ({"epochs": 0}, "epochs must be positive, got 0"),
+        # keys are checked in table order, not in the file's
+        ({"embed_dim": "y", "temperature": "x"},
+         "config key 'temperature' must be a finite number, got 'x'"),
     ])
     def test_train_errors_name_the_config_key(self, tmp_path, capsys, config, message):
         path = tmp_path / "cfg.json"
@@ -748,10 +815,14 @@ class TestConfigErrors:
         assert not out.exists()
 
 
-# config values: wrong types, null, bools, NaN, small and boundary numbers
+# config values: wrong types, null, bools, NaN, small and boundary numbers,
+# integers past 32 and 64 bits, and the ends of the float range
+_LARGE_VALUES = [2**32, 2**63, 10**30, 1e308, 5e-324]
 _CONFIG_VALUES = [None, True, False, "16", "kmeans", [1], {}, float("nan"),
-                  -1, 0, 0.5, 1, 1.5, 2, 3]
+                  -1, 0, 0.5, 1, 1.5, 2, 3, *_LARGE_VALUES]
 _VALUES = st.sampled_from(_CONFIG_VALUES)
+# the number of train steps, which a large value makes real work, not a fault
+_STEP_KEYS = ("epochs", "steps_per_epoch")
 _HEADER_TOKENS = [b"", b"P3", b"P5", b"P6", b"-1", b"0", b"1", b"8", b"16", b"17",
                   b"255", b"256", b"65535", b"65536", b"x", b"#"]
 
@@ -763,7 +834,8 @@ def _configs(table, values):
 _CONFIGS = {
     "mask": _configs(_MASK, _VALUES),
     "calibrate": _configs(_CALIBRATE, _VALUES),
-    "train": _configs(_TRAIN, st.one_of(_VALUES, _configs(_DATASET, _VALUES))),
+    "train": _configs(_TRAIN, st.one_of(_VALUES, _configs(_DATASET, _VALUES))).filter(
+        lambda config: all(config.get(key) not in _LARGE_VALUES for key in _STEP_KEYS)),
 }
 # keeps a drawn train run to a few tiny steps
 _SMALL_TRAIN = {"epochs": 2, "dataset": {"n_images": 4, "image_size": 16, "patch_size": 4}}
@@ -988,6 +1060,32 @@ class TestStatsCommand:
 
     def test_missing_file_is_data_error(self, tmp_path):
         assert run_cli(["stats", "--in", tmp_path / "none.txt"]) == 3
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # 224 px images at P=16 (L=196, d=768) make products large enough for
+    # OpenBLAS to split over its threads
+    images = tmp_path / "imgs"
+    images.mkdir()
+    for i, image in enumerate(smoothed_noise_images(5, 224, 224, 3, seed=29)):
+        save_image(image, images / f"img_{i}.ppm")
+    commands = {strategy: ["mask", "--in", images, "--strategy", strategy, "--dump-sim", "--out"]
+                for strategy in ("cluster-rgb", "cluster-embedding", "kmeans")}
+    commands["calibrate"] = ["calibrate", "--in", images, "--calibration-out"]
+    runs = {}
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+        for name, args in commands.items():
+            out = tmp_path / threads / name
+            out.mkdir(parents=True)
+            target = out / "report.json" if name == "calibrate" else out
+            proc = subprocess.run([sys.executable, "-m", "patchmask", *map(str, args), str(target)],
+                                  env=env, capture_output=True)
+            files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+            runs[threads, name] = proc.returncode, proc.stdout, proc.stderr, files
+    for name in commands:
+        assert runs["1", name][0] in ((0, 4) if name == "calibrate" else (0,)), runs["1", name]
+        assert runs["1", name] == runs["2", name], name
 
 
 class TestEntryPoint:
