@@ -263,12 +263,14 @@ def _check_addressable(dataset, embed_dim):
     n, size, colors = dataset["n_images"], dataset["image_size"], dataset["n_colors"]
     length, patch_dim = (size // dataset["patch_size"]) ** 2, 3 * dataset["patch_size"] ** 2
     for shape in [
-        (size, size, 3),  # an image, and its (L, patch_dim) patches
+        (size, size, 3),  # as many floats as an image's (L, patch_dim) patches
         (n, max(patch_dim, colors, embed_dim, length)),  # pooled, bags, embedded, slots
         (n, n),  # logits
         (embed_dim, max(patch_dim, colors)),  # encoder weights
         (length, length),  # an image's cosine row cache, or its K-Means products
-        (max(patch_dim, length), EMBED_DIM),  # patch embedding and its projection
+        # patch embedding and its projection; the (n_colors, patch_dim)
+        # tiles too, as n_colors <= 8 < EMBED_DIM
+        (max(patch_dim, length), EMBED_DIM),
     ]:
         if math.prod(shape) * 8 > sys.maxsize:
             raise MemoryError(f"an array of shape {shape} exceeds the address space")
@@ -285,8 +287,8 @@ def _cmd_train(args):
     check_train(dataset["n_images"], **loop)
     _check_addressable(dataset, loop["embed_dim"])
 
-    images, bags = color_block_dataset(**dataset, seed=masker.seed)
-    _, rows = train_loop(images, bags, masker, patch_size=dataset["patch_size"], **loop)
+    grids, bags = color_block_dataset(**dataset, seed=masker.seed)
+    _, rows = train_loop(grids, bags, masker, **loop)
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -309,7 +311,9 @@ def _cmd_stats(args):
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise DataError(f"no mask lines in {args.in_file}")
-    summary = stats_report([Mask.from_line(line) for line in lines])
+    # a mask line holds no anchors, so the cluster count is unknown
+    summary = dataclasses.replace(stats_report([Mask.from_line(line) for line in lines]),
+                                  mean_cluster_count=None)
     if args.json_out:
         Path(args.json_out).write_text(summary.to_json(), encoding="ascii")
     print(summary.to_text(), end="")

@@ -3,7 +3,7 @@
 import numpy as np
 
 from .errors import DataError
-from .patch_grid import Image, grid_shape
+from .patch_grid import patchify, unpatchify
 
 MASK_FILL = 0.5
 ANCHOR_OUTLINE = np.array([1.0, 0.0, 0.0])
@@ -13,24 +13,18 @@ def render_mask(image, mask, patch_size):
     """Copy of the image with masked patches filled mid-gray.
 
     Anchor patches additionally get a one-pixel red outline when the
-    image has 3 channels. Unmasked pixels are never altered.
+    image has 3 channels. Unmasked pixels are never altered. The work is
+    done on the image's patches, which unpatchify puts back in place.
     """
-    h, w, c = image.data.shape
-    rows, cols = grid_shape(h, w, patch_size)
-    if mask.length != rows * cols:
-        raise DataError(f"mask length {mask.length} does not match grid {rows}x{cols}")
+    grid = patchify(image, patch_size)
+    if mask.length != grid.n_patches:
+        raise DataError(f"mask length {mask.length} does not match grid {grid.rows}x{grid.cols}")
 
-    data = image.data.copy()
-    for idx in np.flatnonzero(mask.masked):
-        i, j = divmod(int(idx), cols)
-        data[i * patch_size : (i + 1) * patch_size, j * patch_size : (j + 1) * patch_size] = MASK_FILL
-    if c == 3:
-        for idx in mask.anchors:
-            i, j = divmod(int(idx), cols)
-            top, left = i * patch_size, j * patch_size
-            block = data[top : top + patch_size, left : left + patch_size]
-            block[0, :] = ANCHOR_OUTLINE
-            block[-1, :] = ANCHOR_OUTLINE
-            block[:, 0] = ANCHOR_OUTLINE
-            block[:, -1] = ANCHOR_OUTLINE
-    return Image(data=data)
+    grid.patches[mask.masked] = MASK_FILL
+    if grid.channels == 3:
+        blocks = grid.patches.reshape(grid.n_patches, patch_size, patch_size, 3)
+        blocks[mask.anchors, 0] = ANCHOR_OUTLINE
+        blocks[mask.anchors, -1] = ANCHOR_OUTLINE
+        blocks[mask.anchors, :, 0] = ANCHOR_OUTLINE
+        blocks[mask.anchors, :, -1] = ANCHOR_OUTLINE
+    return unpatchify(grid)

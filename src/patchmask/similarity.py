@@ -13,13 +13,12 @@ for tests, so its row i equals row i computed alone bit for bit.
 
 import numpy as np
 
-from ._kernels import COSINE_EPS, cosine_rows, row_norms
+from ._kernels import cosine_rows, row_norms
 from .errors import ConfigError, DataError
 from .patch_grid import PatchGrid
 from .streams import Stream, stream
 
 __all__ = [
-    "COSINE_EPS",
     "CosineRows",
     "blend",
     "check_alpha",

@@ -19,7 +19,7 @@ class MaskStats:
     max_ratio: float
     histogram_bins: int
     histogram: list  # histogram_bins counts over [0, 1]
-    mean_cluster_count: float  # clusters seeded per mask = anchor count
+    mean_cluster_count: float  # clusters seeded per mask = anchor count; None if unknown
 
     def to_json(self):
         return json.dumps(asdict(self), indent=2) + "\n"
@@ -28,9 +28,10 @@ class MaskStats:
         lines = [
             f"masks: {self.count}",
             f"mask ratio: mean={self.mean_ratio:.4f} min={self.min_ratio:.4f} max={self.max_ratio:.4f}",
-            f"mean cluster count: {self.mean_cluster_count:.2f}",
             "ratio histogram (20 bins over [0, 1]): " + " ".join(str(c) for c in self.histogram),
         ]
+        if self.mean_cluster_count is not None:
+            lines.insert(2, f"mean cluster count: {self.mean_cluster_count:.2f}")
         return "\n".join(lines) + "\n"
 
 

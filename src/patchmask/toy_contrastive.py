@@ -16,7 +16,6 @@ import numpy as np
 from .batch_shaping import check_beta, mask_batch
 from .cluster_masker import PreparedImage, mask_ratio
 from .errors import ConfigError, ConvergenceError, DataError
-from .patch_grid import patchify
 from .streams import Stream, stream
 
 _NORM_GUARD = 1e-12
@@ -219,16 +218,18 @@ def check_train(n_images, epochs, beta, learning_rate, embed_dim, steps_per_epoc
     return TrainState(epoch_total=epochs, alpha_exponent=alpha_exponent, temperature=temperature)
 
 
-def train_loop(images, bags, config, *, patch_size, beta, epochs=20, steps_per_epoch=1,
+def train_loop(grids, bags, config, *, beta, epochs=20, steps_per_epoch=1,
                learning_rate=0.5, temperature=TrainState.temperature,
                alpha_exponent=TrainState.alpha_exponent, embed_dim=16):
-    """Run epochs x steps_per_epoch full-batch steps over a fixed dataset.
+    """Run epochs x steps_per_epoch full-batch steps over a fixed dataset:
+    one unnormalized PatchGrid per image, as color_block_dataset makes
+    them, and one token-bag row per image.
 
     The blend coefficient advances once per epoch. Returns the final
     encoders and one StepResult-shaped log row (step, loss, alpha,
     mean_mask_ratio) per step.
 
-    Once per run, each image is patchified into one PreparedImage record.
+    Once per run, each grid is wrapped in one PreparedImage record.
     Each step draws the masks (blending the drawn anchors' cosine rows with
     that epoch's alpha, or running K-Means), shapes the batch, pools and
     takes the gradient step. A record computes its normalized vectors, its
@@ -241,10 +242,10 @@ def train_loop(images, bags, config, *, patch_size, beta, epochs=20, steps_per_e
     weights, raises ConvergenceError, and so do non-finite weights after
     the last step (earlier ones make the next step's loss non-finite).
     """
-    state = check_train(len(images), epochs, beta, learning_rate, embed_dim, steps_per_epoch,
+    state = check_train(len(grids), epochs, beta, learning_rate, embed_dim, steps_per_epoch,
                         alpha_exponent, temperature)
     bags = np.asarray(bags, dtype=np.float64)
-    prepared = [PreparedImage(patchify(image, patch_size), config.seed) for image in images]
+    prepared = [PreparedImage(grid, config.seed) for grid in grids]
     encoders = init_encoders(prepared[0].grid.patch_dim, bags.shape[1], embed_dim, config.seed)
     rows = []
     for epoch in range(epochs):

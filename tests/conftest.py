@@ -62,9 +62,10 @@ def _bilinear_resize(a, out_h, out_w):
     c1 = np.minimum(c0 + 1, in_w - 1)
     fr = (r - r0)[:, None]
     fc = (c - c0)[None, :]
-    top = a[r0][:, c0] * (1 - fc) + a[r0][:, c1] * fc
-    bottom = a[r1][:, c0] * (1 - fc) + a[r1][:, c1] * fc
-    return top * (1 - fr) + bottom * fr
+    # each source row is interpolated across the columns once; the rows
+    # are then gathered and blended
+    across = a[:, c0] * (1 - fc) + a[:, c1] * fc
+    return across[r0] * (1 - fr) + across[r1] * fr
 
 
 def smoothed_noise_image(height, width, channels=3, rng=None):

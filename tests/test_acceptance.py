@@ -24,7 +24,7 @@ from patchmask.cluster_masker import (
     kmeans_mask_detail,
     mask_ratio,
 )
-from patchmask.patch_grid import Image, PatchGrid, patchify, pixel_normalize
+from patchmask.patch_grid import PatchGrid, patchify, pixel_normalize
 from patchmask.pnm import save_image
 from patchmask.similarity import cosine_matrix
 from patchmask.synthetic import color_block_dataset
@@ -39,7 +39,13 @@ from patchmask.toy_contrastive import (
     train_step,
 )
 from test_cluster_masker import brute_force_members
-from test_toy_contrastive import finite_difference_grads, naive_symmetric_loss, prepare, unit_rows
+from test_toy_contrastive import (
+    finite_difference_grads,
+    naive_symmetric_loss,
+    perturbed,
+    prepare,
+    unit_rows,
+)
 
 
 @contextmanager
@@ -179,14 +185,8 @@ def test_criterion_05_gradient_check():
 def test_criterion_06_attention_mask_correctness():
     with criterion(6, "perturbing masked patches leaves step loss bit-identical, 50 trials"):
         rng = np.random.default_rng(600)
-        images, bags = color_block_dataset(6, 16, 4, n_colors=6, seed=60)
+        grids, bags = color_block_dataset(6, 16, 4, n_colors=6, seed=60)
         patch_dim = 4 * 4 * 3
-
-        def perturb(image, patch_idx, value, cols):
-            bi, bj = divmod(patch_idx, cols)
-            data = image.data.copy()
-            data[bi * 4 : (bi + 1) * 4, bj * 4 : (bj + 1) * 4] = value
-            return Image(data=data)
 
         # 25 trials: cluster-RGB with the prepared mask/shaped batch held fixed
         for trial in range(25):
@@ -195,15 +195,14 @@ def test_criterion_06_attention_mask_correctness():
             )
             state = TrainState(epoch_total=10, step=trial)
             encoders = init_encoders(patch_dim, bags.shape[1], 8, seed=trial)
-            inputs = prepare_step_inputs(prepare(images, config), config, state, 0.5)
+            inputs = prepare_step_inputs(prepare(grids, config), config, state, 0.5)
             baseline, _, _ = loss_and_grads(inputs.pooled, bags, encoders, state.temperature)
 
-            target = int(rng.integers(0, len(images)))
+            target = int(rng.integers(0, len(grids)))
             masked_positions = np.flatnonzero(inputs.masks[target].masked)
             pick = int(masked_positions[rng.integers(0, masked_positions.size)])
-            cols = patchify(images[target], 4).cols
-            touched = list(images)
-            touched[target] = perturb(images[target], pick, float(rng.random()), cols)
+            touched = list(grids)
+            touched[target] = perturbed(grids[target], pick, float(rng.random()))
             pooled = pool_visible_patches(prepare(touched, config), inputs.shaped)
             loss, _, _ = loss_and_grads(pooled, bags, encoders, state.temperature)
             assert loss == baseline
@@ -213,16 +212,15 @@ def test_criterion_06_attention_mask_correctness():
             config = MaskerConfig(strategy=Strategy.RANDOM, seed=int(rng.integers(1000)))
             state = TrainState(epoch_total=10, step=trial)
             encoders = init_encoders(patch_dim, bags.shape[1], 8, seed=trial + 100)
-            prepared = prepare(images, config)
+            prepared = prepare(grids, config)
             inputs = prepare_step_inputs(prepared, config, state, 0.5)
             _, base = train_step(encoders, prepared, bags, config, state, 0.5, 0.1)
 
-            target = int(rng.integers(0, len(images)))
+            target = int(rng.integers(0, len(grids)))
             masked_positions = np.flatnonzero(inputs.masks[target].masked)
             pick = int(masked_positions[rng.integers(0, masked_positions.size)])
-            cols = patchify(images[target], 4).cols
-            touched = list(images)
-            touched[target] = perturb(images[target], pick, float(rng.random()), cols)
+            touched = list(grids)
+            touched[target] = perturbed(grids[target], pick, float(rng.random()))
             _, replay = train_step(encoders, prepare(touched, config), bags, config, state,
                                    0.5, 0.1)
             assert replay.loss == base.loss
@@ -330,13 +328,10 @@ def test_criterion_10_cli_determinism(tmp_path):
 
 def test_criterion_11_training_smoke():
     with criterion(11, "200 steps cut loss to <= 0.8x initial under cluster-RGB and random"):
-        images, bags = color_block_dataset(16, 32, 8, seed=101)
+        grids, bags = color_block_dataset(16, 32, 8, seed=101)
         for strategy, threshold in ((Strategy.CLUSTER_RGB, 0.6), (Strategy.RANDOM, 0.5)):
             config = MaskerConfig(strategy=strategy, threshold_r=threshold, seed=101)
-            _, rows = train_loop(
-                images, bags, config, epochs=200, patch_size=8, beta=0.5,
-                learning_rate=0.3,
-            )
+            _, rows = train_loop(grids, bags, config, epochs=200, beta=0.5, learning_rate=0.3)
             assert len(rows) == 200
             initial, final = rows[0][1], rows[-1][1]
             assert final <= 0.8 * initial, (strategy, initial, final)

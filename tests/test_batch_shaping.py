@@ -313,8 +313,9 @@ class TestMaskBatch:
         images = regression_images()
         bags = np.random.default_rng(8).integers(1, 4, size=(len(images), 6)).astype(np.float64)
         config = small_config(strategy, 0.6, 5)
-        encoders, rows = train_loop(images, bags, config, epochs=4, patch_size=8, beta=0.3,
-                                    learning_rate=0.2, steps_per_epoch=2)
+        grids = [patchify(image, 8) for image in images]
+        encoders, rows = train_loop(grids, bags, config, epochs=4, beta=0.3, learning_rate=0.2,
+                                    steps_per_epoch=2)
         ref_encoders, ref_rows, ref_steps = frozen_train_loop(images, bags, config, 4, 8, 0.3,
                                                               0.2, 2)
         np.testing.assert_array_equal(np.array(rows), np.array(ref_rows))
@@ -322,7 +323,7 @@ class TestMaskBatch:
         np.testing.assert_array_equal(encoders.w_text, ref_encoders.w_text)
         assert len({row[2] for row in rows}) == 4  # alpha: 0, 1/4, 1/2, 3/4
 
-        prepared = [PreparedImage(patchify(image, 8), config.seed) for image in images]
+        prepared = [PreparedImage(grid, config.seed) for grid in grids]
         drops = False
         for step, (ref_masks, ref_shaped, ref_pooled) in enumerate(ref_steps):
             state = TrainState(epoch_total=4, epoch_current=step // 2, step=step)

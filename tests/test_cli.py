@@ -842,11 +842,13 @@ _SMALL_TRAIN = {"epochs": 2, "dataset": {"n_images": 4, "image_size": 16, "patch
 
 
 @st.composite
-def _ppm_16x16(draw):
-    """A 16x16 P6 file with one header token replaced."""
-    tokens = [b"P6", b"16", b"16", b"255"]
+def _ppm_32x32(draw):
+    """A 32x32 P6 file with one header token replaced. At the default
+    P=16 it holds 4 patches, so calibrate's targets are reachable and its
+    search runs."""
+    tokens = [b"P6", b"32", b"32", b"255"]
     tokens[draw(st.integers(0, 3))] = draw(st.sampled_from(_HEADER_TOKENS))
-    return b"\n".join(tokens) + b"\n" + bytes(range(256)) * 3
+    return b"\n".join(tokens) + b"\n" + bytes(range(256)) * 12
 
 
 class TestExitCodeContract:
@@ -864,7 +866,7 @@ class TestExitCodeContract:
             root = Path(tmp)
             (root / "cfg.json").write_text(json.dumps(config))
             (root / "imgs").mkdir()
-            (root / "imgs" / "a.ppm").write_bytes(data.draw(_ppm_16x16()))
+            (root / "imgs" / "a.ppm").write_bytes(data.draw(_ppm_32x32()))
             args = [command, "--config", root / "cfg.json"]
             if command != "train":
                 args += ["--in", root / "imgs"]
@@ -1046,11 +1048,15 @@ class TestStatsCommand:
         masks.write_text("1100\n0000\n1111\n")
         json_out = tmp_path / "stats.json"
         assert run_cli(["stats", "--in", masks, "--json", json_out]) == 0
-        assert "mean=0.5000" in capsys.readouterr().out
-        # the keys and bytes the report has always had
+        # mask lines hold no anchors, so the cluster count is unknown: no
+        # text line, and null in the JSON
+        assert capsys.readouterr().out == (
+            "masks: 3\nmask ratio: mean=0.5000 min=0.0000 max=1.0000\n"
+            "ratio histogram (20 bins over [0, 1]): 1 0 0 0 0 0 0 0 0 0 1 0 0 0 0 0 0 0 0 1\n"
+        )
         expected = {"count": 3, "mean_ratio": 0.5, "min_ratio": 0.0, "max_ratio": 1.0,
                     "histogram_bins": 20, "histogram": [1] + [0] * 9 + [1] + [0] * 8 + [1],
-                    "mean_cluster_count": 0.0}
+                    "mean_cluster_count": None}
         assert json_out.read_text() == json.dumps(expected, indent=2) + "\n"
 
     def test_malformed_line_is_data_error(self, tmp_path):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from conftest import PREPARE_CALLS, prepared_counts, rows_by_source, smoothed_no
 from patchmask.cluster_masker import MaskerConfig, PreparedImage, Strategy
 from patchmask.errors import ConfigError, DataError
 from patchmask.patch_grid import Image, patchify
-from patchmask.synthetic import color_block_dataset
+from patchmask.streams import Stream, stream
+from patchmask.synthetic import PALETTE, color_block_dataset
 from patchmask.toy_contrastive import (
     ToyEncoders,
     TrainState,
@@ -174,21 +176,28 @@ class TestGradients:
                 assert (np.abs(analytic - numeric) / scale).max() <= 1e-4
 
 
-def prepare(images, config):
-    return [PreparedImage(patchify(image, 4), config.seed) for image in images]
+def prepare(grids, config):
+    return [PreparedImage(grid, config.seed) for grid in grids]
+
+
+def perturbed(grid, patch_idx, value):
+    """A copy of grid with every sample of one patch set to value."""
+    patches = grid.patches.copy()
+    patches[patch_idx] = value
+    return replace(grid, patches=patches)
 
 
 class TestTrainStep:
     def small_setup(self, seed=0, strategy=Strategy.CLUSTER_RGB):
-        images, bags = color_block_dataset(6, 16, 4, n_colors=6, seed=seed)
+        grids, bags = color_block_dataset(6, 16, 4, n_colors=6, seed=seed)
         config = MaskerConfig(strategy=strategy, threshold_r=0.6, kmeans_k=4, seed=seed)
         state = TrainState(epoch_total=10)
         encoders = init_encoders(48, 6, 8, seed=seed)
-        return images, bags, config, state, encoders
+        return grids, bags, config, state, encoders
 
     def test_zero_learning_rate_keeps_parameters(self):
-        images, bags, config, state, encoders = self.small_setup()
-        prepared = prepare(images, config)
+        grids, bags, config, state, encoders = self.small_setup()
+        prepared = prepare(grids, config)
         updated, first = train_step(encoders, prepared, bags, config, state, 0.5, 0.0)
         np.testing.assert_array_equal(updated.w_image, encoders.w_image)
         np.testing.assert_array_equal(updated.w_text, encoders.w_text)
@@ -196,8 +205,8 @@ class TestTrainStep:
         assert first.loss == second.loss  # bit-exact repeat of the same step
 
     def test_fresh_masks_each_step(self):
-        images, bags, config, state, _ = self.small_setup()
-        prepared = prepare(images, config)
+        grids, bags, config, state, _ = self.small_setup()
+        prepared = prepare(grids, config)
         first = prepare_step_inputs(prepared, config, state, 0.5)
         state.step += 1
         second = prepare_step_inputs(prepared, config, state, 0.5)
@@ -209,60 +218,42 @@ class TestTrainStep:
     def test_masked_patch_pixels_never_reach_loss(self):
         # fixed shaped batch: perturbing a masked patch must leave the loss
         # bit-identical because pooling only touches kept slots
-        images, bags, config, state, encoders = self.small_setup(seed=5)
-        inputs = prepare_step_inputs(prepare(images, config), config, state, 0.5)
+        grids, bags, config, state, encoders = self.small_setup(seed=5)
+        inputs = prepare_step_inputs(prepare(grids, config), config, state, 0.5)
         baseline, _, _ = loss_and_grads(inputs.pooled, bags, encoders, state.temperature)
 
         target = next(i for i, m in enumerate(inputs.masks) if m.masked.any())
         patch_idx = int(np.flatnonzero(inputs.masks[target].masked)[0])
-        grid = patchify(images[target], 4)
-        rows = grid.rows
-        bi, bj = divmod(patch_idx, grid.cols)
-        perturbed = images[target].data.copy()
-        perturbed[bi * 4 : (bi + 1) * 4, bj * 4 : (bj + 1) * 4] = 0.123
-        new_images = list(images)
-        new_images[target] = Image(data=perturbed)
+        touched = list(grids)
+        touched[target] = perturbed(grids[target], patch_idx, 0.123)
 
-        pooled = pool_visible_patches(prepare(new_images, config), inputs.shaped)
+        pooled = pool_visible_patches(prepare(touched, config), inputs.shaped)
         loss, _, _ = loss_and_grads(pooled, bags, encoders, state.temperature)
         assert loss == baseline
 
     def test_random_strategy_full_step_ignores_masked_pixels(self):
         # random masks are content-independent, so the whole step replays
-        images, bags, config, state, encoders = self.small_setup(
+        grids, bags, config, state, encoders = self.small_setup(
             seed=7, strategy=Strategy.RANDOM
         )
-        prepared = prepare(images, config)
+        prepared = prepare(grids, config)
         inputs = prepare_step_inputs(prepared, config, state, 0.5)
         _, base = train_step(encoders, prepared, bags, config, state, 0.5, 0.1)
 
         patch_idx = int(np.flatnonzero(inputs.masks[0].masked)[0])
-        grid = patchify(images[0], 4)
-        bi, bj = divmod(patch_idx, grid.cols)
-        perturbed = images[0].data.copy()
-        perturbed[bi * 4 : (bi + 1) * 4, bj * 4 : (bj + 1) * 4] = 0.875
-        new_images = [Image(data=perturbed)] + list(images[1:])
-        _, touched = train_step(encoders, prepare(new_images, config), bags, config, state,
-                                0.5, 0.1)
-        assert touched.loss == base.loss
-
-    def test_train_loop_patchifies_each_image_once_per_run(self, calls_to):
-        images, bags = color_block_dataset(6, 16, 4, n_colors=6, seed=2)
-        config = MaskerConfig(strategy=Strategy.CLUSTER_EMBEDDING, threshold_r=0.6, seed=2)
-        patchify_calls = calls_to("patch_grid", "patchify")
-        _, rows = train_loop(images, bags, config, epochs=3, patch_size=4, beta=0.5,
-                             learning_rate=0.1, steps_per_epoch=2)
-        assert len(rows) == 6
-        assert [args[0] for args in patchify_calls] == [4] * 6
+        touched = [perturbed(grids[0], patch_idx, 0.875)] + list(grids[1:])
+        _, replay = train_step(encoders, prepare(touched, config), bags, config, state,
+                               0.5, 0.1)
+        assert replay.loss == base.loss
 
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_train_loop_prepares_each_image_once_per_run(self, prepare_calls, strategy):
         # noise images: the color blocks' flat patches leave K-Means too few
         # distinct vectors for k=4
-        images = smoothed_noise_images(6, 16, 16, 3, seed=2)
+        grids = [patchify(image, 4) for image in smoothed_noise_images(6, 16, 16, 3, seed=2)]
         config = MaskerConfig(strategy=strategy, threshold_r=0.6, kmeans_k=4, seed=2)
-        _, rows = train_loop(images, np.eye(6), config, epochs=3, patch_size=4, beta=0.5,
-                             learning_rate=0.1, steps_per_epoch=2)
+        _, rows = train_loop(grids, np.eye(6), config, epochs=3, beta=0.5, learning_rate=0.1,
+                             steps_per_epoch=2)
         assert len(rows) == 6
         assert prepared_counts(prepare_calls) == [6 * n for n in PREPARE_CALLS[strategy]]
         for computed in rows_by_source(prepare_calls[1]):
@@ -272,11 +263,10 @@ class TestTrainStep:
         # 4 anchors of 16 patches a step over 40 steps: every row of both
         # sources is read, and each is computed once, the first time
         row_calls = calls_to("_kernels", "cosine_rows")
-        images = smoothed_noise_images(4, 16, 16, 3, seed=3)
+        grids = [patchify(image, 4) for image in smoothed_noise_images(4, 16, 16, 3, seed=3)]
         config = MaskerConfig(strategy=Strategy.CLUSTER_EMBEDDING, anchor_ratio=0.25,
                               threshold_r=0.6, seed=3)
-        _, rows = train_loop(images, np.eye(4), config, epochs=40, patch_size=4, beta=0.5,
-                             learning_rate=0.1)
+        _, rows = train_loop(grids, np.eye(4), config, epochs=40, beta=0.5, learning_rate=0.1)
         assert len(rows) == 40
         sources = rows_by_source(row_calls)
         assert len(sources) == 8
@@ -284,9 +274,56 @@ class TestTrainStep:
             assert sorted(computed) == list(range(16))
 
     def test_short_training_reduces_loss(self):
-        images, bags = color_block_dataset(12, 32, 8, seed=21)
+        grids, bags = color_block_dataset(12, 32, 8, seed=21)
         config = MaskerConfig(strategy=Strategy.CLUSTER_RGB, threshold_r=0.6, seed=21)
-        _, rows = train_loop(
-            images, bags, config, epochs=80, patch_size=8, beta=0.5, learning_rate=0.3
-        )
+        _, rows = train_loop(grids, bags, config, epochs=80, beta=0.5, learning_rate=0.3)
         assert rows[-1][1] < rows[0][1]
+
+
+def frozen_color_block_images(n_images, image_size, patch_size, n_colors, seed):
+    """color_block_dataset as it was when it painted each block of an
+    (H, W, 3) raster in a double loop and returned Images."""
+    blocks = image_size // patch_size
+    textures = []
+    for c in range(n_colors):
+        t = stream(seed, Stream.TEXTURE, c).standard_normal((patch_size, patch_size))
+        t = (t - t.mean()) / max(t.std(), 1e-12)
+        textures.append(t)
+
+    images, bags = [], np.zeros((n_images, n_colors))
+    for i in range(n_images):
+        rng = stream(seed, Stream.LAYOUT, i)
+        present = rng.choice(n_colors, size=min(int(rng.integers(2, 4)), n_colors), replace=False)
+        layout = present[rng.integers(0, present.size, size=(blocks, blocks))]
+        data = np.empty((image_size, image_size, 3))
+        for bi in range(blocks):
+            for bj in range(blocks):
+                color = int(layout[bi, bj])
+                block = PALETTE[color][None, None, :] * (
+                    0.75 + 0.2 * textures[color][:, :, None]
+                )
+                data[
+                    bi * patch_size : (bi + 1) * patch_size,
+                    bj * patch_size : (bj + 1) * patch_size,
+                ] = block
+        images.append(Image(data=np.clip(data, 0.0, 1.0)))
+        bags[i] = np.bincount(layout.ravel(), minlength=n_colors)
+    return images, bags
+
+
+@pytest.mark.parametrize("n_images, image_size, patch_size, n_colors, seed", [
+    (16, 32, 8, 8, 0), (16, 32, 8, 8, 1), (6, 16, 4, 6, 60), (5, 24, 8, 2, 3),
+    (3, 12, 1, 3, 7), (4, 20, 20, 5, 11), (2, 30, 6, 8, 2**32 - 1),
+])
+def test_dataset_grids_are_the_painted_images_patches(n_images, image_size, patch_size,
+                                                      n_colors, seed):
+    grids, bags = color_block_dataset(n_images, image_size, patch_size, n_colors, seed=seed)
+    images, ref_bags = frozen_color_block_images(n_images, image_size, patch_size, n_colors, seed)
+    np.testing.assert_array_equal(bags, ref_bags)
+    assert len(grids) == n_images
+    for grid, image in zip(grids, images):
+        ref = patchify(image, patch_size)
+        assert (grid.rows, grid.cols, grid.patch_size, grid.channels, grid.normalized) == (
+            ref.rows, ref.cols, ref.patch_size, ref.channels, ref.normalized)
+        assert grid.patches.dtype == ref.patches.dtype and grid.patches.flags.c_contiguous
+        assert grid.patches.tobytes() == ref.patches.tobytes()
