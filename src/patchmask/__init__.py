@@ -28,7 +28,6 @@ from .stats import stats_report
 from .streams import Stream, stream
 from .toy_contrastive import (
     ToyEncoders,
-    TrainState,
     alpha_schedule,
     info_nce,
     train_loop,
@@ -52,7 +51,6 @@ __all__ = [
     "Strategy",
     "Stream",
     "ToyEncoders",
-    "TrainState",
     "alpha_schedule",
     "blend",
     "calibrate_threshold",

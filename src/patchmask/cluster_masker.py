@@ -144,7 +144,8 @@ def cluster_mask_from_anchors(rows, anchors, threshold_r):
     A patch j is masked iff j is an anchor or rows[k, j] >= threshold_r
     for some k. This is the deterministic core of mask_image; calibration
     decides the same membership from the same reach rows. A NaN
-    threshold_r is a ConfigError.
+    threshold_r is a ConfigError, and anchors that repeat or lie outside
+    [0, L) are a DataError.
     """
     if math.isnan(threshold_r):
         raise ConfigError("threshold_r must not be NaN")
@@ -153,8 +154,12 @@ def cluster_mask_from_anchors(rows, anchors, threshold_r):
     if rows.ndim != 2 or anchors.shape != (rows.shape[0],):
         raise DataError(f"need one similarity row per anchor, got shape {rows.shape} "
                         f"for {anchors.size} anchors")
+    ordered = np.sort(anchors)
+    listed = ordered.tolist()
+    if listed and (listed[0] < 0 or listed[-1] >= rows.shape[1] or len(set(listed)) < len(listed)):
+        raise DataError(f"anchors must be distinct patches in [0, {rows.shape[1]}), got {listed}")
     masked = masked_by_anchors(rows, anchors, float(threshold_r))
-    return Mask(masked=masked, anchors=np.sort(anchors))
+    return Mask(masked=masked, anchors=ordered)
 
 
 def draw_anchors(length, anchor_ratio, rng):

@@ -21,32 +21,9 @@ from .streams import Stream, stream
 _NORM_GUARD = 1e-12
 
 
-@dataclass
-class TrainState:
-    """Progress counters plus the schedule/temperature constants."""
-
-    epoch_total: int
-    epoch_current: int = 0
-    alpha_exponent: float = 1.0
-    temperature: float = 0.07
-    step: int = 0
-
-    def __post_init__(self):
-        if self.epoch_total <= 0:
-            raise ConfigError(f"epochs must be positive, got {self.epoch_total}")
-        if not 0 <= self.epoch_current <= self.epoch_total:
-            raise ConfigError(
-                f"epoch_current must lie in [0, {self.epoch_total}], got {self.epoch_current}"
-            )
-        if self.alpha_exponent <= 0.0:
-            raise ConfigError(f"alpha_exponent must be positive, got {self.alpha_exponent}")
-        if self.temperature <= 0.0:
-            raise ConfigError(f"temperature must be positive, got {self.temperature}")
-
-
-def alpha_schedule(state):
-    """Blend coefficient (E_c / E_t) ** k; 0 at the start, 1 at the end."""
-    return float(state.epoch_current / state.epoch_total) ** state.alpha_exponent
+def alpha_schedule(epoch, epochs, exponent):
+    """Blend coefficient (epoch / epochs) ** exponent; 0 at the start, 1 at the end."""
+    return float(epoch / epochs) ** exponent
 
 
 @dataclass
@@ -139,69 +116,45 @@ def pool_visible_patches(prepared, shaped):
     return pooled
 
 
-@dataclass
-class StepInputs:
-    """Everything train_step derives from the prepared images before the loss."""
-
-    masks: list
-    shaped: object
-    pooled: np.ndarray
-    alpha: float
-    mean_mask_ratio: float
-
-
-def prepare_step_inputs(prepared, config, state, beta):
+def prepare_step_inputs(prepared, config, *, step, alpha, beta):
     """Masks, shaped batch, and pooled features for one training step.
 
     prepared holds the images' PreparedImage records, made once per run.
     Masks are regenerated per step from the step's TRAIN_MASK and
     TRAIN_SHAPE streams, so repeating a step is bit-exact while
-    successive steps see fresh masks.
+    successive steps see fresh masks. Returns (masks, shaped, pooled).
     """
-    alpha = alpha_schedule(state)
     masks, shaped = mask_batch(
         prepared, config, beta, alpha,
-        (config.seed, Stream.TRAIN_MASK, state.step), (config.seed, Stream.TRAIN_SHAPE, state.step),
+        (config.seed, Stream.TRAIN_MASK, step), (config.seed, Stream.TRAIN_SHAPE, step),
     )
-    return StepInputs(
-        masks=masks,
-        shaped=shaped,
-        pooled=pool_visible_patches(prepared, shaped),
-        alpha=alpha,
-        mean_mask_ratio=float(np.mean([mask_ratio(m) for m in masks])),
-    )
+    return masks, shaped, pool_visible_patches(prepared, shaped)
 
 
-@dataclass
-class StepResult:
-    loss: float
-    alpha: float
-    mean_mask_ratio: float
-
-
-def train_step(encoders, prepared, bags, config, state, beta, learning_rate):
+def train_step(encoders, prepared, bags, config, *, step, alpha, beta, learning_rate,
+               temperature):
     """One full-batch gradient-descent step on the symmetric loss, over the
-    images' PreparedImage records.
+    images' PreparedImage records, with the masks of step and blend weight
+    alpha.
 
-    Returns (updated encoders, StepResult). The caller owns the state and
-    advances state.step / state.epoch_current between calls.
+    Returns (updated encoders, loss, mean mask ratio).
     """
-    inputs = prepare_step_inputs(prepared, config, state, beta)
+    masks, _, pooled = prepare_step_inputs(prepared, config, step=step, alpha=alpha, beta=beta)
     # weights that overflow make the loss non-finite, which train_loop
     # reports; numpy's warnings on the way would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
-        loss, d_wi, d_wt = loss_and_grads(inputs.pooled, bags, encoders, state.temperature)
+        loss, d_wi, d_wt = loss_and_grads(pooled, bags, encoders, temperature)
         updated = ToyEncoders(
             w_image=encoders.w_image - learning_rate * d_wi,
             w_text=encoders.w_text - learning_rate * d_wt,
         )
-    return updated, StepResult(loss=loss, alpha=inputs.alpha, mean_mask_ratio=inputs.mean_mask_ratio)
+    return updated, loss, float(np.mean([mask_ratio(m) for m in masks]))
 
 
 def check_train(n_images, epochs, beta, learning_rate, embed_dim, steps_per_epoch,
                 alpha_exponent, temperature):
     """Raise ConfigError unless train_loop can run over n_images images
-    with these settings, and return the run's first TrainState.
+    with these settings.
 
     These are train_loop's checks, beta's among them, which shape_batch
     would reach only at the first step; they read no image, so a caller
@@ -215,19 +168,23 @@ def check_train(n_images, epochs, beta, learning_rate, embed_dim, steps_per_epoc
     if n_images < 2:
         raise ConfigError(f"InfoNCE needs at least 2 images, got {n_images}")
     check_beta(beta)
-    return TrainState(epoch_total=epochs, alpha_exponent=alpha_exponent, temperature=temperature)
+    if epochs <= 0:
+        raise ConfigError(f"epochs must be positive, got {epochs}")
+    if alpha_exponent <= 0.0:
+        raise ConfigError(f"alpha_exponent must be positive, got {alpha_exponent}")
+    if temperature <= 0.0:
+        raise ConfigError(f"temperature must be positive, got {temperature}")
 
 
 def train_loop(grids, bags, config, *, beta, epochs=20, steps_per_epoch=1,
-               learning_rate=0.5, temperature=TrainState.temperature,
-               alpha_exponent=TrainState.alpha_exponent, embed_dim=16):
+               learning_rate=0.5, temperature=0.07, alpha_exponent=1.0, embed_dim=16):
     """Run epochs x steps_per_epoch full-batch steps over a fixed dataset:
     one unnormalized PatchGrid per image, as color_block_dataset makes
     them, and one token-bag row per image.
 
     The blend coefficient advances once per epoch. Returns the final
-    encoders and one StepResult-shaped log row (step, loss, alpha,
-    mean_mask_ratio) per step.
+    encoders and one (step, loss, alpha, mean_mask_ratio) log row per
+    step.
 
     Once per run, each grid is wrapped in one PreparedImage record.
     Each step draws the masks (blending the drawn anchors' cosine rows with
@@ -237,27 +194,39 @@ def train_loop(grids, bags, config, *, beta, epochs=20, steps_per_epoch=1,
     keeps them, so over the run none of these is computed twice.
 
     The defaults are `patchmask train`'s; the CLI reads them from here.
-    The settings are checked first, by check_train. A step whose loss is
-    not finite, as after a learning rate large enough to overflow the
-    weights, raises ConvergenceError, and so do non-finite weights after
-    the last step (earlier ones make the next step's loss non-finite).
+    The settings are checked first, by check_train. Then a grid that is
+    normalized or whose (n_patches, patch_dim) is not the first grid's,
+    or bags that are not one row per grid, raise DataError, before any
+    encoder is drawn. A step whose loss is not finite, as after a learning
+    rate large enough to overflow the weights, raises ConvergenceError,
+    and so do non-finite weights after the last step (earlier ones make
+    the next step's loss non-finite).
     """
-    state = check_train(len(grids), epochs, beta, learning_rate, embed_dim, steps_per_epoch,
-                        alpha_exponent, temperature)
+    check_train(len(grids), epochs, beta, learning_rate, embed_dim, steps_per_epoch,
+                alpha_exponent, temperature)
     bags = np.asarray(bags, dtype=np.float64)
+    shape = (grids[0].n_patches, grids[0].patch_dim)
+    for index, grid in enumerate(grids):
+        if grid.normalized or (grid.n_patches, grid.patch_dim) != shape:
+            raise DataError(f"grid {index} must be unnormalized with grid 0's "
+                            f"(n_patches, patch_dim) {shape}")
+    if bags.ndim != 2 or bags.shape[0] != len(grids):
+        raise DataError(f"need one token-bag row per grid, got bags of shape {bags.shape} "
+                        f"for {len(grids)} grids")
     prepared = [PreparedImage(grid, config.seed) for grid in grids]
     encoders = init_encoders(prepared[0].grid.patch_dim, bags.shape[1], embed_dim, config.seed)
     rows = []
     for epoch in range(epochs):
-        state.epoch_current = epoch
+        alpha = alpha_schedule(epoch, epochs, alpha_exponent)
         for _ in range(steps_per_epoch):
-            encoders, result = train_step(
-                encoders, prepared, bags, config, state, beta, learning_rate
+            step = len(rows)
+            encoders, loss, ratio = train_step(
+                encoders, prepared, bags, config, step=step, alpha=alpha, beta=beta,
+                learning_rate=learning_rate, temperature=temperature,
             )
-            if not math.isfinite(result.loss):
-                raise ConvergenceError(f"loss is {result.loss} at step {state.step}")
-            rows.append((state.step, result.loss, result.alpha, result.mean_mask_ratio))
-            state.step += 1
+            if not math.isfinite(loss):
+                raise ConvergenceError(f"loss is {loss} at step {step}")
+            rows.append((step, loss, alpha, ratio))
     if not (np.isfinite(encoders.w_image).all() and np.isfinite(encoders.w_text).all()):
-        raise ConvergenceError(f"weights are not finite after step {state.step - 1}")
+        raise ConvergenceError(f"weights are not finite after step {len(rows) - 1}")
     return encoders, rows

@@ -29,7 +29,6 @@ from patchmask.pnm import save_image
 from patchmask.similarity import cosine_matrix
 from patchmask.synthetic import color_block_dataset
 from patchmask.toy_contrastive import (
-    TrainState,
     info_nce,
     init_encoders,
     loss_and_grads,
@@ -140,7 +139,8 @@ def test_criterion_03_monotonicity_suite():
             if (high & ~low).any():
                 violations += 1
             extra = int(rng.integers(0, length))
-            more = np.append(anchors, extra)
+            # anchors are distinct, so an extra that is one already adds nothing
+            more = anchors if extra in anchors else np.append(anchors, extra)
             grown = cluster_mask_from_anchors(sim[more], more, r_lo).masked
             if (low & ~grown).any():
                 violations += 1
@@ -193,37 +193,36 @@ def test_criterion_06_attention_mask_correctness():
             config = MaskerConfig(
                 strategy=Strategy.CLUSTER_RGB, threshold_r=0.6, seed=int(rng.integers(1000))
             )
-            state = TrainState(epoch_total=10, step=trial)
             encoders = init_encoders(patch_dim, bags.shape[1], 8, seed=trial)
-            inputs = prepare_step_inputs(prepare(grids, config), config, state, 0.5)
-            baseline, _, _ = loss_and_grads(inputs.pooled, bags, encoders, state.temperature)
+            masks, shaped, pooled = prepare_step_inputs(prepare(grids, config), config,
+                                                        step=trial, alpha=0.0, beta=0.5)
+            baseline, _, _ = loss_and_grads(pooled, bags, encoders, 0.07)
 
             target = int(rng.integers(0, len(grids)))
-            masked_positions = np.flatnonzero(inputs.masks[target].masked)
+            masked_positions = np.flatnonzero(masks[target].masked)
             pick = int(masked_positions[rng.integers(0, masked_positions.size)])
             touched = list(grids)
             touched[target] = perturbed(grids[target], pick, float(rng.random()))
-            pooled = pool_visible_patches(prepare(touched, config), inputs.shaped)
-            loss, _, _ = loss_and_grads(pooled, bags, encoders, state.temperature)
+            pooled = pool_visible_patches(prepare(touched, config), shaped)
+            loss, _, _ = loss_and_grads(pooled, bags, encoders, 0.07)
             assert loss == baseline
 
         # 25 trials: random strategy, full train_step replay end to end
         for trial in range(25):
             config = MaskerConfig(strategy=Strategy.RANDOM, seed=int(rng.integers(1000)))
-            state = TrainState(epoch_total=10, step=trial)
+            settings = dict(step=trial, alpha=0.0, beta=0.5, learning_rate=0.1, temperature=0.07)
             encoders = init_encoders(patch_dim, bags.shape[1], 8, seed=trial + 100)
             prepared = prepare(grids, config)
-            inputs = prepare_step_inputs(prepared, config, state, 0.5)
-            _, base = train_step(encoders, prepared, bags, config, state, 0.5, 0.1)
+            masks, _, _ = prepare_step_inputs(prepared, config, step=trial, alpha=0.0, beta=0.5)
+            _, base, _ = train_step(encoders, prepared, bags, config, **settings)
 
             target = int(rng.integers(0, len(grids)))
-            masked_positions = np.flatnonzero(inputs.masks[target].masked)
+            masked_positions = np.flatnonzero(masks[target].masked)
             pick = int(masked_positions[rng.integers(0, masked_positions.size)])
             touched = list(grids)
             touched[target] = perturbed(grids[target], pick, float(rng.random()))
-            _, replay = train_step(encoders, prepare(touched, config), bags, config, state,
-                                   0.5, 0.1)
-            assert replay.loss == base.loss
+            _, replay, _ = train_step(encoders, prepare(touched, config), bags, config, **settings)
+            assert replay == base
 
 
 def test_criterion_07_batch_shaping_contract():

@@ -22,7 +22,6 @@ from patchmask.similarity import blend, check_alpha, cosine_matrix, toy_patch_em
 from patchmask.streams import Stream
 from patchmask.toy_contrastive import (
     ToyEncoders,
-    TrainState,
     alpha_schedule,
     init_encoders,
     loss_and_grads,
@@ -191,14 +190,13 @@ def frozen_cli_mask(images, patch_size, masker, beta, alpha):
     return masks, shaped
 
 
-def frozen_prepare_step_inputs(grids, config, state, beta):
-    alpha = alpha_schedule(state)
+def frozen_prepare_step_inputs(grids, config, step, alpha, beta):
     masks = []
     for i, grid in enumerate(grids):
-        rng = np.random.default_rng((config.seed, Stream.TRAIN_MASK, state.step, i))
+        rng = np.random.default_rng((config.seed, Stream.TRAIN_MASK, step, i))
         masks.append(frozen_mask_image(grid, config, rng, alpha))
-    shaped = shape_batch(masks, beta, np.random.default_rng((config.seed, Stream.TRAIN_SHAPE, state.step)))
-    return masks, shaped, frozen_pool(grids, shaped), alpha
+    shaped = shape_batch(masks, beta, np.random.default_rng((config.seed, Stream.TRAIN_SHAPE, step)))
+    return masks, shaped, frozen_pool(grids, shaped)
 
 
 def frozen_train_loop(images, bags, config, epochs, patch_size, beta, learning_rate,
@@ -207,18 +205,17 @@ def frozen_train_loop(images, bags, config, epochs, patch_size, beta, learning_r
     defaults; also returns each step's (masks, shaped, pooled)."""
     grids = [patchify(image, patch_size) for image in images]
     encoders = init_encoders(grids[0].patch_dim, bags.shape[1], 16, config.seed)
-    state = TrainState(epoch_total=epochs)
-    rows, steps = [], []
+    rows, steps, step = [], [], 0
     for epoch in range(epochs):
-        state.epoch_current = epoch
+        alpha = float(epoch / epochs) ** 1.0
         for _ in range(steps_per_epoch):
-            masks, shaped, pooled, alpha = frozen_prepare_step_inputs(grids, config, state, beta)
-            loss, d_wi, d_wt = loss_and_grads(pooled, bags, encoders, state.temperature)
+            masks, shaped, pooled = frozen_prepare_step_inputs(grids, config, step, alpha, beta)
+            loss, d_wi, d_wt = loss_and_grads(pooled, bags, encoders, 0.07)
             encoders = ToyEncoders(w_image=encoders.w_image - learning_rate * d_wi,
                                    w_text=encoders.w_text - learning_rate * d_wt)
-            rows.append((state.step, loss, alpha, float(np.mean([mask_ratio(m) for m in masks]))))
+            rows.append((step, loss, alpha, float(np.mean([mask_ratio(m) for m in masks]))))
             steps.append((masks, shaped, pooled))
-            state.step += 1
+            step += 1
     return encoders, rows, steps
 
 
@@ -281,16 +278,17 @@ class TestMaskBatch:
         alphas, drops = [], False
         for step in range(4):
             # alpha moves with the epoch: 0, 1/16, 1/4, 9/16
-            state = TrainState(epoch_total=4, epoch_current=step, alpha_exponent=2.0, step=step)
-            inputs = prepare_step_inputs(prepared, config, state, 0.3)
-            ref_masks, ref_shaped, ref_pooled, ref_alpha = frozen_prepare_step_inputs(
-                grids, config, state, 0.3
+            alpha, ref_alpha = alpha_schedule(step, 4, 2.0), float(step / 4) ** 2.0
+            masks, shaped, pooled = prepare_step_inputs(prepared, config, step=step, alpha=alpha,
+                                                        beta=0.3)
+            ref_masks, ref_shaped, ref_pooled = frozen_prepare_step_inputs(
+                grids, config, step, ref_alpha, 0.3
             )
-            assert_same_batch(inputs.masks, inputs.shaped, ref_masks, ref_shaped)
-            np.testing.assert_array_equal(inputs.pooled, ref_pooled)
-            assert inputs.alpha == ref_alpha
-            alphas.append(inputs.alpha)
-            drops |= has_drops(inputs.masks, inputs.shaped)
+            assert_same_batch(masks, shaped, ref_masks, ref_shaped)
+            np.testing.assert_array_equal(pooled, ref_pooled)
+            assert alpha == ref_alpha
+            alphas.append(alpha)
+            drops |= has_drops(masks, shaped)
         assert len(set(alphas)) == 4 and drops
 
     def test_draws_follow_the_seed_keys(self):
@@ -326,9 +324,10 @@ class TestMaskBatch:
         prepared = [PreparedImage(grid, config.seed) for grid in grids]
         drops = False
         for step, (ref_masks, ref_shaped, ref_pooled) in enumerate(ref_steps):
-            state = TrainState(epoch_total=4, epoch_current=step // 2, step=step)
-            inputs = prepare_step_inputs(prepared, config, state, 0.3)
-            assert_same_batch(inputs.masks, inputs.shaped, ref_masks, ref_shaped)
-            np.testing.assert_array_equal(inputs.pooled, ref_pooled)
-            drops |= has_drops(inputs.masks, inputs.shaped)
+            masks, shaped, pooled = prepare_step_inputs(
+                prepared, config, step=step, alpha=alpha_schedule(step // 2, 4, 1.0), beta=0.3
+            )
+            assert_same_batch(masks, shaped, ref_masks, ref_shaped)
+            np.testing.assert_array_equal(pooled, ref_pooled)
+            drops |= has_drops(masks, shaped)
         assert drops

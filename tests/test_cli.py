@@ -707,6 +707,15 @@ def test_readme_library_sketch_reproduces_the_cli(tmp_path, monkeypatch):
     assert names["mask"].to_line() + "\n" == (tmp_path / "out" / "masks.txt").read_text()
     assert names["shaped"].to_debug_text() == (tmp_path / "out" / "batch.txt").read_text()
     assert 0.0 < mask_ratio(names["mask"]) < 1.0
+    # and its two training epochs are the log of patchmask train for the same config
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"strategy": "cluster-rgb", "anchor_ratio": 0.03,
+                                  "threshold_r": 0.55}))
+    assert run_cli(["train", "--config", config, "--out", tmp_path / "log", "--epochs", "2",
+                    "--seed", "0"]) == 0
+    log = (tmp_path / "log" / "train_log.csv").read_text().splitlines()[1:]
+    assert [f"{s},{loss!r},{a!r},{r!r}" for s, loss, a, r in names["rows"]] == log
+    assert len(log) == 2
 
 
 class TestConfigErrors:
@@ -786,6 +795,10 @@ class TestConfigErrors:
         # keys are checked in table order, not in the file's
         ({"embed_dim": "y", "temperature": "x"},
          "config key 'temperature' must be a finite number, got 'x'"),
+        # the trainer's settings are checked in check_train's order
+        ({"epochs": 0, "temperature": 0.0}, "epochs must be positive, got 0"),
+        ({"alpha_exponent": 0.0, "temperature": 0.0}, "alpha_exponent must be positive, got 0.0"),
+        ({"beta": 2.0, "epochs": 0}, "beta must lie in (0, 1), got 2.0"),
     ])
     def test_train_errors_name_the_config_key(self, tmp_path, capsys, config, message):
         path = tmp_path / "cfg.json"

@@ -65,6 +65,12 @@ class TestClusterMask:
         with pytest.raises(ConfigError):
             cluster_mask_from_anchors(sim[[0]], [0], float("nan"))
 
+    @pytest.mark.parametrize("anchors", [[-1], [16], [5, 16], [2, 2], [7, 2, 7]])
+    def test_anchors_must_be_distinct_patches(self, rng, anchors):
+        rows = rng.uniform(-1.0, 1.0, size=(len(anchors), 16))
+        with pytest.raises(DataError, match="distinct patches"):
+            cluster_mask_from_anchors(rows, anchors, 0.5)
+
     def test_four_patch_hand_case(self):
         vectors = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
         sim = full_cosine(vectors)
@@ -119,7 +125,8 @@ class TestClusterMask:
             anchors = list(rng.choice(16, size=3, replace=False))
             extra = int(rng.integers(0, 16))
             base = cluster_mask_from_anchors(sim[anchors], anchors, 0.2).masked
-            grown = anchors + [extra]
+            # anchors are distinct, so an extra that is one already adds nothing
+            grown = anchors if extra in anchors else anchors + [extra]
             grown = cluster_mask_from_anchors(sim[grown], grown, 0.2).masked
             assert not (base & ~grown).any()
 

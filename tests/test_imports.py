@@ -1,5 +1,6 @@
-"""Every name a patchmask module imports is used in that module, and every
-module-level function or class is referred to by some code in the package.
+"""Every name a patchmask module imports is used in that module, every
+module-level function or class is referred to by some code in the package,
+and every name in a module's __all__ is bound in that module.
 
 No linter ships with the test dependencies, so these are the one check for
 imports that a refactor leaves behind, and for library code that only the
@@ -109,3 +110,36 @@ def test_scan_finds_an_unreferenced_definition():
         "b": "from . import a\na.used()\n",
     }
     assert unreferenced_definitions(sources) == ["a.dead", "a.Unused"]
+
+
+def unbound_exports(source):
+    """Names in the module's __all__ that no import, def, class or
+    assignment at its top level binds: `from module import *` raises
+    AttributeError on each."""
+    bound, exported = set(), []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(name for name, _ in imported_names(node))
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, ast.Assign):
+            bound.update(t.id for t in node.targets if isinstance(t, ast.Name))
+            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                exported = ast.literal_eval(node.value)
+    return [name for name in exported if name not in bound]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_export_is_bound(path):
+    assert unbound_exports(path.read_text(encoding="utf-8")) == []
+
+
+def test_scan_finds_an_unbound_export():
+    source = (
+        "from .a import b, c as d\n"
+        "E = 1\n"
+        "def f():\n    pass\n"
+        "class G:\n    pass\n"
+        "__all__ = ['b', 'c', 'd', 'E', 'f', 'G', 'Stale']\n"
+    )
+    assert unbound_exports(source) == ["c", "Stale"]

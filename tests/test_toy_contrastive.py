@@ -7,13 +7,13 @@ import pytest
 from conftest import PREPARE_CALLS, prepared_counts, rows_by_source, smoothed_noise_images
 from patchmask.cluster_masker import MaskerConfig, PreparedImage, Strategy
 from patchmask.errors import ConfigError, DataError
-from patchmask.patch_grid import Image, patchify
+from patchmask.patch_grid import Image, patchify, pixel_normalize
 from patchmask.streams import Stream, stream
 from patchmask.synthetic import PALETTE, color_block_dataset
 from patchmask.toy_contrastive import (
     ToyEncoders,
-    TrainState,
     alpha_schedule,
+    check_train,
     info_nce,
     init_encoders,
     loss_and_grads,
@@ -49,33 +49,29 @@ def naive_symmetric_loss(image_embeds, text_embeds, tau):
 
 class TestAlphaSchedule:
     def test_endpoints(self):
-        assert alpha_schedule(TrainState(epoch_total=10, epoch_current=0)) == 0.0
-        assert alpha_schedule(TrainState(epoch_total=10, epoch_current=10)) == 1.0
+        assert alpha_schedule(0, 10, 1.0) == 0.0
+        assert alpha_schedule(10, 10, 1.0) == 1.0
 
     def test_linear_midpoint(self):
-        state = TrainState(epoch_total=10, epoch_current=5, alpha_exponent=1.0)
-        assert alpha_schedule(state) == pytest.approx(0.5)
+        assert alpha_schedule(5, 10, 1.0) == pytest.approx(0.5)
 
     def test_quadratic_midpoint(self):
-        state = TrainState(epoch_total=10, epoch_current=5, alpha_exponent=2.0)
-        assert alpha_schedule(state) == pytest.approx(0.25)
+        assert alpha_schedule(5, 10, 2.0) == pytest.approx(0.25)
 
     @pytest.mark.parametrize("k", [0.5, 1.0, 2.0])
     def test_non_decreasing(self, k):
-        values = [
-            alpha_schedule(TrainState(epoch_total=20, epoch_current=e, alpha_exponent=k))
-            for e in range(21)
-        ]
+        values = [alpha_schedule(e, 20, k) for e in range(21)]
         assert values == sorted(values)
         assert values[0] == 0.0 and values[-1] == 1.0
 
-    def test_state_validation(self):
+    def test_check_train_validation(self):
+        settings = dict(n_images=4, epochs=5, beta=0.5, learning_rate=0.5, embed_dim=8,
+                        steps_per_epoch=1, alpha_exponent=1.0, temperature=0.07)
+        check_train(**settings)
         with pytest.raises(ConfigError):
-            TrainState(epoch_total=0)
+            check_train(**{**settings, "epochs": 0})
         with pytest.raises(ConfigError):
-            TrainState(epoch_total=5, epoch_current=6)
-        with pytest.raises(ConfigError):
-            TrainState(epoch_total=5, temperature=0.0)
+            check_train(**{**settings, "temperature": 0.0})
 
 
 class TestInfoNCE:
@@ -180,6 +176,10 @@ def prepare(grids, config):
     return [PreparedImage(grid, config.seed) for grid in grids]
 
 
+# the first step of a 10-epoch run at the default temperature
+STEP_ZERO = dict(step=0, alpha=0.0, beta=0.5, temperature=0.07)
+
+
 def perturbed(grid, patch_idx, value):
     """A copy of grid with every sample of one patch set to value."""
     patches = grid.patches.copy()
@@ -191,60 +191,57 @@ class TestTrainStep:
     def small_setup(self, seed=0, strategy=Strategy.CLUSTER_RGB):
         grids, bags = color_block_dataset(6, 16, 4, n_colors=6, seed=seed)
         config = MaskerConfig(strategy=strategy, threshold_r=0.6, kmeans_k=4, seed=seed)
-        state = TrainState(epoch_total=10)
         encoders = init_encoders(48, 6, 8, seed=seed)
-        return grids, bags, config, state, encoders
+        return grids, bags, config, encoders
 
     def test_zero_learning_rate_keeps_parameters(self):
-        grids, bags, config, state, encoders = self.small_setup()
+        grids, bags, config, encoders = self.small_setup()
         prepared = prepare(grids, config)
-        updated, first = train_step(encoders, prepared, bags, config, state, 0.5, 0.0)
+        updated, first, _ = train_step(encoders, prepared, bags, config, learning_rate=0.0,
+                                       **STEP_ZERO)
         np.testing.assert_array_equal(updated.w_image, encoders.w_image)
         np.testing.assert_array_equal(updated.w_text, encoders.w_text)
-        _, second = train_step(encoders, prepared, bags, config, state, 0.5, 0.0)
-        assert first.loss == second.loss  # bit-exact repeat of the same step
+        _, second, _ = train_step(encoders, prepared, bags, config, learning_rate=0.0,
+                                  **STEP_ZERO)
+        assert first == second  # bit-exact repeat of the same step
 
     def test_fresh_masks_each_step(self):
-        grids, bags, config, state, _ = self.small_setup()
+        grids, bags, config, _ = self.small_setup()
         prepared = prepare(grids, config)
-        first = prepare_step_inputs(prepared, config, state, 0.5)
-        state.step += 1
-        second = prepare_step_inputs(prepared, config, state, 0.5)
-        assert any(
-            not np.array_equal(a.masked, b.masked)
-            for a, b in zip(first.masks, second.masks)
-        )
+        first, _, _ = prepare_step_inputs(prepared, config, step=0, alpha=0.0, beta=0.5)
+        second, _, _ = prepare_step_inputs(prepared, config, step=1, alpha=0.0, beta=0.5)
+        assert any(not np.array_equal(a.masked, b.masked) for a, b in zip(first, second))
 
     def test_masked_patch_pixels_never_reach_loss(self):
         # fixed shaped batch: perturbing a masked patch must leave the loss
         # bit-identical because pooling only touches kept slots
-        grids, bags, config, state, encoders = self.small_setup(seed=5)
-        inputs = prepare_step_inputs(prepare(grids, config), config, state, 0.5)
-        baseline, _, _ = loss_and_grads(inputs.pooled, bags, encoders, state.temperature)
+        grids, bags, config, encoders = self.small_setup(seed=5)
+        masks, shaped, pooled = prepare_step_inputs(prepare(grids, config), config, step=0,
+                                                    alpha=0.0, beta=0.5)
+        baseline, _, _ = loss_and_grads(pooled, bags, encoders, 0.07)
 
-        target = next(i for i, m in enumerate(inputs.masks) if m.masked.any())
-        patch_idx = int(np.flatnonzero(inputs.masks[target].masked)[0])
+        target = next(i for i, m in enumerate(masks) if m.masked.any())
+        patch_idx = int(np.flatnonzero(masks[target].masked)[0])
         touched = list(grids)
         touched[target] = perturbed(grids[target], patch_idx, 0.123)
 
-        pooled = pool_visible_patches(prepare(touched, config), inputs.shaped)
-        loss, _, _ = loss_and_grads(pooled, bags, encoders, state.temperature)
+        pooled = pool_visible_patches(prepare(touched, config), shaped)
+        loss, _, _ = loss_and_grads(pooled, bags, encoders, 0.07)
         assert loss == baseline
 
     def test_random_strategy_full_step_ignores_masked_pixels(self):
         # random masks are content-independent, so the whole step replays
-        grids, bags, config, state, encoders = self.small_setup(
-            seed=7, strategy=Strategy.RANDOM
-        )
+        grids, bags, config, encoders = self.small_setup(seed=7, strategy=Strategy.RANDOM)
         prepared = prepare(grids, config)
-        inputs = prepare_step_inputs(prepared, config, state, 0.5)
-        _, base = train_step(encoders, prepared, bags, config, state, 0.5, 0.1)
+        masks, _, _ = prepare_step_inputs(prepared, config, step=0, alpha=0.0, beta=0.5)
+        _, base, _ = train_step(encoders, prepared, bags, config, learning_rate=0.1,
+                                **STEP_ZERO)
 
-        patch_idx = int(np.flatnonzero(inputs.masks[0].masked)[0])
+        patch_idx = int(np.flatnonzero(masks[0].masked)[0])
         touched = [perturbed(grids[0], patch_idx, 0.875)] + list(grids[1:])
-        _, replay = train_step(encoders, prepare(touched, config), bags, config, state,
-                               0.5, 0.1)
-        assert replay.loss == base.loss
+        _, replay, _ = train_step(encoders, prepare(touched, config), bags, config,
+                                  learning_rate=0.1, **STEP_ZERO)
+        assert replay == base
 
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_train_loop_prepares_each_image_once_per_run(self, prepare_calls, strategy):
@@ -258,6 +255,22 @@ class TestTrainStep:
         assert prepared_counts(prepare_calls) == [6 * n for n in PREPARE_CALLS[strategy]]
         for computed in rows_by_source(prepare_calls[1]):
             assert sorted(set(computed)) == sorted(computed)
+
+    def test_train_loop_checks_grids_and_bags_before_drawing_encoders(self, calls_to):
+        draws = calls_to("toy_contrastive", "init_encoders")
+        # 16 patches each, of 192 values at 32 px and P=8 and of 48 at 16 px and P=4
+        grids, bags = color_block_dataset(3, 32, 8, seed=0)
+        small, _ = color_block_dataset(3, 16, 4, seed=0)
+        cases = [
+            (grids + small, np.vstack([bags, bags]), "grid 3 must be unnormalized"),
+            ([grids[0], pixel_normalize(grids[1]), grids[2]], bags, "grid 1 must be"),
+            (grids, bags[:, 0], "one token-bag row per grid"),
+            (grids, bags[:2], "one token-bag row per grid"),
+        ]
+        for case_grids, case_bags, message in cases:
+            with pytest.raises(DataError, match=message):
+                train_loop(case_grids, case_bags, MaskerConfig(), epochs=2, beta=0.5)
+        assert draws == []
 
     def test_row_cache_computes_no_row_twice(self, calls_to):
         # 4 anchors of 16 patches a step over 40 steps: every row of both
