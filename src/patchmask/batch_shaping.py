@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cluster_masker import ceil_count, mask_image
-from .errors import ConfigError, DataError
+from .cluster_masker import ceil_count, check_beta, mask_image
+from .errors import DataError
 from .streams import stream
 
 
@@ -29,7 +29,6 @@ class ShapedBatch:
     kept_indices: np.ndarray  # (N, V) int64
     attention: np.ndarray  # (N, V) bool
     length: int  # patches per source image (L)
-    beta: float
 
     @property
     def batch(self):
@@ -53,12 +52,6 @@ def visible_slots(length, beta):
     """V = L - ceil(beta * L); rounding the mask count up guarantees the
     minimum mask ratio, so a positive beta masks at least one slot."""
     return length - ceil_count(beta * length)
-
-
-def check_beta(beta):
-    """Raise ConfigError unless the minimum mask ratio beta lies in (0, 1)."""
-    if not 0.0 < beta < 1.0:
-        raise ConfigError(f"beta must lie in (0, 1), got {beta}")
 
 
 def shape_batch(masks, beta, rng):
@@ -85,13 +78,13 @@ def shape_batch(masks, beta, rng):
             visible = np.delete(visible, drop)
         kept[i, : visible.size] = visible
         attention[i, : visible.size] = True
-    return ShapedBatch(kept_indices=kept, attention=attention, length=length, beta=float(beta))
+    return ShapedBatch(kept_indices=kept, attention=attention, length=length)
 
 
-def mask_batch(prepared, config, beta, alpha, mask_key, shape_key):
+def mask_batch(prepared, config, alpha, mask_key, shape_key):
     """Mask each PreparedImage record of the iterable prepared with
     mask_image and stream(*mask_key, i) for the i-th, then shape the masks
-    with stream(*shape_key). Returns (masks, shaped batch).
+    with config.beta and stream(*shape_key). Returns (masks, shaped batch).
 
     A record keeps what its first mask computed, so masking it again redoes
     only the per-step draws. A generator of records keeps one record alive
@@ -103,4 +96,4 @@ def mask_batch(prepared, config, beta, alpha, mask_key, shape_key):
         masks.append(mask_image(record, config, rng, alpha))
         # drop the record before a generator prepares the next one
         del record
-    return masks, shape_batch(masks, beta, stream(*shape_key))
+    return masks, shape_batch(masks, config.beta, stream(*shape_key))

@@ -9,8 +9,8 @@ section lists each command's keys and flags; here the tables _MASK,
 _CALIBRATE and _TRAIN below declare the keys, and _add_flags makes the
 flags from them. Each default is written once: the tables read the
 library's from MaskerConfig's fields and from the signatures of
-calibrate_threshold, train_loop and color_block_dataset, and hold only
-those of the keys no library function defaults (beta, patch_size, alpha,
+mask_image, calibrate_threshold, train_loop and color_block_dataset, and
+hold only those of the keys no library function defaults (patch_size,
 render, target, sample_size).
 """
 
@@ -23,9 +23,9 @@ import sys
 from itertools import repeat
 from pathlib import Path
 
-from .batch_shaping import check_beta, mask_batch
+from .batch_shaping import mask_batch
 from .calibration import calibrate_threshold, check_search
-from .cluster_masker import Mask, MaskerConfig, PreparedImage, Strategy
+from .cluster_masker import Mask, MaskerConfig, PreparedImage, Strategy, mask_image
 from .errors import ConfigError, ConvergenceError, DataError
 from .patch_grid import check_patch_size, grid_shape, pixel_normalize, unpatchify
 from .pnm import load_image, load_patches, read_size, save_image
@@ -111,15 +111,14 @@ def _keyword_defaults(fn):
 # names a command's config keys. Their order is the order the keys are
 # checked in, and the order of the commands' flags.
 _MASKER = {field.name: field.default for field in dataclasses.fields(MaskerConfig)}
-_MASK = {**_MASKER, "beta": 0.5, "patch_size": 16, "alpha": 1.0, "render": False}
+_MASK = {**_MASKER, "patch_size": 16, **_keyword_defaults(mask_image), "render": False}
 _CALIBRATE = {
     **{key: _MASK[key] for key in ("anchor_ratio", "patch_size", "seed")},
     "target": 0.5,
     **_keyword_defaults(calibrate_threshold),  # tolerance, max_iters
     "sample_size": 1024,
 }
-# keyword arguments of train_loop
-_TRAIN_LOOP = {"beta": _MASK["beta"], **_keyword_defaults(train_loop)}
+_TRAIN_LOOP = _keyword_defaults(train_loop)
 _DATASET = _keyword_defaults(color_block_dataset)
 _TRAIN = {**_MASKER, **_TRAIN_LOOP, "dataset": _DATASET}
 # the flags that are not their key with dashes, and the help lines
@@ -178,7 +177,6 @@ def _cmd_mask(args):
     patch_size = options["patch_size"]
     # bad values are reported before any image loads
     check_alpha(options["alpha"])
-    check_beta(options["beta"])
     check_patch_size(patch_size)
 
     paths = _input_paths(args.in_dir)
@@ -192,7 +190,7 @@ def _cmd_mask(args):
     prepared = map(PreparedImage, _grids(paths, patch_size, grids, in_place), repeat(masker.seed))
     # shape before opening any output, so a data error leaves nothing behind
     masks, shaped = mask_batch(
-        prepared, masker, options["beta"], options["alpha"],
+        prepared, masker, options["alpha"],
         (masker.seed, Stream.MASK), (masker.seed, Stream.SHAPE),
     )
 

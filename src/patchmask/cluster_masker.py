@@ -45,7 +45,8 @@ class Strategy(str, Enum):
 class MaskerConfig:
     """Knobs for mask generation; defaults follow the reference setup
     (3% anchors, 12 K-Means clusters for at most 10 iterations with half
-    of them masked, 50% random baseline ratio)."""
+    of them masked, 50% random baseline ratio, and 0.5 for beta, the
+    minimum mask ratio that fixes the visible slots of a shaped batch)."""
 
     strategy: Strategy = Strategy.CLUSTER_RGB
     anchor_ratio: float = 0.03
@@ -55,6 +56,7 @@ class MaskerConfig:
     kmeans_mask_fraction: float = 0.5
     random_mask_ratio: float = 0.5
     seed: int = 0
+    beta: float = 0.5
 
     def __post_init__(self):
         try:
@@ -75,6 +77,7 @@ class MaskerConfig:
         check_kmeans_mask_fraction(self.kmeans_mask_fraction)
         check_random_mask_ratio(self.random_mask_ratio)
         check_seed(self.seed)
+        check_beta(self.beta)
 
 
 @dataclass
@@ -130,6 +133,22 @@ def check_random_mask_ratio(ratio):
         raise ConfigError(f"random_mask_ratio must lie in (0, 1), got {ratio}")
 
 
+def check_beta(beta):
+    """Raise ConfigError unless the minimum mask ratio beta lies in (0, 1)."""
+    if not 0.0 < beta < 1.0:
+        raise ConfigError(f"beta must lie in (0, 1), got {beta}")
+
+
+def check_anchors(anchors, length):
+    """The anchors in ascending order; DataError unless they are distinct
+    patches in [0, length)."""
+    ordered = np.sort(anchors)
+    listed = ordered.tolist()
+    if listed and (listed[0] < 0 or listed[-1] >= length or len(set(listed)) < len(listed)):
+        raise DataError(f"anchors must be distinct patches in [0, {length}), got {listed}")
+    return ordered
+
+
 def anchor_count(anchor_ratio, length):
     """Number of anchors: max(1, round(anchor_ratio * L)), half rounded up."""
     check_anchor_ratio(anchor_ratio)
@@ -154,10 +173,7 @@ def cluster_mask_from_anchors(rows, anchors, threshold_r):
     if rows.ndim != 2 or anchors.shape != (rows.shape[0],):
         raise DataError(f"need one similarity row per anchor, got shape {rows.shape} "
                         f"for {anchors.size} anchors")
-    ordered = np.sort(anchors)
-    listed = ordered.tolist()
-    if listed and (listed[0] < 0 or listed[-1] >= rows.shape[1] or len(set(listed)) < len(listed)):
-        raise DataError(f"anchors must be distinct patches in [0, {rows.shape[1]}), got {listed}")
+    ordered = check_anchors(anchors, rows.shape[1])
     masked = masked_by_anchors(rows, anchors, float(threshold_r))
     return Mask(masked=masked, anchors=ordered)
 

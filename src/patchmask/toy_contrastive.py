@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batch_shaping import check_beta, mask_batch
+from .batch_shaping import mask_batch
 from .cluster_masker import PreparedImage, mask_ratio
 from .errors import ConfigError, ConvergenceError, DataError
 from .streams import Stream, stream
@@ -116,7 +116,7 @@ def pool_visible_patches(prepared, shaped):
     return pooled
 
 
-def prepare_step_inputs(prepared, config, *, step, alpha, beta):
+def prepare_step_inputs(prepared, config, *, step, alpha):
     """Masks, shaped batch, and pooled features for one training step.
 
     prepared holds the images' PreparedImage records, made once per run.
@@ -125,21 +125,20 @@ def prepare_step_inputs(prepared, config, *, step, alpha, beta):
     successive steps see fresh masks. Returns (masks, shaped, pooled).
     """
     masks, shaped = mask_batch(
-        prepared, config, beta, alpha,
+        prepared, config, alpha,
         (config.seed, Stream.TRAIN_MASK, step), (config.seed, Stream.TRAIN_SHAPE, step),
     )
     return masks, shaped, pool_visible_patches(prepared, shaped)
 
 
-def train_step(encoders, prepared, bags, config, *, step, alpha, beta, learning_rate,
-               temperature):
+def train_step(encoders, prepared, bags, config, *, step, alpha, learning_rate, temperature):
     """One full-batch gradient-descent step on the symmetric loss, over the
     images' PreparedImage records, with the masks of step and blend weight
     alpha.
 
     Returns (updated encoders, loss, mean mask ratio).
     """
-    masks, _, pooled = prepare_step_inputs(prepared, config, step=step, alpha=alpha, beta=beta)
+    masks, _, pooled = prepare_step_inputs(prepared, config, step=step, alpha=alpha)
     # weights that overflow make the loss non-finite, which train_loop
     # reports; numpy's warnings on the way would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -151,14 +150,14 @@ def train_step(encoders, prepared, bags, config, *, step, alpha, beta, learning_
     return updated, loss, float(np.mean([mask_ratio(m) for m in masks]))
 
 
-def check_train(n_images, epochs, beta, learning_rate, embed_dim, steps_per_epoch,
-                alpha_exponent, temperature):
+def check_train(n_images, epochs, learning_rate, embed_dim, steps_per_epoch, alpha_exponent,
+                temperature):
     """Raise ConfigError unless train_loop can run over n_images images
     with these settings.
 
-    These are train_loop's checks, beta's among them, which shape_batch
-    would reach only at the first step; they read no image, so a caller
-    can run them before it makes any data."""
+    These are train_loop's checks; they read no image, so a caller can run
+    them before it makes any data. The masker's settings, beta among them,
+    are MaskerConfig's own."""
     if steps_per_epoch < 1:
         raise ConfigError(f"steps_per_epoch must be >= 1, got {steps_per_epoch}")
     if embed_dim < 1:
@@ -167,16 +166,15 @@ def check_train(n_images, epochs, beta, learning_rate, embed_dim, steps_per_epoc
         raise ConfigError(f"learning_rate must be positive, got {learning_rate}")
     if n_images < 2:
         raise ConfigError(f"InfoNCE needs at least 2 images, got {n_images}")
-    check_beta(beta)
     if epochs <= 0:
         raise ConfigError(f"epochs must be positive, got {epochs}")
-    if alpha_exponent <= 0.0:
+    if not alpha_exponent > 0.0:
         raise ConfigError(f"alpha_exponent must be positive, got {alpha_exponent}")
-    if temperature <= 0.0:
+    if not temperature > 0.0:
         raise ConfigError(f"temperature must be positive, got {temperature}")
 
 
-def train_loop(grids, bags, config, *, beta, epochs=20, steps_per_epoch=1,
+def train_loop(grids, bags, config, *, epochs=20, steps_per_epoch=1,
                learning_rate=0.5, temperature=0.07, alpha_exponent=1.0, embed_dim=16):
     """Run epochs x steps_per_epoch full-batch steps over a fixed dataset:
     one unnormalized PatchGrid per image, as color_block_dataset makes
@@ -202,8 +200,8 @@ def train_loop(grids, bags, config, *, beta, epochs=20, steps_per_epoch=1,
     and so do non-finite weights after the last step (earlier ones make
     the next step's loss non-finite).
     """
-    check_train(len(grids), epochs, beta, learning_rate, embed_dim, steps_per_epoch,
-                alpha_exponent, temperature)
+    check_train(len(grids), epochs, learning_rate, embed_dim, steps_per_epoch, alpha_exponent,
+                temperature)
     bags = np.asarray(bags, dtype=np.float64)
     shape = (grids[0].n_patches, grids[0].patch_dim)
     for index, grid in enumerate(grids):
@@ -221,7 +219,7 @@ def train_loop(grids, bags, config, *, beta, epochs=20, steps_per_epoch=1,
         for _ in range(steps_per_epoch):
             step = len(rows)
             encoders, loss, ratio = train_step(
-                encoders, prepared, bags, config, step=step, alpha=alpha, beta=beta,
+                encoders, prepared, bags, config, step=step, alpha=alpha,
                 learning_rate=learning_rate, temperature=temperature,
             )
             if not math.isfinite(loss):

@@ -195,7 +195,7 @@ def test_criterion_06_attention_mask_correctness():
             )
             encoders = init_encoders(patch_dim, bags.shape[1], 8, seed=trial)
             masks, shaped, pooled = prepare_step_inputs(prepare(grids, config), config,
-                                                        step=trial, alpha=0.0, beta=0.5)
+                                                        step=trial, alpha=0.0)
             baseline, _, _ = loss_and_grads(pooled, bags, encoders, 0.07)
 
             target = int(rng.integers(0, len(grids)))
@@ -210,10 +210,10 @@ def test_criterion_06_attention_mask_correctness():
         # 25 trials: random strategy, full train_step replay end to end
         for trial in range(25):
             config = MaskerConfig(strategy=Strategy.RANDOM, seed=int(rng.integers(1000)))
-            settings = dict(step=trial, alpha=0.0, beta=0.5, learning_rate=0.1, temperature=0.07)
+            settings = dict(step=trial, alpha=0.0, learning_rate=0.1, temperature=0.07)
             encoders = init_encoders(patch_dim, bags.shape[1], 8, seed=trial + 100)
             prepared = prepare(grids, config)
-            masks, _, _ = prepare_step_inputs(prepared, config, step=trial, alpha=0.0, beta=0.5)
+            masks, _, _ = prepare_step_inputs(prepared, config, step=trial, alpha=0.0)
             _, base, _ = train_step(encoders, prepared, bags, config, **settings)
 
             target = int(rng.integers(0, len(grids)))
@@ -330,7 +330,7 @@ def test_criterion_11_training_smoke():
         grids, bags = color_block_dataset(16, 32, 8, seed=101)
         for strategy, threshold in ((Strategy.CLUSTER_RGB, 0.6), (Strategy.RANDOM, 0.5)):
             config = MaskerConfig(strategy=strategy, threshold_r=threshold, seed=101)
-            _, rows = train_loop(grids, bags, config, epochs=200, beta=0.5, learning_rate=0.3)
+            _, rows = train_loop(grids, bags, config, epochs=200, learning_rate=0.3)
             assert len(rows) == 200
             initial, final = rows[0][1], rows[-1][1]
             assert final <= 0.8 * initial, (strategy, initial, final)

@@ -237,19 +237,19 @@ def assert_same_batch(masks, shaped, ref_masks, ref_shaped):
         np.testing.assert_array_equal(mask.anchors, ref.anchors)
     np.testing.assert_array_equal(shaped.kept_indices, ref_shaped.kept_indices)
     np.testing.assert_array_equal(shaped.attention, ref_shaped.attention)
-    assert (shaped.length, shaped.beta) == (ref_shaped.length, ref_shaped.beta)
+    assert shaped.length == ref_shaped.length
 
 
 def has_drops(masks, shaped):
     return any((~mask.masked).sum() > shaped.slots for mask in masks)
 
 
-def small_config(strategy, threshold_r, seed):
+def small_config(strategy, threshold_r, seed, beta=0.5):
     # a quarter of the K-Means clusters and a fifth of the random patches
     # leave more visible patches than beta's slots, so shaping drops some
     return MaskerConfig(strategy=strategy, threshold_r=threshold_r, anchor_ratio=0.15,
                         kmeans_k=4, kmeans_mask_fraction=0.25, random_mask_ratio=0.2,
-                        seed=seed)
+                        seed=seed, beta=beta)
 
 
 class TestMaskBatch:
@@ -263,7 +263,7 @@ class TestMaskBatch:
             config = small_config(strategy, threshold_r, seed)
             prepared = [PreparedImage(grid, config.seed) for grid in grids]
             for alpha in (1.0, 0.4):
-                masks, shaped = mask_batch(prepared, config, 0.5, alpha,
+                masks, shaped = mask_batch(prepared, config, alpha,
                                            (seed, Stream.MASK), (seed, Stream.SHAPE))
                 assert_same_batch(masks, shaped, *frozen_cli_mask(images, 8, config, 0.5, alpha))
                 drops |= has_drops(masks, shaped)
@@ -272,15 +272,14 @@ class TestMaskBatch:
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_training_steps_match_the_old_prepare_step_inputs(self, strategy):
         images = regression_images()
-        config = small_config(strategy, 0.6, 3)
+        config = small_config(strategy, 0.6, 3, beta=0.3)
         grids = [patchify(image, 8) for image in images]
         prepared = [PreparedImage(grid, config.seed) for grid in grids]
         alphas, drops = [], False
         for step in range(4):
             # alpha moves with the epoch: 0, 1/16, 1/4, 9/16
             alpha, ref_alpha = alpha_schedule(step, 4, 2.0), float(step / 4) ** 2.0
-            masks, shaped, pooled = prepare_step_inputs(prepared, config, step=step, alpha=alpha,
-                                                        beta=0.3)
+            masks, shaped, pooled = prepare_step_inputs(prepared, config, step=step, alpha=alpha)
             ref_masks, ref_shaped, ref_pooled = frozen_prepare_step_inputs(
                 grids, config, step, ref_alpha, 0.3
             )
@@ -294,9 +293,9 @@ class TestMaskBatch:
     def test_draws_follow_the_seed_keys(self):
         config = MaskerConfig(strategy=Strategy.RANDOM)
         grids = [PreparedImage(patchify(image, 8), config.seed) for image in regression_images()]
-        masks, shaped = mask_batch(grids, config, 0.5, 1.0, (1, 2), (1, 3))
-        again, _ = mask_batch(grids, config, 0.5, 1.0, (1, 2), (1, 4))
-        other, _ = mask_batch(grids, config, 0.5, 1.0, (1, 5), (1, 3))
+        masks, shaped = mask_batch(grids, config, 1.0, (1, 2), (1, 3))
+        again, _ = mask_batch(grids, config, 1.0, (1, 2), (1, 4))
+        other, _ = mask_batch(grids, config, 1.0, (1, 5), (1, 3))
         for i, mask in enumerate(masks):
             alone = random_mask(16, 0.5, np.random.default_rng((1, 2, i)))
             np.testing.assert_array_equal(mask.masked, alone.masked)
@@ -310,9 +309,9 @@ class TestMaskBatch:
         # rows, the final weights and every step's batch stay bit-identical
         images = regression_images()
         bags = np.random.default_rng(8).integers(1, 4, size=(len(images), 6)).astype(np.float64)
-        config = small_config(strategy, 0.6, 5)
+        config = small_config(strategy, 0.6, 5, beta=0.3)
         grids = [patchify(image, 8) for image in images]
-        encoders, rows = train_loop(grids, bags, config, epochs=4, beta=0.3, learning_rate=0.2,
+        encoders, rows = train_loop(grids, bags, config, epochs=4, learning_rate=0.2,
                                     steps_per_epoch=2)
         ref_encoders, ref_rows, ref_steps = frozen_train_loop(images, bags, config, 4, 8, 0.3,
                                                               0.2, 2)
@@ -325,7 +324,7 @@ class TestMaskBatch:
         drops = False
         for step, (ref_masks, ref_shaped, ref_pooled) in enumerate(ref_steps):
             masks, shaped, pooled = prepare_step_inputs(
-                prepared, config, step=step, alpha=alpha_schedule(step // 2, 4, 1.0), beta=0.3
+                prepared, config, step=step, alpha=alpha_schedule(step // 2, 4, 1.0)
             )
             assert_same_batch(masks, shaped, ref_masks, ref_shaped)
             np.testing.assert_array_equal(pooled, ref_pooled)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cluster_mask, full_cosine, random_similarity
@@ -32,6 +32,11 @@ def small_sample(rng, count=40, length=36):
 def mixed_sample(rng, count=30):
     """Images of several sizes in one sample, L from 1 to 64."""
     return [rng.standard_normal((int(rng.integers(1, 65)), 8)) for _ in range(count)]
+
+
+# the normalized patch vectors of 6 noise images of 32x32 at P=8 (L=16)
+BRACKET_SAMPLE = [pixel_normalize(patchify(Image(data=image), 8)).patches
+                  for image in np.random.default_rng(17).random((6, 32, 32, 3))]
 
 
 def lengths_of(sample):
@@ -250,6 +255,24 @@ class TestCalibrateThreshold:
         report = calibrate_threshold(sample, 0.1, 0.5, max_iters=1,
                                      rng=np.random.default_rng(0), lengths=lengths_of(sample))
         assert report.trace[0][0] == (THRESHOLD_MIN + THRESHOLD_MAX) / 2.0
+
+    @given(
+        target=st.floats(min_value=0.07, max_value=0.99),
+        tolerance=st.one_of(st.sampled_from([1e-300, 5e-324]),
+                            st.floats(min_value=5e-324, max_value=0.05)),
+        max_iters=st.integers(min_value=1, max_value=2000),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_no_midpoint_repeats_but_the_last(self, target, tolerance, max_iters, seed):
+        # one anchor of 16 patches per image masks 1/16 < 0.07 alone, so every
+        # draw searches; a tolerance below the steps of the ratio exhausts
+        # the bracket, whose first repeated midpoint must end the search
+        report = calibrate_threshold(iter(BRACKET_SAMPLE), 0.03, target, tolerance, max_iters,
+                                     rng=np.random.default_rng(seed),
+                                     lengths=lengths_of(BRACKET_SAMPLE))
+        mids = [mid for mid, _ in report.trace]
+        assert len(set(mids[:-1])) == len(mids) - 1
 
     def test_report_json_fields(self, rng):
         import json

@@ -7,6 +7,7 @@ import tempfile
 import tracemalloc
 import warnings
 from contextlib import redirect_stderr
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -205,7 +206,7 @@ class TestMaskCommand:
         paths = sorted(image_dir.iterdir())
         images = [load_image(path) for path in paths]
         masks, _ = mask_batch([PreparedImage(patchify(image, 8), config.seed) for image in images],
-                              config, 0.5, 0.5, (6, Stream.MASK), (6, Stream.SHAPE))
+                              config, 0.5, (6, Stream.MASK), (6, Stream.SHAPE))
         assert (out / "masks.txt").read_text() == "".join(m.to_line() + "\n" for m in masks)
         for path, image, mask in zip(paths, images, masks):
             save_image(render_mask(image, mask, 8), tmp_path / "ref.ppm")
@@ -641,6 +642,8 @@ def test_each_table_keeps_its_keys_defaults_and_order():
         ("dataset", dict, dataset),
     ]
     assert _typed(_DATASET) == [(key, int, value) for key, value in dataset.items()]
+    # a setting both commands take is the masker's, declared once in MaskerConfig
+    assert _MASK.keys() & _TRAIN.keys() == {field.name for field in fields(MaskerConfig)}
 
 
 def test_every_stream_key_seeds_its_own_stream(image_dir, tmp_path, monkeypatch):
@@ -799,12 +802,22 @@ class TestConfigErrors:
         ({"epochs": 0, "temperature": 0.0}, "epochs must be positive, got 0"),
         ({"alpha_exponent": 0.0, "temperature": 0.0}, "alpha_exponent must be positive, got 0.0"),
         ({"beta": 2.0, "epochs": 0}, "beta must lie in (0, 1), got 2.0"),
+        # beta is the masker's, checked with it before the trainer and the dataset
+        ({"beta": 2.0, "steps_per_epoch": 0}, "beta must lie in (0, 1), got 2.0"),
+        ({"beta": 2.0, "dataset": {"n_images": 1}}, "beta must lie in (0, 1), got 2.0"),
     ])
     def test_train_errors_name_the_config_key(self, tmp_path, capsys, config, message):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
         assert run_cli(["train", "--config", path, "--out", tmp_path / "out"]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
+
+    def test_mask_checks_beta_with_the_masker(self, image_dir, tmp_path, capsys):
+        # the masker's settings, beta among them, come before alpha
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"alpha": 2.0, "beta": 2.0}))
+        assert run_cli(["mask", "--config", path, "--in", image_dir, "--out", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err == "config error: beta must lie in (0, 1), got 2.0\n"
 
     def test_the_largest_seed_is_accepted(self, image_dir, tmp_path):
         seed = str(2**32 - 1)

@@ -328,6 +328,19 @@ class TestRenderMask:
         with pytest.raises(DataError):
             render_mask(image, empty_mask(9), 4)
 
+    @pytest.mark.parametrize("masked, anchors, message", [
+        # -1 once outlined patch 3 and 4 raised a bare IndexError
+        ([False, False, False, True], [-1], "distinct patches in"),
+        ([False, False, False, True], [4], "distinct patches in"),
+        ([True, False, False, True], [3, 3], "distinct patches in"),
+        # an unmasked anchor once had its pixels outlined
+        ([False, False, False, False], [0], "must be masked patches"),
+    ])
+    def test_anchors_must_be_distinct_masked_patches(self, masked, anchors, message):
+        mask = Mask(masked=np.array(masked), anchors=np.array(anchors, dtype=np.int64))
+        with pytest.raises(DataError, match=message):
+            render_mask(Image(data=np.zeros((8, 8, 3))), mask, 4)
+
     @pytest.mark.parametrize("patch_size, error",
                              [(0, ConfigError), (-4, ConfigError), (3, DataError)])
     def test_bad_patch_size(self, rng, patch_size, error):

@@ -65,13 +65,18 @@ class TestAlphaSchedule:
         assert values[0] == 0.0 and values[-1] == 1.0
 
     def test_check_train_validation(self):
-        settings = dict(n_images=4, epochs=5, beta=0.5, learning_rate=0.5, embed_dim=8,
+        settings = dict(n_images=4, epochs=5, learning_rate=0.5, embed_dim=8,
                         steps_per_epoch=1, alpha_exponent=1.0, temperature=0.07)
         check_train(**settings)
         with pytest.raises(ConfigError):
             check_train(**{**settings, "epochs": 0})
         with pytest.raises(ConfigError):
             check_train(**{**settings, "temperature": 0.0})
+        # NaN fails every comparison, so each check asks for x > 0
+        with pytest.raises(ConfigError, match="temperature must be positive, got nan"):
+            check_train(**{**settings, "temperature": math.nan})
+        with pytest.raises(ConfigError, match="alpha_exponent must be positive, got nan"):
+            check_train(**{**settings, "alpha_exponent": math.nan})
 
 
 class TestInfoNCE:
@@ -177,7 +182,7 @@ def prepare(grids, config):
 
 
 # the first step of a 10-epoch run at the default temperature
-STEP_ZERO = dict(step=0, alpha=0.0, beta=0.5, temperature=0.07)
+STEP_ZERO = dict(step=0, alpha=0.0, temperature=0.07)
 
 
 def perturbed(grid, patch_idx, value):
@@ -208,8 +213,8 @@ class TestTrainStep:
     def test_fresh_masks_each_step(self):
         grids, bags, config, _ = self.small_setup()
         prepared = prepare(grids, config)
-        first, _, _ = prepare_step_inputs(prepared, config, step=0, alpha=0.0, beta=0.5)
-        second, _, _ = prepare_step_inputs(prepared, config, step=1, alpha=0.0, beta=0.5)
+        first, _, _ = prepare_step_inputs(prepared, config, step=0, alpha=0.0)
+        second, _, _ = prepare_step_inputs(prepared, config, step=1, alpha=0.0)
         assert any(not np.array_equal(a.masked, b.masked) for a, b in zip(first, second))
 
     def test_masked_patch_pixels_never_reach_loss(self):
@@ -217,7 +222,7 @@ class TestTrainStep:
         # bit-identical because pooling only touches kept slots
         grids, bags, config, encoders = self.small_setup(seed=5)
         masks, shaped, pooled = prepare_step_inputs(prepare(grids, config), config, step=0,
-                                                    alpha=0.0, beta=0.5)
+                                                    alpha=0.0)
         baseline, _, _ = loss_and_grads(pooled, bags, encoders, 0.07)
 
         target = next(i for i, m in enumerate(masks) if m.masked.any())
@@ -233,7 +238,7 @@ class TestTrainStep:
         # random masks are content-independent, so the whole step replays
         grids, bags, config, encoders = self.small_setup(seed=7, strategy=Strategy.RANDOM)
         prepared = prepare(grids, config)
-        masks, _, _ = prepare_step_inputs(prepared, config, step=0, alpha=0.0, beta=0.5)
+        masks, _, _ = prepare_step_inputs(prepared, config, step=0, alpha=0.0)
         _, base, _ = train_step(encoders, prepared, bags, config, learning_rate=0.1,
                                 **STEP_ZERO)
 
@@ -249,7 +254,7 @@ class TestTrainStep:
         # distinct vectors for k=4
         grids = [patchify(image, 4) for image in smoothed_noise_images(6, 16, 16, 3, seed=2)]
         config = MaskerConfig(strategy=strategy, threshold_r=0.6, kmeans_k=4, seed=2)
-        _, rows = train_loop(grids, np.eye(6), config, epochs=3, beta=0.5, learning_rate=0.1,
+        _, rows = train_loop(grids, np.eye(6), config, epochs=3, learning_rate=0.1,
                              steps_per_epoch=2)
         assert len(rows) == 6
         assert prepared_counts(prepare_calls) == [6 * n for n in PREPARE_CALLS[strategy]]
@@ -269,7 +274,7 @@ class TestTrainStep:
         ]
         for case_grids, case_bags, message in cases:
             with pytest.raises(DataError, match=message):
-                train_loop(case_grids, case_bags, MaskerConfig(), epochs=2, beta=0.5)
+                train_loop(case_grids, case_bags, MaskerConfig(), epochs=2)
         assert draws == []
 
     def test_row_cache_computes_no_row_twice(self, calls_to):
@@ -279,7 +284,7 @@ class TestTrainStep:
         grids = [patchify(image, 4) for image in smoothed_noise_images(4, 16, 16, 3, seed=3)]
         config = MaskerConfig(strategy=Strategy.CLUSTER_EMBEDDING, anchor_ratio=0.25,
                               threshold_r=0.6, seed=3)
-        _, rows = train_loop(grids, np.eye(4), config, epochs=40, beta=0.5, learning_rate=0.1)
+        _, rows = train_loop(grids, np.eye(4), config, epochs=40, learning_rate=0.1)
         assert len(rows) == 40
         sources = rows_by_source(row_calls)
         assert len(sources) == 8
@@ -289,7 +294,7 @@ class TestTrainStep:
     def test_short_training_reduces_loss(self):
         grids, bags = color_block_dataset(12, 32, 8, seed=21)
         config = MaskerConfig(strategy=Strategy.CLUSTER_RGB, threshold_r=0.6, seed=21)
-        _, rows = train_loop(grids, bags, config, epochs=80, beta=0.5, learning_rate=0.3)
+        _, rows = train_loop(grids, bags, config, epochs=80, learning_rate=0.3)
         assert rows[-1][1] < rows[0][1]
 
 
