@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cluster_masker import ceil_count, check_beta, mask_image
-from .errors import DataError
+from .errors import DataError, check_integer
 from .streams import stream
 
 
@@ -50,7 +50,11 @@ class ShapedBatch:
 
 def visible_slots(length, beta):
     """V = L - ceil(beta * L); rounding the mask count up guarantees the
-    minimum mask ratio, so a positive beta masks at least one slot."""
+    minimum mask ratio, so a positive beta masks at least one slot. A
+    length that is not an integer >= 0, or a beta outside (0, 1), is a
+    ConfigError."""
+    check_integer("length", length, 0)
+    check_beta(beta)
     return length - ceil_count(beta * length)
 
 
@@ -66,8 +70,6 @@ def shape_batch(masks, beta, rng):
     length = masks[0].length
     if any(m.length != length for m in masks):
         raise DataError("all masks in a batch must share the same patch count")
-    check_beta(beta)
-
     v = visible_slots(length, beta)
     kept = np.full((len(masks), v), length, dtype=np.int64)
     attention = np.zeros((len(masks), v), dtype=np.bool_)

@@ -20,7 +20,7 @@ import numpy as np
 
 from ._kernels import reach_row
 from .cluster_masker import THRESHOLD_MAX, THRESHOLD_MIN, check_anchor_ratio, draw_anchors
-from .errors import ConfigError, ConvergenceError, DataError
+from .errors import ConfigError, ConvergenceError, DataError, check_integer
 from .similarity import CosineRows
 
 
@@ -44,8 +44,7 @@ def check_search(anchor_ratio, target_ratio, tolerance, max_iters):
     (anchor_ratio, 1) and an anchor_ratio in (0, 0.5]."""
     if not tolerance > 0.0:
         raise ConfigError(f"tolerance must be positive, got {tolerance}")
-    if max_iters < 1:
-        raise ConfigError(f"max_iters must be >= 1, got {max_iters}")
+    check_integer("max_iters", max_iters, 1)
     if not anchor_ratio < target_ratio < 1.0:
         raise ConfigError(
             f"target_ratio must lie in (anchor_ratio, 1), got {target_ratio}"
@@ -85,11 +84,15 @@ def _reach_rows(sample, lengths, frozen_sets, fresh_sets):
 
 def mean_mask_ratio(reach_rows, r):
     """Mean cluster-mask ratio at threshold r over images given by their
-    reach rows, summed in image order."""
+    reach rows, summed in image order; over no images, or an image of no
+    patches, it is undefined, a DataError."""
     total = 0.0
-    for reach in reach_rows:
-        total += float(np.count_nonzero(reach >= r)) / reach.size
-    return total / len(reach_rows)
+    try:
+        for reach in reach_rows:
+            total += float(np.count_nonzero(reach >= r)) / reach.size
+        return total / len(reach_rows)
+    except ZeroDivisionError:
+        raise DataError("the mean mask ratio of no images, or of no patches, is undefined")
 
 
 def calibrate_threshold(sample, anchor_ratio, target_ratio, tolerance=0.02, max_iters=40, *,
@@ -123,6 +126,7 @@ def calibrate_threshold(sample, anchor_ratio, target_ratio, tolerance=0.02, max_
         raise ConfigError("calibration sample must be nonempty")
     check_search(anchor_ratio, target_ratio, tolerance, max_iters)
     for index, length in enumerate(lengths):
+        check_integer(f"patch vectors {index}'s length", length)
         if length < 1:
             raise DataError(f"patch vectors {index} must hold at least one patch, got {length}")
 

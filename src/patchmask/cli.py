@@ -27,7 +27,7 @@ from .batch_shaping import mask_batch
 from .calibration import calibrate_threshold, check_search
 from .cluster_masker import Mask, MaskerConfig, PreparedImage, Strategy, mask_image
 from .errors import ConfigError, ConvergenceError, DataError
-from .patch_grid import check_patch_size, grid_shape, pixel_normalize, unpatchify
+from .patch_grid import check_patch_size, grid_shape, pixel_normalize
 from .pnm import load_image, load_patches, read_size, save_image
 from .render import render_mask
 from .similarity import EMBED_DIM, check_alpha, cosine_matrix
@@ -204,8 +204,7 @@ def _cmd_mask(args):
 
     if options["render"]:
         for path, grid, mask in zip(paths, grids, masks):
-            image = unpatchify(grid)
-            save_image(render_mask(image, mask, patch_size), out / f"{path.stem}_masked{path.suffix}")
+            save_image(render_mask(grid, mask), out / f"{path.stem}_masked{path.suffix}")
     if args.dump_sim:
         # the full matrix, L GEMVs per image, is built here alone
         for path, grid in zip(paths, grids):

@@ -10,7 +10,7 @@ so only those are computed. All strategies are bit-reproducible given
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
@@ -23,7 +23,7 @@ from ._kernels import (
     masked_by_anchors,
     nearest_centroids,
 )
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_integer
 from .patch_grid import PatchGrid, pixel_normalize
 from .similarity import CosineRows, blend, check_alpha, toy_patch_embedding
 from .streams import check_seed
@@ -70,10 +70,8 @@ class MaskerConfig:
         if not THRESHOLD_MIN <= self.threshold_r <= THRESHOLD_MAX:
             raise ConfigError(f"threshold_r must lie in [{THRESHOLD_MIN:g}, "
                               f"{THRESHOLD_MAX:g}], got {self.threshold_r}")
-        if self.kmeans_k < 2:
-            raise ConfigError(f"kmeans_k must be >= 2, got {self.kmeans_k}")
-        if self.kmeans_max_iters < 1:
-            raise ConfigError(f"kmeans_max_iters must be >= 1, got {self.kmeans_max_iters}")
+        check_integer("kmeans_k", self.kmeans_k, 2)
+        check_integer("kmeans_max_iters", self.kmeans_max_iters, 1)
         check_kmeans_mask_fraction(self.kmeans_mask_fraction)
         check_random_mask_ratio(self.random_mask_ratio)
         check_seed(self.seed)
@@ -82,11 +80,29 @@ class MaskerConfig:
 
 @dataclass
 class Mask:
-    """Boolean mask over a grid's patches. anchors is empty for the
-    K-Means and random strategies and always a subset of the masked set."""
+    """Boolean mask over a grid's L patches and the anchors that seeded
+    it, checked on construction (DataError otherwise): masked is a 1-D
+    bool array, and anchors, none by default, a 1-D int array of
+    ascending, distinct, masked patches in [0, L)."""
 
     masked: np.ndarray  # (L,) bool
-    anchors: np.ndarray  # (A,) int64, ascending
+    anchors: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))  # (A,)
+
+    def __post_init__(self):
+        self.masked, self.anchors = np.asarray(self.masked), np.asarray(self.anchors)
+        if self.masked.ndim != 1 or self.masked.dtype != np.bool_:
+            raise DataError(f"masked must be a 1-D bool array, got {self.masked.dtype} "
+                            f"of shape {self.masked.shape}")
+        if self.anchors.ndim != 1 or self.anchors.dtype.kind not in "iu":
+            raise DataError(f"anchors must be a 1-D int array, got {self.anchors.dtype} "
+                            f"of shape {self.anchors.shape}")
+        if self.anchors.size:
+            listed = self.anchors.tolist()
+            if listed[0] < 0 or listed[-1] >= self.length or listed != sorted(set(listed)):
+                raise DataError(f"anchors must be ascending distinct patches in "
+                                f"[0, {self.length}), got {listed}")
+            if np.count_nonzero(self.masked[self.anchors]) < len(listed):
+                raise DataError(f"anchors must be masked patches, got {listed}")
 
     @property
     def length(self):
@@ -101,8 +117,7 @@ class Mask:
         line = line.strip()
         if not line or set(line) - {"0", "1"}:
             raise DataError(f"mask line must be nonempty '0'/'1' characters, got {line!r}")
-        masked = np.frombuffer(line.encode("ascii"), dtype=np.uint8) == ord("1")
-        return Mask(masked=masked.copy(), anchors=np.empty(0, dtype=np.int64))
+        return Mask(masked=np.frombuffer(line.encode("ascii"), dtype=np.uint8) == ord("1"))
 
 
 def _round_half_up(x):
@@ -139,19 +154,9 @@ def check_beta(beta):
         raise ConfigError(f"beta must lie in (0, 1), got {beta}")
 
 
-def check_anchors(anchors, length):
-    """The anchors in ascending order; DataError unless they are distinct
-    patches in [0, length)."""
-    ordered = np.sort(anchors)
-    listed = ordered.tolist()
-    if listed and (listed[0] < 0 or listed[-1] >= length or len(set(listed)) < len(listed)):
-        raise DataError(f"anchors must be distinct patches in [0, {length}), got {listed}")
-    return ordered
-
-
 def anchor_count(anchor_ratio, length):
-    """Number of anchors: max(1, round(anchor_ratio * L)), half rounded up."""
-    check_anchor_ratio(anchor_ratio)
+    """Number of anchors: max(1, round(anchor_ratio * L)), half rounded up,
+    for an anchor_ratio that MaskerConfig or check_search has checked."""
     return max(1, _round_half_up(anchor_ratio * length))
 
 
@@ -164,7 +169,7 @@ def cluster_mask_from_anchors(rows, anchors, threshold_r):
     for some k. This is the deterministic core of mask_image; calibration
     decides the same membership from the same reach rows. A NaN
     threshold_r is a ConfigError, and anchors that repeat or lie outside
-    [0, L) are a DataError.
+    [0, L) are a DataError (Mask's invariants).
     """
     if math.isnan(threshold_r):
         raise ConfigError("threshold_r must not be NaN")
@@ -173,9 +178,11 @@ def cluster_mask_from_anchors(rows, anchors, threshold_r):
     if rows.ndim != 2 or anchors.shape != (rows.shape[0],):
         raise DataError(f"need one similarity row per anchor, got shape {rows.shape} "
                         f"for {anchors.size} anchors")
-    ordered = check_anchors(anchors, rows.shape[1])
-    masked = masked_by_anchors(rows, anchors, float(threshold_r))
-    return Mask(masked=masked, anchors=ordered)
+    try:
+        masked = masked_by_anchors(rows, anchors, float(threshold_r))
+    except IndexError:  # an anchor numpy cannot index with; Mask checks the rest
+        raise DataError(f"anchors must be patches in [0, {rows.shape[1]}), got {anchors.tolist()}")
+    return Mask(masked=masked, anchors=np.sort(anchors))
 
 
 def draw_anchors(length, anchor_ratio, rng):
@@ -194,7 +201,10 @@ def kmeans_cluster(vectors, k, max_iters, rng):
     stabilize or max_iters centroid updates have run; empty clusters are
     re-seeded from the point farthest from the centroid it was last
     assigned to. The returned labels are always nearest-centroid optimal
-    for the returned centroids.
+    for the returned centroids. k must be an integer >= 1 and max_iters
+    one >= 0 (ConfigError otherwise): k=1 puts every row in one cluster,
+    and max_iters=0 returns the nearest-centroid labels of the drawn
+    centroids, both well-defined runs of Lloyd's algorithm.
 
     An iteration redoes only what moved: the screen's centroid.point
     products are recomputed for the centroids whose bits changed, and the
@@ -204,10 +214,13 @@ def kmeans_cluster(vectors, k, max_iters, rng):
 
     Returns (labels, centroids).
     """
+    check_integer("k", k, 1)
+    check_integer("max_iters", max_iters, 0)
     vectors = np.ascontiguousarray(vectors, dtype=np.float64)
+    if vectors.ndim != 2 or 0 in vectors.shape:
+        raise DataError(f"cannot cluster an empty grid: need (n, d) vectors with n, d >= 1, "
+                        f"got shape {vectors.shape}")
     n = vectors.shape[0]
-    if n == 0:
-        raise DataError("cannot cluster an empty grid")
     distinct = distinct_rows(vectors)
     k = min(k, distinct.size)
     centroids = vectors[distinct[rng.choice(distinct.size, size=k, replace=False)]]
@@ -257,7 +270,7 @@ def kmeans_mask_detail(vectors, k, max_iters, mask_fraction, rng):
     chosen = np.sort(rng.choice(k_eff, size=n_masked, replace=False))
     is_chosen = np.zeros(k_eff, dtype=np.bool_)
     is_chosen[chosen] = True
-    mask = Mask(masked=is_chosen[labels], anchors=np.empty(0, dtype=np.int64))
+    mask = Mask(masked=is_chosen[labels])
     return mask, labels, centroids, chosen
 
 
@@ -270,11 +283,12 @@ def kmeans_mask(vectors, k, max_iters, mask_fraction, rng):
 
 def random_mask(length, ratio, rng):
     """Mask exactly round(ratio * L) uniformly chosen positions."""
+    check_integer("length", length, 0)
     check_random_mask_ratio(ratio)
     n = _round_half_up(ratio * length)
     masked = np.zeros(length, dtype=np.bool_)
     masked[rng.choice(length, size=n, replace=False)] = True
-    return Mask(masked=masked, anchors=np.empty(0, dtype=np.int64))
+    return Mask(masked=masked)
 
 
 def mask_ratio(mask):

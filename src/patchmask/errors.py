@@ -1,4 +1,7 @@
-"""Exception types, grouped by the CLI exit code they map to."""
+"""Exception types, grouped by the CLI exit code they map to, and the one
+check that a count is an integer."""
+
+from numbers import Integral
 
 
 class PatchmaskError(Exception):
@@ -15,3 +18,13 @@ class DataError(PatchmaskError):
 
 class ConvergenceError(PatchmaskError):
     """A search failed to reach its target (CLI exit code 4)."""
+
+
+def check_integer(name, value, minimum=None):
+    """Raise ConfigError unless value, a count, size or seed, is an
+    integer (a float such as 2.0 is not one) and, given a minimum, at
+    least that."""
+    if not isinstance(value, (int, Integral)):  # int first: the ABC's check is slow
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {value}")

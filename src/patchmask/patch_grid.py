@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_integer
 
 # patches with population std below this are treated as constant and
 # normalize to the all-zero vector
@@ -50,7 +50,11 @@ class Image:
 
 @dataclass
 class PatchGrid:
-    """A rows x cols grid of flattened patches, each of length patch_dim."""
+    """A rows x cols grid of flattened patches, each of length patch_dim,
+    checked on construction: rows and cols are integers >= 0, patch_size
+    and channels integers >= 1 (ConfigError otherwise), and patches, made
+    float64 (a float64 array is not copied), has shape (n_patches,
+    patch_dim) (DataError otherwise). No value is scanned."""
 
     rows: int
     cols: int
@@ -58,6 +62,17 @@ class PatchGrid:
     channels: int
     patches: np.ndarray  # (rows * cols, patch_size**2 * channels) float64
     normalized: bool = False
+
+    def __post_init__(self):
+        self.patches = np.asarray(self.patches, dtype=np.float64)
+        check_integer("rows", self.rows, 0)
+        check_integer("cols", self.cols, 0)
+        check_integer("patch_size", self.patch_size, 1)
+        check_integer("channels", self.channels, 1)
+        if self.patches.shape != (self.n_patches, self.patch_dim):
+            raise DataError(f"a {self.rows}x{self.cols} grid of {self.patch_size}-pixel, "
+                            f"{self.channels}-channel patches needs patches of shape "
+                            f"{(self.n_patches, self.patch_dim)}, got {self.patches.shape}")
 
     @property
     def n_patches(self):
@@ -69,7 +84,8 @@ class PatchGrid:
 
 
 def check_patch_size(patch_size):
-    """Raise ConfigError unless patch_size is at least 1."""
+    """Raise ConfigError unless patch_size is an integer of at least 1."""
+    check_integer("patch_size", patch_size)
     if patch_size < 1:
         raise ConfigError(f"patch_size must be positive, got {patch_size}")
 
@@ -126,7 +142,8 @@ def pixel_normalize(grid, in_place=False):
 
     Constant patches (std < 1e-8) map to the all-zero vector instead of
     raising: flat regions are legitimate and must not abort the pipeline.
-    Uses the population (not sample) standard deviation.
+    Uses the population (not sample) standard deviation. A patch holding
+    a NaN or inf value is a DataError, raised before any value is changed.
 
     By default the result is a new grid and the input is left untouched.
     With in_place=True the grid's own patches are standardized and the
@@ -148,6 +165,10 @@ def pixel_normalize(grid, in_place=False):
     patches = grid.patches
     n = patches.shape[1]
     means = np.add.reduce(patches, axis=1, keepdims=True) / n
+    # a NaN or inf value makes its patch's mean non-finite: an O(L) check
+    # in place of an O(L d) scan of every value
+    if not np.isfinite(means).all():
+        raise DataError("a patch holds a non-finite value, or values whose sum overflows")
     centred = np.subtract(patches, means, out=patches if in_place else None)
     squares = np.empty((min(_SQUARE_ROWS, len(centred)), n))
     sums = np.empty((len(centred), 1))

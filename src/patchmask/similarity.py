@@ -14,7 +14,7 @@ for tests, so its row i equals row i computed alone bit for bit.
 import numpy as np
 
 from ._kernels import cosine_rows, row_norms
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_integer
 from .patch_grid import PatchGrid
 from .streams import Stream, stream
 
@@ -101,8 +101,9 @@ def sincos_position_encoding(rows, cols, dim):
     """Deterministic 2D sin/cos position codes, one vector per grid cell.
 
     Half the dimensions encode the row coordinate, half the column; dim
-    must be divisible by 4.
+    must be a positive multiple of 4 (ConfigError otherwise).
     """
+    check_integer("position encoding dim", dim, 4)
     if dim % 4:
         raise ConfigError(f"position encoding dim must be divisible by 4, got {dim}")
     r = np.repeat(np.arange(rows), cols)
@@ -125,12 +126,14 @@ def toy_patch_embedding(grid, projection_seed, dim=EMBED_DIM):
     stream of projection_seed; masking calls this once per image
     per run, when a PreparedImage's embedding rows are first read, never
     per step. The projection reads raw pixels, so a normalized grid is a
-    DataError.
+    DataError; dim must be a positive multiple of 4, which the position
+    codes, made first, check.
     """
     if grid.normalized:
         raise DataError("cannot embed a normalized grid (the embedding reads raw pixels)")
     if grid.n_patches == 0:
         raise DataError("cannot embed an empty grid")
+    codes = sincos_position_encoding(grid.rows, grid.cols, dim)
     rng = stream(projection_seed, Stream.PROJECTION)
     projection = rng.standard_normal((grid.patch_dim, dim)) / np.sqrt(grid.patch_dim)
-    return grid.patches @ projection + sincos_position_encoding(grid.rows, grid.cols, dim)
+    return grid.patches @ projection + codes

@@ -9,7 +9,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_integer
 
 
 class Stream(IntEnum):
@@ -25,13 +25,18 @@ class Stream(IntEnum):
 
 
 def check_seed(seed):
-    """Raise ConfigError unless seed is one 32-bit word, in [0, 2**32)."""
+    """Raise ConfigError unless seed is one 32-bit word: an integer in [0, 2**32)."""
+    check_integer("seed", seed)
     if not 0 <= seed < 2**32:
         raise ConfigError(f"seed must lie in [0, 2**32), got {seed}")
 
 
 def stream(seed, namespace, *index):
     """The Generator of the key (seed, namespace, *index); a seed that
-    check_seed rejects is a ConfigError."""
+    check_seed rejects, or a namespace or index that is not an integer
+    >= 0, is a ConfigError."""
     check_seed(seed)
-    return np.random.default_rng((seed, namespace, *index))
+    try:
+        return np.random.default_rng((seed, namespace, *index))
+    except (TypeError, ValueError) as exc:  # SeedSequence's own check of the key
+        raise ConfigError(f"stream key {(seed, namespace, *index)} must hold integers >= 0: {exc}")

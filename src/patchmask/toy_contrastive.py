@@ -15,14 +15,19 @@ import numpy as np
 
 from .batch_shaping import mask_batch
 from .cluster_masker import PreparedImage, mask_ratio
-from .errors import ConfigError, ConvergenceError, DataError
+from .errors import ConfigError, ConvergenceError, DataError, check_integer
 from .streams import Stream, stream
 
 _NORM_GUARD = 1e-12
 
 
 def alpha_schedule(epoch, epochs, exponent):
-    """Blend coefficient (epoch / epochs) ** exponent; 0 at the start, 1 at the end."""
+    """Blend coefficient (epoch / epochs) ** exponent; 0 at the start, 1 at
+    the end. ConfigError unless 0 <= epoch <= epochs, epochs > 0 and
+    exponent > 0."""
+    if not (0 <= epoch <= epochs and epochs > 0 and exponent > 0):
+        raise ConfigError(f"alpha_schedule needs 0 <= epoch <= epochs, epochs > 0 and "
+                          f"exponent > 0, got {epoch}, {epochs} and {exponent}")
     return float(epoch / epochs) ** exponent
 
 
@@ -65,7 +70,11 @@ def info_nce(logits):
     The loss is the mean of the vision-to-language rows and the
     language-to-vision columns of -log softmax at the diagonal, each
     computed with a max-subtracted log-sum-exp. Returns (loss, d_logits).
+    Logits that are not a nonempty square matrix are a DataError.
     """
+    logits = np.asarray(logits, dtype=np.float64)
+    if logits.ndim != 2 or logits.shape[0] != logits.shape[1] or logits.size == 0:
+        raise DataError(f"logits must be a nonempty square matrix, got shape {logits.shape}")
     n = logits.shape[0]
     row_soft, row_losses = _softmax_rows(logits)
     col_soft, col_losses = _softmax_rows(logits.T)
@@ -88,6 +97,10 @@ def loss_and_grads(pooled, bags, encoders, tau):
     n = pooled.shape[0]
     if n < 2:
         raise DataError("InfoNCE needs at least 2 pairs")
+    w_image, w_text = encoders.w_image.shape, encoders.w_text.shape
+    if w_image[1:] != pooled.shape[1:] or w_text[1:] != bags.shape[1:] or w_image[0] != w_text[0]:
+        raise DataError(f"encoders of shapes {w_image} and {w_text} do not fit features of "
+                        f"shapes {pooled.shape} and {bags.shape}")
     if not (np.isfinite(pooled).all() and np.isfinite(bags).all()):
         raise DataError("training inputs contain non-finite values")
 
@@ -106,10 +119,13 @@ def pool_visible_patches(prepared, shaped):
 
     prepared holds the images' PreparedImage records, whose unnormalized
     grids are pooled. Padding slots and masked patches never contribute;
-    an image with no real slots pools to the zero vector.
+    an image with no real slots pools to the zero vector. Grids of patches
+    of more than one length are a DataError.
     """
     pooled = np.zeros((len(prepared), prepared[0].grid.patch_dim))
     for i, record in enumerate(prepared):
+        if record.grid.patch_dim != pooled.shape[1]:
+            raise DataError(f"grid {i}'s patches are not of grid 0's length {pooled.shape[1]}")
         real = shaped.kept_indices[i][shaped.attention[i]]
         if real.size:
             pooled[i] = record.grid.patches[real].mean(axis=0)
@@ -158,14 +174,13 @@ def check_train(n_images, epochs, learning_rate, embed_dim, steps_per_epoch, alp
     These are train_loop's checks; they read no image, so a caller can run
     them before it makes any data. The masker's settings, beta among them,
     are MaskerConfig's own."""
-    if steps_per_epoch < 1:
-        raise ConfigError(f"steps_per_epoch must be >= 1, got {steps_per_epoch}")
-    if embed_dim < 1:
-        raise ConfigError(f"embed_dim must be >= 1, got {embed_dim}")
+    check_integer("steps_per_epoch", steps_per_epoch, 1)
+    check_integer("embed_dim", embed_dim, 1)
     if not learning_rate > 0.0:
         raise ConfigError(f"learning_rate must be positive, got {learning_rate}")
     if n_images < 2:
         raise ConfigError(f"InfoNCE needs at least 2 images, got {n_images}")
+    check_integer("epochs", epochs)
     if epochs <= 0:
         raise ConfigError(f"epochs must be positive, got {epochs}")
     if not alpha_exponent > 0.0:

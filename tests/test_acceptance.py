@@ -236,7 +236,7 @@ def test_criterion_07_batch_shaping_contract():
             masked[rng.choice(196, size=n_masked, replace=False)] = True
             from patchmask.cluster_masker import Mask
 
-            masks.append(Mask(masked=masked, anchors=np.empty(0, dtype=np.int64)))
+            masks.append(Mask(masked=masked))
         shaped = shape_batch(masks, 0.5, rng)
         assert shaped.kept_indices.shape == (1000, 98)
         for i, mask in enumerate(masks):

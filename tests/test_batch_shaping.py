@@ -33,7 +33,7 @@ from patchmask.toy_contrastive import (
 def mask_with_visible(length, visible_count, rng):
     masked = np.ones(length, dtype=bool)
     masked[rng.choice(length, size=visible_count, replace=False)] = False
-    return Mask(masked=masked, anchors=np.empty(0, dtype=np.int64))
+    return Mask(masked=masked)
 
 
 class TestVisibleSlots:

@@ -192,7 +192,8 @@ class TestMaskCommand:
                         "--patch-size", "8", "--render"]) == 0
         lines = (out / "masks.txt").read_text().splitlines()
         for path, line in zip(sorted(image_dir.iterdir()), lines):
-            save_image(render_mask(load_image(path), Mask.from_line(line), 8), tmp_path / "ref.ppm")
+            grid = patchify(load_image(path), 8)
+            save_image(render_mask(grid, Mask.from_line(line)), tmp_path / "ref.ppm")
             rendered = (out / f"{path.stem}_masked.ppm").read_bytes()
             assert rendered == (tmp_path / "ref.ppm").read_bytes()
 
@@ -209,7 +210,7 @@ class TestMaskCommand:
                               config, 0.5, (6, Stream.MASK), (6, Stream.SHAPE))
         assert (out / "masks.txt").read_text() == "".join(m.to_line() + "\n" for m in masks)
         for path, image, mask in zip(paths, images, masks):
-            save_image(render_mask(image, mask, 8), tmp_path / "ref.ppm")
+            save_image(render_mask(patchify(image, 8), mask), tmp_path / "ref.ppm")
             rendered = (out / f"{path.stem}_masked.ppm").read_bytes()
             assert rendered == (tmp_path / "ref.ppm").read_bytes()
             sim = cosine_matrix(pixel_normalize(patchify(image, 8)))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from patchmask import pnm
 from patchmask.cluster_masker import Mask, random_mask
-from patchmask.errors import ConfigError, DataError
+from patchmask.errors import DataError
 from patchmask.patch_grid import Image, patchify, pixel_normalize
 from patchmask.pnm import encode_pnm, load_image, load_patches, parse_pnm, read_size, save_image
 from patchmask.render import render_mask
@@ -21,7 +21,7 @@ def full_mask(length, anchors=()):
 
 
 def empty_mask(length):
-    return Mask(masked=np.zeros(length, dtype=bool), anchors=np.empty(0, dtype=np.int64))
+    return Mask(masked=np.zeros(length, dtype=bool))
 
 
 class TestPnm:
@@ -289,8 +289,8 @@ class TestReadSize:
 
 class TestRenderMask:
     def test_all_masked_gives_uniform_gray_except_outlines(self, rng):
-        image = Image(data=rng.random((8, 8, 3)))
-        out = render_mask(image, full_mask(4, anchors=[0]), 4)
+        grid = patchify(Image(data=rng.random((8, 8, 3))), 4)
+        out = render_mask(grid, full_mask(4, anchors=[0]))
         # non-anchor masked blocks are pure gray
         np.testing.assert_array_equal(out.data[0:4, 4:8], 0.5)
         # anchor block: red one-pixel border, gray interior
@@ -299,14 +299,18 @@ class TestRenderMask:
 
     def test_empty_mask_is_identity(self, rng):
         image = Image(data=rng.random((8, 8, 3)))
-        out = render_mask(image, empty_mask(4), 4)
+        out = render_mask(patchify(image, 4), empty_mask(4))
         np.testing.assert_array_equal(out.data, image.data)
+
+    def test_the_grid_is_left_untouched(self, rng):
+        grid = patchify(Image(data=rng.random((8, 8, 3))), 4)
+        before = grid.patches.copy()
+        render_mask(grid, full_mask(4, anchors=[1, 2]))
+        np.testing.assert_array_equal(grid.patches, before)
 
     def test_checkerboard_grays_exactly_flagged_blocks(self, rng):
         image = Image(data=rng.random((8, 8, 1)))
-        mask = Mask(masked=np.array([True, False, False, True]),
-                    anchors=np.empty(0, dtype=np.int64))
-        out = render_mask(image, mask, 4)
+        out = render_mask(patchify(image, 4), Mask(masked=np.array([True, False, False, True])))
         np.testing.assert_array_equal(out.data[0:4, 0:4], 0.5)
         np.testing.assert_array_equal(out.data[4:8, 4:8], 0.5)
         np.testing.assert_array_equal(out.data[0:4, 4:8], image.data[0:4, 4:8])
@@ -315,7 +319,7 @@ class TestRenderMask:
     def test_unmasked_pixels_untouched_under_random_masks(self, rng):
         image = Image(data=rng.random((16, 16, 3)))
         mask = random_mask(16, 0.5, rng)
-        out = render_mask(image, mask, 4)
+        out = render_mask(patchify(image, 4), mask)
         for idx in np.flatnonzero(~mask.masked):
             i, j = divmod(int(idx), 4)
             np.testing.assert_array_equal(
@@ -324,9 +328,14 @@ class TestRenderMask:
             )
 
     def test_length_mismatch(self, rng):
-        image = Image(data=rng.random((8, 8, 3)))
+        grid = patchify(Image(data=rng.random((8, 8, 3))), 4)
         with pytest.raises(DataError):
-            render_mask(image, empty_mask(9), 4)
+            render_mask(grid, empty_mask(9))
+
+    def test_a_normalized_grid_is_a_data_error(self, rng):
+        grid = pixel_normalize(patchify(Image(data=rng.random((8, 8, 3))), 4))
+        with pytest.raises(DataError, match="normalized"):
+            render_mask(grid, empty_mask(4))
 
     @pytest.mark.parametrize("masked, anchors, message", [
         # -1 once outlined patch 3 and 4 raised a bare IndexError
@@ -337,17 +346,11 @@ class TestRenderMask:
         ([False, False, False, False], [0], "must be masked patches"),
     ])
     def test_anchors_must_be_distinct_masked_patches(self, masked, anchors, message):
-        mask = Mask(masked=np.array(masked), anchors=np.array(anchors, dtype=np.int64))
+        # render_mask reads Mask's invariants: a mask that breaks them, and
+        # that render_mask once outlined or failed on, cannot be built
+        grid = patchify(Image(data=np.zeros((8, 8, 3))), 4)
         with pytest.raises(DataError, match=message):
-            render_mask(Image(data=np.zeros((8, 8, 3))), mask, 4)
-
-    @pytest.mark.parametrize("patch_size, error",
-                             [(0, ConfigError), (-4, ConfigError), (3, DataError)])
-    def test_bad_patch_size(self, rng, patch_size, error):
-        # -4 once read as a -2 x -2 grid, which matched the mask's 4 patches
-        image = Image(data=rng.random((8, 8, 3)))
-        with pytest.raises(error):
-            render_mask(image, empty_mask(4), patch_size)
+            render_mask(grid, Mask(masked=np.array(masked), anchors=np.array(anchors)))
 
 
 class TestStatsReport:
@@ -356,8 +359,8 @@ class TestStatsReport:
         assert stats.mean_ratio == stats.min_ratio == stats.max_ratio == 1.0
 
     def test_two_mask_mean(self):
-        a = Mask(masked=np.arange(10) < 4, anchors=np.empty(0, dtype=np.int64))
-        b = Mask(masked=np.arange(10) < 6, anchors=np.empty(0, dtype=np.int64))
+        a = Mask(masked=np.arange(10) < 4)
+        b = Mask(masked=np.arange(10) < 6)
         stats = stats_report([a, b])
         assert stats.mean_ratio == pytest.approx(0.5)
         assert stats.min_ratio == pytest.approx(0.4)

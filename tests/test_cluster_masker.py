@@ -16,6 +16,7 @@ from conftest import (
     smoothed_noise_images,
 )
 from patchmask import cluster_masker
+from patchmask.calibration import check_search
 from patchmask.cluster_masker import (
     Mask,
     MaskerConfig,
@@ -67,8 +68,10 @@ class TestClusterMask:
 
     @pytest.mark.parametrize("anchors", [[-1], [16], [5, 16], [2, 2], [7, 2, 7]])
     def test_anchors_must_be_distinct_patches(self, rng, anchors):
+        # Mask rejects each of these; one past the last patch is stopped
+        # before the reach row is indexed with it
         rows = rng.uniform(-1.0, 1.0, size=(len(anchors), 16))
-        with pytest.raises(DataError, match="distinct patches"):
+        with pytest.raises(DataError, match=r"patches in \[0, 16\)"):
             cluster_mask_from_anchors(rows, anchors, 0.5)
 
     def test_four_patch_hand_case(self):
@@ -392,8 +395,8 @@ class TestRandomMask:
 
 class TestMaskBasics:
     def test_mask_ratio_counts(self):
-        full = Mask(masked=np.ones(4, dtype=bool), anchors=np.empty(0, dtype=np.int64))
-        empty = Mask(masked=np.zeros(4, dtype=bool), anchors=np.empty(0, dtype=np.int64))
+        full = Mask(masked=np.ones(4, dtype=bool))
+        empty = Mask(masked=np.zeros(4, dtype=bool))
         assert mask_ratio(full) == 1.0
         assert mask_ratio(empty) == 0.0
         half = random_mask(196, 0.5, np.random.default_rng(0))
@@ -505,11 +508,14 @@ class TestMaskImage:
         with pytest.raises(ConfigError):
             MaskerConfig(threshold_r=1.2)
 
-    def test_cluster_mask_and_anchor_count_share_the_anchor_bound(self, rng):
-        sim = random_similarity(rng, 16)
+    def test_masker_config_and_calibration_share_the_anchor_bound(self):
+        # anchor_count's two callers, mask_image and calibration, reach it
+        # through these checks alone
         assert anchor_count(0.5, 16) == 8
+        MaskerConfig(anchor_ratio=0.5)
+        check_search(0.5, 0.9, 0.02, 40)
         for bad in (0.0, -1.0, 0.7, float("nan")):
+            with pytest.raises(ConfigError, match="anchor_ratio must lie in"):
+                MaskerConfig(anchor_ratio=bad)
             with pytest.raises(ConfigError):
-                anchor_count(bad, 16)
-            with pytest.raises(ConfigError):
-                cluster_mask(sim, bad, 0.5, rng)
+                check_search(bad, 0.9, 0.02, 40)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from patchmask.errors import DataError
+from patchmask.errors import ConfigError, DataError
 from patchmask.patch_grid import (
     CONSTANT_PATCH_STD,
     Image,
@@ -64,6 +64,15 @@ class TestPatchify:
         image = Image(data=rng.random((20, 16, 3)))
         with pytest.raises(DataError):
             patchify(image, 16)
+
+    @pytest.mark.parametrize("patch_size, error",
+                             [(0, ConfigError), (-4, ConfigError), (3, DataError),
+                              (4.0, ConfigError)])
+    def test_bad_patch_size(self, rng, patch_size, error):
+        # -4 divides 8 evenly, into a -2 x -2 layout of 4 patches
+        image = Image(data=rng.random((8, 8, 3)))
+        with pytest.raises(error):
+            patchify(image, patch_size)
 
     @pytest.mark.parametrize("shape,ps", [((32, 48, 3), 16), ((24, 24, 1), 8), ((8, 8, 3), 2)])
     def test_unpatchify_is_inverse(self, rng, shape, ps):
