@@ -4,8 +4,8 @@ Each run in RUNS executes `patchmask` in-process in a directory of its own
 and is digested over its exit code, its stdout, its stderr and every file
 it leaves there, by name. tests/golden_outputs.json holds the digests and
 the numpy and BLAS versions they were made with. The runs cover `mask`
-under each strategy with --render and --dump-sim, cluster-embedding at an
-alpha below 1, 16-bit and flat inputs, `calibrate` converging and
+under each strategy with --render and --dump-sim and with no output flag,
+cluster-embedding at an alpha below 1, 16-bit and flat inputs, `calibrate` converging and
 exiting 4, `train` under each strategy, `stats --json`, and the config,
 data and convergence errors each command can raise (`mask` searches
 nothing, so it has no convergence error; `stats` has no config and no
@@ -53,6 +53,11 @@ def _calibrate(*flags):
 # to the run's directory, so no message names a temporary directory
 RUNS = {
     **{f"mask-{s}": (_mask("../../imgs", "--strategy", s, *_RENDER), None)
+       for s in ("cluster-rgb", "cluster-embedding", "kmeans", "random")},
+    # with no output flag, as a batch run masks: cluster-rgb and kmeans
+    # normalize each grid in place, and cluster-embedding runs at the
+    # default alpha
+    **{f"mask-{s}-masks-only": (_mask("../../imgs", "--strategy", s), None)
        for s in ("cluster-rgb", "cluster-embedding", "kmeans", "random")},
     "mask-cluster-embedding-alpha-0.3": (
         _mask("../../imgs", "--strategy", "cluster-embedding", "--alpha", "0.3", *_RENDER), None),
