@@ -28,7 +28,7 @@ from .calibration import calibrate_threshold, check_search
 from .cluster_masker import Mask, MaskerConfig, PreparedImage, Strategy, mask_image
 from .errors import ConfigError, ConvergenceError, DataError
 from .patch_grid import check_patch_size, grid_shape, pixel_normalize
-from .pnm import load_image, load_patches, read_size, save_image
+from .pnm import load_patches, read_size, save_image
 from .render import render_mask
 from .similarity import EMBED_DIM, check_alpha, cosine_matrix
 from .stats import stats_report
@@ -165,7 +165,7 @@ def _patch_counts(paths, patch_size):
             rows, cols = grid_shape(*read_size(path), patch_size)
         except (DataError, OSError):
             for earlier in paths[: index + 1]:
-                load_image(earlier)
+                load_patches(earlier, patch_size)
             raise
         counts.append(rows * cols)
     return counts

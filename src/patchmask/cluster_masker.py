@@ -302,13 +302,14 @@ def mask_ratio(mask):
 class PreparedImage:
     """What masking reads of one image, under any strategy.
 
-    grid is the image's patch grid and seed the seed of the embedding
-    projection. The other fields are computed when a mask first reads them
-    and then kept: the normalized (L, d) patch vectors, their cosine rows
-    and the cosine rows of the (L, dim) embedding. So each strategy
-    computes only what it reads, once per image: kmeans the vectors,
-    cluster-rgb their rows too and cluster-embedding the embedding's rows
-    as well; random reads the grid's size alone. A row source computes a
+    grid is the image's PatchGrid (DataError otherwise) and seed, which
+    check_seed checks, the seed of the embedding projection. The other
+    fields are computed when a mask first reads them and then kept: the
+    normalized (L, d) patch vectors, their cosine rows and the cosine rows
+    of the (L, EMBED_DIM) embedding. So each strategy computes only what
+    it reads, once per image: kmeans the vectors, cluster-rgb their rows
+    too and cluster-embedding at an alpha below 1 the embedding's rows as
+    well; random reads the grid's size alone. A row source computes a
     row when a mask first reads it; no L x L matrix is built.
 
     The grid may come normalized already, as pixel_normalize(grid,
@@ -319,6 +320,11 @@ class PreparedImage:
 
     grid: PatchGrid
     seed: int
+
+    def __post_init__(self):
+        if not isinstance(self.grid, PatchGrid):
+            raise DataError(f"a PreparedImage needs a PatchGrid, got {type(self.grid).__name__}")
+        check_seed(self.seed)
 
     @cached_property
     def normalized(self):
@@ -341,11 +347,11 @@ def mask_image(prepared, config, rng, alpha=1.0):
 
     Masking is the random draw, K-Means on the normalized vectors, or the
     anchor draw followed by the anchors' cosine rows, blended for
-    cluster-embedding and thresholded. The record computes what a mask
-    reads the first time, so its later masks redo none of it. alpha
-    weights the RGB similarity against the embedding similarity and only
-    matters for the cluster-embedding strategy, but every strategy rejects
-    a value outside [0, 1].
+    cluster-embedding at an alpha below 1 and thresholded. The record
+    computes what a mask reads the first time, so its later masks redo
+    none of it. alpha weights the RGB similarity against the embedding
+    similarity and only matters for cluster-embedding, whose masks at
+    alpha 1 are cluster-rgb's; every strategy rejects one outside [0, 1].
     """
     check_alpha(alpha)
     if config.strategy is Strategy.RANDOM:
@@ -358,6 +364,6 @@ def mask_image(prepared, config, rng, alpha=1.0):
     rgb_rows = prepared.rgb_rows  # an empty grid fails here, before the draw
     anchors = draw_anchors(prepared.grid.n_patches, config.anchor_ratio, rng)
     rows = rgb_rows.rows(anchors)
-    if config.strategy is Strategy.CLUSTER_EMBEDDING:
+    if config.strategy is Strategy.CLUSTER_EMBEDDING and alpha < 1.0:
         rows = blend(rows, prepared.emb_rows.rows(anchors), alpha)
     return cluster_mask_from_anchors(rows, anchors, config.threshold_r)

@@ -22,9 +22,10 @@ class ConvergenceError(PatchmaskError):
 
 def check_integer(name, value, minimum=None):
     """Raise ConfigError unless value, a count, size or seed, is an
-    integer (a float such as 2.0 is not one) and, given a minimum, at
-    least that."""
-    if not isinstance(value, (int, Integral)):  # int first: the ABC's check is slow
+    integer (a float such as 2.0 is not one, nor is a bool) and, given a
+    minimum, at least that."""
+    # int first: the ABC's check is slow
+    if not isinstance(value, (int, Integral)) or isinstance(value, bool):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{name} must be >= {minimum}, got {value}")

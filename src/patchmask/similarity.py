@@ -111,29 +111,28 @@ def sincos_position_encoding(rows, cols, dim):
     return np.concatenate([_sincos_1d(r, dim // 2), _sincos_1d(c, dim // 2)], axis=1)
 
 
-EMBED_DIM = 64  # toy_patch_embedding's default width
+EMBED_DIM = 64  # toy_patch_embedding's width
 
 
-def toy_patch_embedding(grid, projection_seed, dim=EMBED_DIM):
+def toy_patch_embedding(grid, projection_seed):
     """Frozen random linear projection of patches plus positional codes.
 
     Desk-scale stand-in for a trained patch-embedding layer: the seeded
     projection is fixed for a run, and the additive position encoding
     gives the embedding branch the spatial locality a real embedding
-    layer would carry. Returns the (L, dim) float64 features, one row
-    per patch in the grid's order. Same seed, same grid -> bit-identical
+    layer would carry. Returns the (L, EMBED_DIM) float64 features, one
+    row per patch in the grid's order. Same seed, same grid -> bit-identical
     output. Each call redraws the projection from Stream.PROJECTION's
     stream of projection_seed; masking calls this once per image
     per run, when a PreparedImage's embedding rows are first read, never
     per step. The projection reads raw pixels, so a normalized grid is a
-    DataError; dim must be a positive multiple of 4, which the position
-    codes, made first, check.
+    DataError.
     """
     if grid.normalized:
         raise DataError("cannot embed a normalized grid (the embedding reads raw pixels)")
     if grid.n_patches == 0:
         raise DataError("cannot embed an empty grid")
-    codes = sincos_position_encoding(grid.rows, grid.cols, dim)
+    codes = sincos_position_encoding(grid.rows, grid.cols, EMBED_DIM)
     rng = stream(projection_seed, Stream.PROJECTION)
-    projection = rng.standard_normal((grid.patch_dim, dim)) / np.sqrt(grid.patch_dim)
+    projection = rng.standard_normal((grid.patch_dim, EMBED_DIM)) / np.sqrt(grid.patch_dim)
     return grid.patches @ projection + codes

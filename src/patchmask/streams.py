@@ -2,8 +2,9 @@
 
 SeedSequence pads a key with zeros, so a bare seed s would draw the stream of
 (s, 0, 0, 0), TRAIN_MASK's key for step 0 and image 0: each key names its namespace.
-stream takes a seed of one 32-bit word alone (check_seed): SeedSequence splits a
-larger integer into words, so (2**32, 20, 0) would draw the stream of (0, 1, 20)."""
+stream takes a key of 32-bit words alone, the seed checked first (check_seed):
+SeedSequence splits a larger integer into words, so (2**32, 20, 0) would draw the
+stream of (0, 1, 20), and (0, 20, 2**32) that of (0, 20, 0, 1)."""
 
 from enum import IntEnum
 
@@ -33,10 +34,13 @@ def check_seed(seed):
 
 def stream(seed, namespace, *index):
     """The Generator of the key (seed, namespace, *index); a seed that
-    check_seed rejects, or a namespace or index that is not an integer
-    >= 0, is a ConfigError."""
+    check_seed rejects, or a namespace or index that is not an integer in
+    [0, 2**32), is a ConfigError."""
     check_seed(seed)
+    key = (seed, namespace, *index)
     try:
-        return np.random.default_rng((seed, namespace, *index))
-    except (TypeError, ValueError) as exc:  # SeedSequence's own check of the key
-        raise ConfigError(f"stream key {(seed, namespace, *index)} must hold integers >= 0: {exc}")
+        if min(key) >= 0 and max(key) < 2**32:
+            return np.random.default_rng(key)
+    except (TypeError, ValueError):  # a word that does not compare, or is no integer
+        pass
+    raise ConfigError(f"stream key {key} must hold integers in [0, 2**32)")

@@ -8,7 +8,7 @@ patches cluster cleanly under cosine.
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_integer
 from .patch_grid import PatchGrid
 from .streams import Stream, stream
 
@@ -28,8 +28,10 @@ PALETTE = np.array(
 
 def check_dataset(n_images, image_size, patch_size, n_colors):
     """Raise ConfigError unless color_block_dataset can make this dataset."""
-    if n_images < 1:
-        raise ConfigError(f"n_images must be >= 1, got {n_images}")
+    check_integer("n_images", n_images, 1)
+    for name, count in (("image_size", image_size), ("patch_size", patch_size),
+                        ("n_colors", n_colors)):
+        check_integer(name, count)
     if not 2 <= n_colors <= PALETTE.shape[0]:
         raise ConfigError(f"n_colors must lie in [2, {PALETTE.shape[0]}], got {n_colors}")
     if patch_size < 1 or image_size < patch_size or image_size % patch_size:

@@ -119,13 +119,14 @@ def pool_visible_patches(prepared, shaped):
 
     prepared holds the images' PreparedImage records, whose unnormalized
     grids are pooled. Padding slots and masked patches never contribute;
-    an image with no real slots pools to the zero vector. Grids of patches
-    of more than one length are a DataError.
+    an image with no real slots pools to the zero vector. A normalized
+    grid, or grids of patches of more than one length, are a DataError.
     """
     pooled = np.zeros((len(prepared), prepared[0].grid.patch_dim))
     for i, record in enumerate(prepared):
-        if record.grid.patch_dim != pooled.shape[1]:
-            raise DataError(f"grid {i}'s patches are not of grid 0's length {pooled.shape[1]}")
+        if record.grid.normalized or record.grid.patch_dim != pooled.shape[1]:
+            raise DataError(f"grid {i} must be unnormalized with patches of grid 0's "
+                            f"length {pooled.shape[1]}")
         real = shaped.kept_indices[i][shaped.attention[i]]
         if real.size:
             pooled[i] = record.grid.patches[real].mean(axis=0)

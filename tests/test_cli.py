@@ -267,14 +267,29 @@ class TestMaskCommand:
 
     @pytest.mark.parametrize("strategy", ["cluster-rgb", "cluster-embedding", "kmeans", "random"])
     def test_each_image_is_prepared_once(self, image_dir, tmp_path, prepare_calls, strategy):
+        # alpha below 1, so cluster-embedding blends in the embedding rows
         code = run_cli(["mask", "--in", image_dir, "--out", tmp_path / "out", "--strategy",
-                        strategy, "--kmeans-k", "4", "--patch-size", "8", "--render"])
+                        strategy, "--kmeans-k", "4", "--patch-size", "8", "--alpha", "0.5",
+                        "--render"])
         assert code == 0
         assert prepared_counts(prepare_calls) == [4 * n for n in PREPARE_CALLS[strategy]]
         # each source computes its anchors' rows alone, each row once
         for rows in rows_by_source(prepare_calls[1]):
             assert sorted(set(rows)) == sorted(rows)
             assert len(rows) == anchor_count(_MASK["anchor_ratio"], 16)
+
+    def test_default_alpha_builds_no_embedding(self, image_dir, tmp_path, prepare_calls):
+        # at alpha 1 the embedding rows would be weighted 0, so none are
+        # made, and cluster-embedding writes cluster-rgb's masks
+        outputs = []
+        for strategy in ("cluster-embedding", "cluster-rgb"):
+            out = tmp_path / strategy
+            assert run_cli(["mask", "--in", image_dir, "--out", out, "--strategy", strategy,
+                            "--patch-size", "8", "--render"]) == 0
+            outputs.append([(out / name).read_bytes() for name in ("masks.txt", "batch.txt")])
+            if strategy == "cluster-embedding":
+                assert prepared_counts(prepare_calls) == [4 * n for n in (1, 1, 0)]
+        assert outputs[0] == outputs[1]
 
     def test_alpha_blends_embedding_similarity(self, image_dir, tmp_path):
         # alpha=0 masks from the embedding cosine alone; must differ from
@@ -690,6 +705,20 @@ def test_stream_rejects_a_seed_outside_one_32_bit_word(seed):
 def test_stream_takes_every_32_bit_seed(seed):
     expected = np.random.default_rng((int(seed), Stream.MASK, 0)).random()
     assert stream(seed, Stream.MASK, 0).random() == expected
+
+
+@pytest.mark.parametrize("rest", [(Stream.MASK, 2**32), (2**32,), (2**64, 0),
+                                  (Stream.TRAIN_MASK, 0, 2**32 + 5), (Stream.MASK, -1)])
+def test_stream_rejects_a_word_outside_one_32_bit_word(rest):
+    # as for the seed: (0, 20, 2**32) would draw the stream of (0, 20, 0, 1)
+    with pytest.raises(ConfigError, match=r"must hold integers in \[0, 2\*\*32\)"):
+        stream(0, *rest)
+
+
+def test_stream_takes_every_32_bit_word():
+    key = (7, Stream.MASK, 2**32 - 1, np.uint32(2**32 - 1))
+    expected = np.random.default_rng((7, Stream.MASK, 2**32 - 1, 2**32 - 1)).random()
+    assert stream(*key).random() == expected
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

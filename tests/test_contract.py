@@ -10,8 +10,8 @@ built inside the call, so a record's own check counts as the callable's
 answer. Exempt are the exception classes; the enums, whose lookup of an
 unknown value raises ValueError as any Enum's does (MaskerConfig makes a
 strategy's a ConfigError); the records that hold no invariant of their
-own (CalibrationReport, PreparedImage, ShapedBatch and ToyEncoders are
-built from anything and read when used); and load_image and save_image,
+own (CalibrationReport, ShapedBatch and ToyEncoders are built from
+anything and read when used); and load_image and save_image,
 whose file bytes TestAnyBytes draws through the CLI, which reports their
 OSError as a data error.
 
@@ -140,6 +140,8 @@ CALLS = {
     "Mask": _mask,
     "MaskerConfig": _config,
     "PatchGrid": _grid,
+    "PreparedImage": lambda d: pm.PreparedImage(
+        _grid(d) if d.draw(st.booleans()) else _array(d, (4, 12)), _count(d)),
     "alpha_schedule": lambda d: pm.alpha_schedule(_count(d), _count(d), _real(d)),
     "blend": lambda d: pm.blend(_vectors(d), _vectors(d), _real(d)),
     "calibrate_threshold": _calibrate,
@@ -163,15 +165,14 @@ CALLS = {
     "stats_report": lambda d: pm.stats_report(_masks(d)),
     "stream": lambda d: pm.stream(_count(d), _count(d), *[_count(d) for _ in range(
         d.draw(st.integers(0, 2)))]),
-    "toy_patch_embedding": lambda d: pm.toy_patch_embedding(_grid(d), _count(d), _count(d)),
+    "toy_patch_embedding": lambda d: pm.toy_patch_embedding(_grid(d), _count(d)),
     "train_loop": _train_loop,
     "train_step": _train_step,
     "unpatchify": lambda d: pm.unpatchify(_grid(d, normalized=d.draw(st.booleans()))),
     "visible_slots": lambda d: pm.visible_slots(_count(d), _real(d)),
 }
 EXEMPT = {"ConfigError", "ConvergenceError", "DataError", "PatchmaskError", "Strategy", "Stream",
-          "CalibrationReport", "PreparedImage", "ShapedBatch", "ToyEncoders", "load_image",
-          "save_image"}
+          "CalibrationReport", "ShapedBatch", "ToyEncoders", "load_image", "save_image"}
 
 
 def test_every_public_callable_is_drawn_or_exempt():
@@ -251,14 +252,19 @@ PROBES = [
     ("masker-config-seed-1.5", lambda: pm.MaskerConfig(seed=1.5), ConfigError),
     ("stream-seed-1.5", lambda: pm.stream(1.5, pm.Stream.MASK, 0), ConfigError),
     ("stream-negative-index", lambda: pm.stream(0, pm.Stream.MASK, -1), ConfigError),
+    # SeedSequence splits a word of 2**32 or more: this key once drew the
+    # stream of (0, MASK, 0, 1)
+    ("stream-index-2-32", lambda: pm.stream(0, pm.Stream.MASK, 2**32), ConfigError),
+    ("stream-namespace-2-32", lambda: pm.stream(0, 2**32), ConfigError),
+    ("masker-config-seed-true", lambda: pm.MaskerConfig(seed=True), ConfigError),
+    # a record of an array once raised a bare AttributeError when masked
+    ("prepared-image-of-an-array", lambda: pm.mask_image(
+        pm.PreparedImage(np.zeros((4, 4)), 0), _masker("cluster-rgb"), _rng()), DataError),
+    ("prepared-image-seed-1.5", lambda: pm.PreparedImage(_patches(4), 1.5), ConfigError),
     # a 2-D masked once gave mask_ratio 1.0, and ints [0, 2, 1] the line 011
     ("mask-2-d-masked", lambda: pm.Mask(masked=np.ones((2, 2), dtype=bool)), DataError),
     ("mask-int-masked", lambda: pm.Mask(masked=np.array([0, 2, 1])), DataError),
     ("alpha-schedule-epochs-0", lambda: pm.alpha_schedule(1, 0, 1.0), ConfigError),
-    ("toy-patch-embedding-dim-0", lambda: pm.toy_patch_embedding(_patches(4), 0, dim=0),
-     ConfigError),
-    ("toy-patch-embedding-dim-6", lambda: pm.toy_patch_embedding(_patches(4), 0, dim=6),
-     ConfigError),
     # visible_slots(10, 1.5) once returned -5, and NaN and -0.5 gave 10
     ("visible-slots-beta-1.5", lambda: pm.visible_slots(10, 1.5), ConfigError),
     ("visible-slots-beta-nan", lambda: pm.visible_slots(10, NAN), ConfigError),
@@ -274,6 +280,12 @@ PROBES = [
         pm.ToyEncoders(np.ones((2, 12)), np.ones((2, 2))),
         [pm.PreparedImage(_patches(4), 0), pm.PreparedImage(pm.PatchGrid(
             rows=2, cols=2, patch_size=2, channels=1, patches=np.zeros((4, 4))), 0)],
+        np.eye(2), _masker("random"), step=0, alpha=0.0, learning_rate=0.1, temperature=0.1),
+     DataError),
+    # normalized records were once pooled as if they held raw pixels
+    ("train-step-on-normalized-grids", lambda: pm.train_step(
+        pm.ToyEncoders(np.ones((2, 12)), np.ones((2, 2))),
+        [pm.PreparedImage(pm.pixel_normalize(_patches(4, i / 4)), 0) for i in range(2)],
         np.eye(2), _masker("random"), step=0, alpha=0.0, learning_rate=0.1, temperature=0.1),
      DataError),
 ]

@@ -9,6 +9,7 @@ from patchmask._kernels import COSINE_EPS, cosine_rows, row_norms
 from patchmask.errors import ConfigError, DataError
 from patchmask.patch_grid import Image, patchify, pixel_normalize
 from patchmask.similarity import (
+    EMBED_DIM,
     CosineRows,
     blend,
     cosine_matrix,
@@ -160,34 +161,40 @@ class TestBlend:
 class TestToyPatchEmbedding:
     def test_deterministic(self, rng):
         grid = patchify(Image(data=rng.random((16, 16, 3))), 8)
-        first = toy_patch_embedding(grid, projection_seed=9, dim=16)
-        second = toy_patch_embedding(grid, projection_seed=9, dim=16)
-        assert first.shape == (grid.n_patches, 16)
+        first = toy_patch_embedding(grid, projection_seed=9)
+        second = toy_patch_embedding(grid, projection_seed=9)
+        assert first.shape == (grid.n_patches, EMBED_DIM)
         np.testing.assert_array_equal(first, second)
 
     def test_zero_grid_gives_position_codes(self):
         grid = patchify(Image(data=np.zeros((16, 16, 1))), 8)
-        embedded = toy_patch_embedding(grid, projection_seed=3, dim=16)
-        np.testing.assert_array_equal(embedded, sincos_position_encoding(2, 2, 16))
+        embedded = toy_patch_embedding(grid, projection_seed=3)
+        np.testing.assert_array_equal(embedded, sincos_position_encoding(2, 2, EMBED_DIM))
 
     def test_locality_of_single_patch_change(self, rng):
         data = rng.random((16, 16, 3))
         other = data.copy()
         other[8:, 8:] = rng.random((8, 8, 3))  # patch index 3 of a 2x2 grid
-        a = toy_patch_embedding(patchify(Image(data=data), 8), 4, dim=16)
-        b = toy_patch_embedding(patchify(Image(data=other), 8), 4, dim=16)
+        a = toy_patch_embedding(patchify(Image(data=data), 8), 4)
+        b = toy_patch_embedding(patchify(Image(data=other), 8), 4)
         diff = np.abs(a - b).sum(axis=1)
         assert diff[3] > 0.0
         np.testing.assert_array_equal(diff[:3], 0.0)
 
-    def test_position_dim_must_divide(self, rng):
-        grid = patchify(Image(data=rng.random((8, 8, 1))), 4)
+    # the embedding has one width, EMBED_DIM; the position codes check any
+    def test_position_dim_must_divide(self):
+        for dim in (6, 10):
+            with pytest.raises(ConfigError, match="divisible by 4"):
+                sincos_position_encoding(2, 2, dim)
+
+    @pytest.mark.parametrize("dim", [0, -4, 4.0])
+    def test_position_dim_must_be_a_positive_integer(self, dim):
         with pytest.raises(ConfigError):
-            toy_patch_embedding(grid, 0, dim=10)
+            sincos_position_encoding(2, 2, dim)
 
     def test_rejects_a_normalized_grid(self, rng):
         # the projection reads raw pixels; a record built from a grid
         # standardized in place must not embed its normalized patches
         grid = patchify(Image(data=rng.random((16, 16, 3))), 8)
         with pytest.raises(DataError, match="normalized"):
-            toy_patch_embedding(pixel_normalize(grid, in_place=True), 0, dim=16)
+            toy_patch_embedding(pixel_normalize(grid, in_place=True), 0)

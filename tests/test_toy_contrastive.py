@@ -345,3 +345,11 @@ def test_dataset_grids_are_the_painted_images_patches(n_images, image_size, patc
             ref.rows, ref.cols, ref.patch_size, ref.channels, ref.normalized)
         assert grid.patches.dtype == ref.patches.dtype and grid.patches.flags.c_contiguous
         assert grid.patches.tobytes() == ref.patches.tobytes()
+
+
+@pytest.mark.parametrize("counts", [{"n_images": 2.5}, {"image_size": 32.0}, {"patch_size": 8.0},
+                                    {"n_colors": 3.0}, {"n_images": True}])
+def test_dataset_counts_must_be_integers(counts):
+    # each once raised a bare TypeError from inside the painting
+    with pytest.raises(ConfigError, match="must be an integer"):
+        color_block_dataset(**counts, seed=0)
