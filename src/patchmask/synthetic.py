@@ -29,9 +29,9 @@ PALETTE = np.array(
 def check_dataset(n_images, image_size, patch_size, n_colors):
     """Raise ConfigError unless color_block_dataset can make this dataset."""
     check_integer("n_images", n_images, 1)
-    for name, count in (("image_size", image_size), ("patch_size", patch_size),
-                        ("n_colors", n_colors)):
-        check_integer(name, count)
+    check_integer("image_size", image_size)
+    check_integer("patch_size", patch_size)
+    check_integer("n_colors", n_colors)
     if not 2 <= n_colors <= PALETTE.shape[0]:
         raise ConfigError(f"n_colors must lie in [2, {PALETTE.shape[0]}], got {n_colors}")
     if patch_size < 1 or image_size < patch_size or image_size % patch_size:

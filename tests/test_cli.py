@@ -707,8 +707,8 @@ def test_stream_takes_every_32_bit_seed(seed):
     assert stream(seed, Stream.MASK, 0).random() == expected
 
 
-@pytest.mark.parametrize("rest", [(Stream.MASK, 2**32), (2**32,), (2**64, 0),
-                                  (Stream.TRAIN_MASK, 0, 2**32 + 5), (Stream.MASK, -1)])
+@pytest.mark.parametrize("rest", [(2**32,), (2**64, 0), (Stream.TRAIN_MASK, 0, 2**32 + 5),
+                                  (Stream.MASK, -1)])
 def test_stream_rejects_a_word_outside_one_32_bit_word(rest):
     # as for the seed: (0, 20, 2**32) would draw the stream of (0, 20, 0, 1)
     with pytest.raises(ConfigError, match=r"must hold integers in \[0, 2\*\*32\)"):

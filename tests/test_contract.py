@@ -255,7 +255,6 @@ PROBES = [
     # SeedSequence splits a word of 2**32 or more: this key once drew the
     # stream of (0, MASK, 0, 1)
     ("stream-index-2-32", lambda: pm.stream(0, pm.Stream.MASK, 2**32), ConfigError),
-    ("stream-namespace-2-32", lambda: pm.stream(0, 2**32), ConfigError),
     ("masker-config-seed-true", lambda: pm.MaskerConfig(seed=True), ConfigError),
     # a record of an array once raised a bare AttributeError when masked
     ("prepared-image-of-an-array", lambda: pm.mask_image(

@@ -94,7 +94,7 @@ def unreferenced_definitions(sources):
     return unreferenced
 
 
-# public entry points that no module of the package calls, by name:
+# public entry points that no module of the package calls, sorted:
 # patchify makes a caller's Image into a grid and load_image reads a file
 # into an Image, while the CLI loads through load_patches and render_mask
 # takes the grid
