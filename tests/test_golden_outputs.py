@@ -5,7 +5,8 @@ and is digested over its exit code, its stdout, its stderr and every file
 it leaves there, by name. tests/golden_outputs.json holds the digests and
 the numpy and BLAS versions they were made with. The runs cover `mask`
 under each strategy with --render and --dump-sim and with no output flag,
-cluster-embedding at an alpha below 1, 16-bit and flat inputs, `calibrate` converging and
+cluster-embedding at an alpha below 1, 16-bit and flat inputs, repeated
+tiles at threshold 1 (whose cosines fall just short of 1), `calibrate` converging and
 exiting 4, `train` under each strategy, `stats --json`, and the config,
 data and convergence errors each command can raise (`mask` searches
 nothing, so it has no convergence error; `stats` has no config and no
@@ -62,7 +63,12 @@ RUNS = {
     "mask-cluster-embedding-alpha-0.3": (
         _mask("../../imgs", "--strategy", "cluster-embedding", "--alpha", "0.3", *_RENDER), None),
     "mask-16-bit": (_mask("../../imgs16", *_RENDER), None),
+    "mask-16-bit-masks-only": (_mask("../../imgs16"), None),
     "mask-flat-cluster-rgb": (_mask("../../flat", *_RENDER), None),
+    # every cosine of a flat image is 0, which threshold 0 masks
+    "mask-flat-cluster-rgb-masks-only": (_mask("../../flat", "--threshold", "0"), None),
+    # equal textured patches have cosine |x|^2 / (|x|^2 + 1e-8), just below 1
+    "mask-tiles-threshold-1-masks-only": (_mask("../../tiles", "--threshold", "1.0"), None),
     "mask-flat-kmeans": (_mask("../../flat", "--strategy", "kmeans"), None),
     "mask-config-error": (_mask("../../imgs", "--anchor-ratio", "0.9"), None),
     "mask-data-error": (_mask("../../bad"), None),
@@ -95,8 +101,9 @@ def write_inputs(root):
     """The runs' inputs under root, made from integers alone: six 64x48 P6
     images of 16 px colour blocks with noise (48 patches at P=8), two
     16-bit 32x32 P5 images of 8 px blocks with noise, two flat P6 images,
-    a masks file, and a directory holding a truncated image and a
-    malformed masks file."""
+    a masks file, a directory holding a truncated image and a malformed
+    masks file, and two 64x48 P6 images tiled from two 8 px noise tiles
+    each, so their patches repeat exactly."""
     rng = np.random.default_rng(20261020)
     (root / "imgs").mkdir()
     for i in range(6):
@@ -116,6 +123,12 @@ def write_inputs(root):
     (root / "bad" / "short.ppm").write_bytes(b"P6\n64 48\n255\n" + bytes(100))
     (root / "bad" / "masks.txt").write_text("1100\n01x1\n", encoding="ascii")
     (root / "masks.txt").write_text("110011\n000000\n111111\n010101\n", encoding="ascii")
+    (root / "tiles").mkdir()
+    for i in range(2):
+        tiles = rng.integers(0, 256, size=(2, 8, 8, 3))
+        layout = rng.integers(0, 2, size=(6, 8))
+        samples = tiles[layout].transpose(0, 2, 1, 3, 4).reshape(48, 64, 3)
+        (root / "tiles" / f"tiles_{i}.ppm").write_bytes(_pnm("P6", samples))
 
 
 def digest_run(cwd, argv, config):
