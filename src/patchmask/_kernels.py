@@ -4,16 +4,25 @@
 kernel keeps its name and signature and replaces the body here. Results
 are deterministic run to run.
 
-``cosine_rows`` is the one cosine kernel: it computes each requested row
-of the cosine matrix as one GEMV, and ``similarity.CosineRows`` is its
-only caller. Row i therefore comes from the same arithmetic whether it is
-asked for alone or with every other row, as for the full matrix, so the
-two are equal bit for bit on any BLAS. The rows are never batched into
-one GEMM, whose rows differ from a GEMV's in their low bits.
+``cosine_rows`` is the one kernel whose bits are cosines that masks
+read: it computes each requested row of the cosine matrix as one GEMV,
+and ``similarity.CosineRows`` is its only caller. Row i therefore comes
+from the same arithmetic whether it is asked for alone or with every
+other row, as for the full matrix, so the two are equal bit for bit on
+any BLAS. The rows are never batched into one GEMM, whose rows differ
+from a GEMV's in their low bits.
 
 ``reach_row`` is the one membership kernel: ``masked_by_anchors``
 thresholds it for one mask, and calibration keeps it per image to
 threshold it at every r it tries.
+
+``screened_by_anchors`` decides the same membership from a file's
+integer samples, before any division: it computes each patch's exact
+cosines with the anchors from integer sums, and a proven bound on their
+distance from the cosines ``cosine_rows`` would compute from the
+standardized samples (see ``_cosine_margin``). It returns the mask only
+when every patch lies outside its bound, so a mask it returns is the one
+the exact path gives bit for bit; otherwise the caller runs that path.
 
 The K-Means kernels are bit-identical to their exact formulas, and
 Lloyd's loop calls them so that an iteration redoes only what moved:
@@ -63,6 +72,8 @@ _UNIT_ROUNDOFF = 2.0**-53
 _SUBNORMAL = 2.0**-1074  # smallest positive subnormal
 _SAFE_SCALE = 2.0**1000  # below this no intermediate of either formula overflows
 _SIGN_BIT = np.int64(-(2**63))
+_SCREEN_MAX_DIM = 2**20  # patch lengths screened_by_anchors takes
+_SCREEN_MIN_STD = 4e-8  # least std of a non-constant patch it screens
 _KEY_BLOCK = 8192  # keys per block of distinct_rows' key transform
 _PAIR_ROWS = 16  # point/centroid pairs per block of assigned_distances
 
@@ -103,6 +114,119 @@ def masked_by_anchors(rows, anchors, threshold):
     """Boolean mask over the L columns of the (A, L) anchor rows: the
     anchors plus every j with rows[k, j] >= threshold for some k."""
     return reach_row(rows, anchors) >= threshold
+
+
+def screened_by_anchors(samples, maxval, anchors, threshold):
+    """masked_by_anchors' mask of the anchors' rows of the cosine matrix
+    of the standardized samples, decided from the integers alone, or None
+    where this screen cannot decide it.
+
+    samples is an (L, d) float64 array of a file's integer samples in
+    [0, maxval], in patch layout: the grid that load_patches divides by
+    maxval, and pixel_normalize then standardizes, before cosine_rows
+    computes the anchors' rows. Per patch, the sample sum S and the sum of
+    squares Q, and the anchors' dot products G with every patch (one
+    (A, d) by (d, L) GEMM), are sums of integers below 2**53, so float64
+    holds every partial sum exactly and any summation order gives the
+    same bits. Their int64 combinations V = d Q - S**2 and
+    N = d G - S_a S_j are exact too, and N / sqrt(V_a V_j) is the cosine
+    of the two centred patches to within a few ulps. A pair that holds a
+    constant patch (V == 0) has cosine 0 here, as its zero vector has on
+    the exact path. A patch's reach is its largest cosine over the
+    anchors, +inf at the anchors themselves (reach_row). With each cosine
+    widened by its pair's _cosine_margin, the largest lower and upper ends
+    over the anchors bound the reach the exact path computes, and the
+    patch is decided when both lie on one side of threshold. If any patch
+    is not, or the margin's conditions fail for d and maxval, or threshold
+    is NaN, or a sample is not finite, the result is None.
+    """
+    length, d = samples.shape
+    if not _screen_holds(d, maxval):
+        return None
+    sums = samples.sum(axis=1)
+    if not np.isfinite(sums).all():  # the exact path raises DataError
+        return None
+    sums = sums.astype(np.int64)
+    squares = np.einsum("ij,ij->i", samples, samples).astype(np.int64)
+    dots = (samples[anchors] @ samples.T).astype(np.int64)
+    spreads = d * squares - sums * sums
+    numerators = d * dots - sums[anchors, None] * sums
+    roots = np.sqrt(spreads.astype(np.float64))
+    denominators = np.outer(roots[anchors], roots)
+    cosines = np.divide(numerators, denominators, out=np.zeros(denominators.shape),
+                        where=denominators > 0)
+    margin = _cosine_margin(roots, anchors, d, maxval)
+    low = (cosines - margin).max(axis=0)
+    high = (cosines + margin).max(axis=0)
+    low[anchors] = high[anchors] = np.inf
+    decided = (low >= threshold) | (high < threshold)
+    return low >= threshold if decided.all() else None
+
+
+def _screen_holds(d, maxval):
+    """Whether _cosine_margin's conditions hold for patches of d samples
+    in [0, maxval]: 2 <= d <= 2**20, d maxval**2 < 2**53 (exact float64
+    sums), d maxval <= 2**31 (exact int64 products) and
+    sqrt(d - 1) / (d maxval) >= 4e-8 (the constant-patch test agrees)."""
+    return (2 <= d <= _SCREEN_MAX_DIM and d * maxval * maxval < 2**53
+            and d * maxval <= 2**31 and d - 1 >= (_SCREEN_MIN_STD * d * maxval) ** 2)
+
+
+def _cosine_margin(roots, anchors, d, maxval):
+    """Per anchor and patch, an (A, L) bound on how far the cosine the
+    exact path computes may lie from screened_by_anchors' cosine, given
+    each patch's root = sqrt(V).
+
+    Write u = 2**-53, g(n) = n u / (1 - n u) and M = maxval, and take a
+    patch x in {0..M}^d with p = x / M and c = p - mean(p), so that
+    |c|^2 = V / (d M^2) and the cosine of two centred patches is
+    rho = N / sqrt(V_a V_j). The exact path computes, in any summation
+    order and with or without FMA:
+
+    - p~ = fl(x / M), within u of p; the mean m~ = fl(fl(sum p~) / d),
+      within g(d + 1) of mean(p), as every term is non-negative; and
+      c~ = fl(p~ - m~). So each |c~_i - c_i| <= g(d + 3), and the error
+      e = c~ - c has |e| <= tau |c| with tau = d M g(d + 3) / sqrt(V).
+      For unit vectors, |a' / |a'| - a / |a|| <= 2 |a' - a| / |a|, so the
+      cosine of c~_a and c~_j lies within 2 tau_a + 2 tau_j of rho.
+    - z~ = fl(c~ / s~) for the patch's computed std s~: a scaling, which
+      leaves the cosine alone, and a relative error of u per element,
+      which moves it by at most 4u. As s~ = |c~| / sqrt(d) (1 + g(d + 2)),
+      |z~| >= sqrt(d) (1 - g(d + 3)).
+    - The GEMV's dot product lies within g(d) W of z~_a . z~_j, for
+      W = |z~_a| |z~_j|; each norm within g(d + 1) of |z~|; and the
+      cosine fl(dot / fl(fl(n_a n_j) + 1e-8)) within g(3d + 5) + 1e-8 / W
+      of the cosine of z~_a and z~_j, where W >= d (1 - 2 g(d + 3)).
+
+    The screen rounds N, each V, each square root, their product and the
+    quotient once: within g(7) of rho. So for two non-constant patches
+    the two cosines differ by at most
+    2 tau_a + 2 tau_j + g(3d + 16) + 1e-8 (1 + 2**-20) / d.
+    Near-constant patches, whose V is smallest, get the widest bound,
+    ~2 d^2 u M / sqrt(V). The margin returned is twice the bound, which
+    absorbs its own rounding and that of cosine +- margin, as the bound
+    is at least 22u.
+
+    A pair that holds a constant patch has cosine exactly 0 on both paths:
+    the exact path zeroes the patch, and N = 0 here. So its margin is 0.
+    That needs the exact path's std < 1e-8 test to hold exactly when
+    V == 0. A constant patch's centred values are within g(d + 1) of 0,
+    below 1e-8 for d <= 2**20. A non-constant one has V >= d - 1, so its
+    std is at least (1 - tau)(1 - g(d + 2)) sqrt(d - 1) / (d M), which is
+    above 1e-8 when sqrt(d - 1) / (d M) >= 4e-8, as tau <= 1/2 then.
+    _screen_holds checks these conditions and the exactness of the sums.
+    """
+    constant = roots == 0
+    tau = d * maxval * _gamma(d + 3) / np.where(constant, 1.0, roots)
+    bound = 2 * tau[anchors, None] + 2 * tau
+    bound += _gamma(3 * d + 16) + COSINE_EPS * (1 + 2.0**-20) / d
+    bound[:, constant] = 0.0
+    bound[constant[anchors]] = 0.0
+    return 2 * bound
+
+
+def _gamma(n):
+    return n * _UNIT_ROUNDOFF / (1 - n * _UNIT_ROUNDOFF)
 
 
 def _screen_margin(sq_points, sq_centroids, d):

@@ -28,7 +28,7 @@ from .calibration import calibrate_threshold, check_search
 from .cluster_masker import Mask, MaskerConfig, PreparedImage, Strategy, mask_image
 from .errors import ConfigError, ConvergenceError, DataError
 from .patch_grid import check_patch_size, grid_shape, pixel_normalize
-from .pnm import load_patches, read_size, save_image
+from .pnm import load_patches, load_samples, read_size, save_image
 from .render import render_mask
 from .similarity import EMBED_DIM, check_alpha, cosine_matrix
 from .stats import stats_report
@@ -151,6 +151,15 @@ def _grids(paths, patch_size, keep=None, in_place=False):
         del grid
 
 
+def _sample_records(paths, patch_size, seed):
+    """Each path's PreparedImage of its integer samples (load_samples),
+    lazily; none is held while the next file loads."""
+    for path in paths:
+        grid, maxval = load_samples(path, patch_size)
+        yield PreparedImage(grid, seed, maxval)
+        del grid
+
+
 def _patch_counts(paths, patch_size):
     """Patches per image, from each file's header and length alone.
 
@@ -182,12 +191,20 @@ def _cmd_mask(args):
     paths = _input_paths(args.in_dir)
     # only --render and --dump-sim read a grid after its mask is drawn
     grids = [] if options["render"] or args.dump_sim else None
-    # cluster-rgb and kmeans read the patches normalized alone, so a grid
-    # no flag keeps is standardized in place: one (L, d) array per image
-    in_place = grids is None and masker.strategy in (Strategy.CLUSTER_RGB, Strategy.KMEANS)
-    # lazy maps, so one image's grid and record (its normalized vectors and
-    # the anchors' cosine rows) are alive at a time, also while the next loads
-    prepared = map(PreparedImage, _grids(paths, patch_size, grids, in_place), repeat(masker.seed))
+    # cluster-rgb masks, which are cluster-embedding's at alpha 1, are
+    # decided from the integer samples where they can be, and kmeans reads
+    # the patches normalized alone: so a grid no flag keeps is held as its
+    # samples, or standardized in place, one (L, d) array per image
+    rgb = masker.strategy is Strategy.CLUSTER_RGB or (
+        masker.strategy is Strategy.CLUSTER_EMBEDDING and options["alpha"] == 1.0)
+    # lazy, so one image's grid and record (its normalized vectors and the
+    # anchors' cosine rows) are alive at a time, also while the next loads
+    if grids is None and rgb:
+        prepared = _sample_records(paths, patch_size, masker.seed)
+    else:
+        in_place = grids is None and masker.strategy is Strategy.KMEANS
+        prepared = map(PreparedImage, _grids(paths, patch_size, grids, in_place),
+                       repeat(masker.seed))
     # shape before opening any output, so a data error leaves nothing behind
     masks, shaped = mask_batch(
         prepared, masker, options["alpha"],

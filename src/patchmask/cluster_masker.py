@@ -22,6 +22,7 @@ from ._kernels import (
     distinct_rows,
     masked_by_anchors,
     nearest_centroids,
+    screened_by_anchors,
 )
 from .errors import ConfigError, DataError, check_integer
 from .patch_grid import PatchGrid, pixel_normalize
@@ -316,18 +317,42 @@ class PreparedImage:
     in_place=True) leaves it: normalized is then its patches as they are,
     and emb_rows raises DataError, since the raw pixels the embedding
     reads are gone. Such a record serves kmeans, cluster-rgb and random.
+
+    With maxval, an integer from 1, the grid holds a file's integer
+    samples in [0, maxval] as load_samples leaves them, not yet divided
+    (DataError for a normalized grid). While it holds them, samples is
+    that array, from which mask_image decides cluster-rgb masks first
+    (screened_by_anchors). normalized divides them by maxval and
+    standardizes them in place, which gives the bits of load_patches
+    followed by pixel_normalize; samples is None from then on. emb_rows
+    raises DataError, as for a grid normalized in place.
     """
 
     grid: PatchGrid
     seed: int
+    maxval: int | None = None
 
     def __post_init__(self):
         if not isinstance(self.grid, PatchGrid):
             raise DataError(f"a PreparedImage needs a PatchGrid, got {type(self.grid).__name__}")
         check_seed(self.seed)
+        if self.maxval is not None:
+            check_integer("maxval", self.maxval, 1)
+            if self.grid.normalized:
+                raise DataError("a normalized grid holds no integer samples")
+
+    @property
+    def samples(self):
+        """The grid's integer samples while it holds them, else None."""
+        if self.maxval is None or self.grid.normalized:
+            return None
+        return self.grid.patches
 
     @cached_property
     def normalized(self):
+        if self.samples is not None:
+            np.divide(self.grid.patches, self.maxval, out=self.grid.patches)
+            pixel_normalize(self.grid, in_place=True)
         if self.grid.normalized:
             return self.grid.patches
         return pixel_normalize(self.grid).patches
@@ -338,6 +363,8 @@ class PreparedImage:
 
     @cached_property
     def emb_rows(self):
+        if self.maxval is not None:
+            raise DataError("cannot embed a grid of undivided integer samples")
         return CosineRows(toy_patch_embedding(self.grid, self.seed))
 
 
@@ -352,6 +379,12 @@ def mask_image(prepared, config, rng, alpha=1.0):
     none of it. alpha weights the RGB similarity against the embedding
     similarity and only matters for cluster-embedding, whose masks at
     alpha 1 are cluster-rgb's; every strategy rejects one outside [0, 1].
+
+    A cluster-rgb mask of a record that holds integer samples is decided
+    from them when screened_by_anchors can: it makes the same anchor draw
+    and gives the same mask, bit for bit, without normalizing the record
+    or computing a cosine row. Where it cannot, the record is normalized
+    and masked from its cosine rows as any other.
     """
     check_alpha(alpha)
     if config.strategy is Strategy.RANDOM:
@@ -361,9 +394,16 @@ def mask_image(prepared, config, rng, alpha=1.0):
             prepared.normalized, config.kmeans_k, config.kmeans_max_iters,
             config.kmeans_mask_fraction, rng,
         )
-    rgb_rows = prepared.rgb_rows  # an empty grid fails here, before the draw
+    if prepared.grid.n_patches == 0:  # before the draw, which needs a patch
+        raise DataError("cannot compute similarity of an empty grid")
     anchors = draw_anchors(prepared.grid.n_patches, config.anchor_ratio, rng)
-    rows = rgb_rows.rows(anchors)
-    if config.strategy is Strategy.CLUSTER_EMBEDDING and alpha < 1.0:
+    blends = config.strategy is Strategy.CLUSTER_EMBEDDING and alpha < 1.0
+    samples = None if blends else prepared.samples
+    if samples is not None:
+        masked = screened_by_anchors(samples, prepared.maxval, anchors, config.threshold_r)
+        if masked is not None:
+            return Mask(masked=masked, anchors=np.sort(anchors))
+    rows = prepared.rgb_rows.rows(anchors)
+    if blends:
         rows = blend(rows, prepared.emb_rows.rows(anchors), alpha)
     return cluster_mask_from_anchors(rows, anchors, config.threshold_r)

@@ -113,14 +113,18 @@ def patchify(image, patch_size):
     return raster_patches(image.data, patch_size)
 
 
-def raster_patches(raster, patch_size, maxval=1.0):
-    """patchify's grid of an (H, W, C) raster, each sample divided by maxval
-    on its way in: 1 for intensities, a file's maxval for its integers."""
+def raster_patches(raster, patch_size, maxval=None):
+    """patchify's grid of an (H, W, C) raster, as float64, each sample
+    divided by maxval on its way in if one is given: a file's maxval for
+    its integers. Without one the values are copied as they are."""
     h, w, c = raster.shape
     rows, cols = grid_shape(h, w, patch_size)
     blocks = raster.reshape(rows, patch_size, cols, patch_size, c).transpose(0, 2, 1, 3, 4)
     patches = np.empty((rows * cols, patch_size * patch_size * c))
-    np.divide(blocks, maxval, out=patches.reshape(blocks.shape))
+    if maxval is None:
+        np.copyto(patches.reshape(blocks.shape), blocks)
+    else:
+        np.divide(blocks, maxval, out=patches.reshape(blocks.shape))
     return PatchGrid(rows=rows, cols=cols, patch_size=patch_size, channels=c, patches=patches)
 
 

@@ -8,7 +8,9 @@ comments (to the end of their line) and ends at whitespace, then one
 whitespace byte; parse failures report the byte offset. load_patches
 range-checks and patchifies the integer samples, and converts and
 divides each once, straight into the grid: no float64 raster is made,
-and the grid is patchify(load_image(path)) bit for bit.
+and the grid is patchify(load_image(path)) bit for bit. load_samples
+gathers the same samples into the same layout without the division, for
+a reader that decides from the integers first.
 """
 
 import os
@@ -104,6 +106,15 @@ def load_patches(path, patch_size):
     with open(path, "rb") as fh:
         samples, maxval = _decode(fh.read())
     return raster_patches(samples, patch_size, float(maxval))
+
+
+def load_samples(path, patch_size):
+    """(grid, maxval) of a binary P5/P6 file: grid holds the file's integer
+    samples, as float64, in load_patches' layout, and failing as it does,
+    so dividing its patches by maxval gives load_patches' grid bit for bit."""
+    with open(path, "rb") as fh:
+        samples, maxval = _decode(fh.read())
+    return raster_patches(samples, patch_size), maxval
 
 
 def read_size(path):

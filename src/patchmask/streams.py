@@ -38,9 +38,8 @@ def stream(seed, namespace, *index):
     [0, 2**32), is a ConfigError."""
     check_seed(seed)
     key = (seed, namespace, *index)
-    try:
-        if min(key) >= 0 and max(key) < 2**32:
-            return np.random.default_rng(key)
-    except (TypeError, ValueError):  # a word that does not compare, or is no integer
-        pass
+    if all(isinstance(word, (int, np.integer)) and 0 <= word < 2**32 for word in key):
+        # SeedSequence turns each integer of a tuple into the same 32-bit
+        # word, one at a time; a uint32 array it takes as it is
+        return np.random.default_rng(np.array(key, dtype=np.uint32))
     raise ConfigError(f"stream key {key} must hold integers in [0, 2**32)")

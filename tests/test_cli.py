@@ -232,19 +232,21 @@ class TestMaskCommand:
     def test_a_grid_no_one_reads_raw_is_normalized_in_place(
             self, image_dir, tmp_path, monkeypatch, strategy, flag):
         # the masks are those of records of the raw loaded grids; only
-        # cluster-rgb and kmeans, with neither flag, get the grid normalized
+        # kmeans, with neither flag, gets the grid normalized, and
+        # cluster-rgb's records hold integer samples that the screen
+        # decides without normalizing them
         grids = []
 
-        def record(grid, seed):
+        def record(grid, *args):
             grids.append(grid)
-            return PreparedImage(grid, seed)
+            return PreparedImage(grid, *args)
 
         monkeypatch.setattr(cli, "PreparedImage", record)
         out = tmp_path / "out"
         args = ["mask", "--in", image_dir, "--out", out, "--strategy", strategy, "--kmeans-k", "4",
                 "--threshold", "0.4", "--alpha", "0.5", "--patch-size", "8", "--seed", "6"]
         assert run_cli(args + [flag] * (flag is not None)) == 0
-        in_place = flag is None and strategy in ("cluster-rgb", "kmeans")
+        in_place = flag is None and strategy == "kmeans"
         assert [grid.normalized for grid in grids] == [in_place] * 4
         config = MaskerConfig(strategy=strategy, threshold_r=0.4, kmeans_k=4, seed=6)
         lines = [
@@ -253,6 +255,47 @@ class TestMaskCommand:
             for index, path in enumerate(sorted(image_dir.iterdir()))
         ]
         assert (out / "masks.txt").read_text() == "".join(lines)
+
+    @pytest.mark.parametrize("strategy", ["cluster-rgb", "cluster-embedding"])
+    def test_block_images_are_masked_from_their_integers(self, tmp_path, prepare_calls, strategy):
+        # 224px colour blocks with noise at P=16: every mask is decided by
+        # the integer screen, so no grid is normalized and no cosine row
+        # computed, and the masks are those of the loaded grids' records
+        directory = tmp_path / "blocks"
+        directory.mkdir()
+        rng = np.random.default_rng(21)
+        for i in range(4):
+            blocks = rng.integers(30, 226, size=(7, 7, 3)).repeat(32, axis=0).repeat(32, axis=1)
+            samples = np.clip(blocks + rng.integers(-24, 25, size=(224, 224, 3)), 0, 255)
+            save_image(Image(data=samples / 255.0), directory / f"img_{i}.ppm")
+        out = tmp_path / "out"
+        assert run_cli(["mask", "--in", directory, "--out", out, "--strategy", strategy,
+                        "--seed", "2"]) == 0
+        assert prepared_counts(prepare_calls) == [0, 0, 0]
+        config = MaskerConfig(seed=2)
+        lines = [
+            mask_image(PreparedImage(load_patches(path, 16), 2), config,
+                       np.random.default_rng((2, Stream.MASK, index))).to_line() + "\n"
+            for index, path in enumerate(sorted(directory.iterdir()))
+        ]
+        assert (out / "masks.txt").read_text() == "".join(lines)
+
+    def test_repeated_patches_at_threshold_1_are_masked_from_cosine_rows(
+            self, tmp_path, prepare_calls):
+        # equal textured patches have a cosine just below 1, which the
+        # screen cannot tell from 1: each image is normalized and masked
+        # from its anchors' rows, as without the screen
+        directory = tmp_path / "tiles"
+        directory.mkdir()
+        rng = np.random.default_rng(22)
+        for i in range(3):
+            tile = rng.random((8, 8, 3))
+            save_image(Image(data=np.tile(tile, (4, 4, 1))), directory / f"img_{i}.ppm")
+        out = tmp_path / "out"
+        assert run_cli(["mask", "--in", directory, "--out", out, "--patch-size", "8",
+                        "--threshold", "1.0"]) == 0
+        assert prepared_counts(prepare_calls) == [3, 3, 0]
+        assert (out / "masks.txt").read_text().count("1") == 3  # the anchors alone
 
     def test_each_image_is_patchified_once(self, image_dir, tmp_path, calls_to):
         # load_patches reads and patchifies a file in one call
@@ -307,6 +350,9 @@ class TestMaskCommand:
 
 @pytest.mark.parametrize("command, bound", [
     (["mask", "--strategy", "cluster-rgb"], 2.4),
+    # at the default alpha, cluster-embedding's masks are cluster-rgb's,
+    # from the same records
+    (["mask", "--strategy", "cluster-embedding"], 2.4),
     (["mask", "--strategy", "kmeans"], 2.95),
     (["calibrate"], 2.8),
     (["mask", "--strategy", "random"], 2.0),
@@ -708,9 +754,10 @@ def test_stream_takes_every_32_bit_seed(seed):
 
 
 @pytest.mark.parametrize("rest", [(2**32,), (2**64, 0), (Stream.TRAIN_MASK, 0, 2**32 + 5),
-                                  (Stream.MASK, -1)])
+                                  (Stream.MASK, -1), (Stream.MASK, 1.5), (Stream.MASK, np.True_)])
 def test_stream_rejects_a_word_outside_one_32_bit_word(rest):
-    # as for the seed: (0, 20, 2**32) would draw the stream of (0, 20, 0, 1)
+    # as for the seed: (0, 20, 2**32) would draw the stream of (0, 20, 0, 1);
+    # and a uint32 array of (0, 20, 1.5) would hold (0, 20, 1)
     with pytest.raises(ConfigError, match=r"must hold integers in \[0, 2\*\*32\)"):
         stream(0, *rest)
 
@@ -719,6 +766,19 @@ def test_stream_takes_every_32_bit_word():
     key = (7, Stream.MASK, 2**32 - 1, np.uint32(2**32 - 1))
     expected = np.random.default_rng((7, Stream.MASK, 2**32 - 1, 2**32 - 1)).random()
     assert stream(*key).random() == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(st.integers(0, 2**32 - 1), st.sampled_from(list(Stream)),
+                          st.integers(0, 2**32 - 1).map(np.uint32), st.booleans()),
+                min_size=1, max_size=4),
+       st.integers(0, 2**32 - 1))
+def test_stream_draws_what_numpy_draws_for_the_tuple(words, seed):
+    # stream seeds numpy with one uint32 array; the tuple of the same words,
+    # each an int, a Stream, a numpy integer or a bool, draws the same
+    key = (seed, *words)
+    expected = np.random.default_rng(key).integers(2**63, size=3)
+    assert stream(*key).integers(2**63, size=3).tolist() == expected.tolist()
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -11,7 +11,9 @@ from patchmask import pnm
 from patchmask.cluster_masker import Mask, random_mask
 from patchmask.errors import DataError
 from patchmask.patch_grid import Image, patchify, pixel_normalize
-from patchmask.pnm import encode_pnm, load_image, load_patches, parse_pnm, read_size, save_image
+from patchmask.pnm import (
+    encode_pnm, load_image, load_patches, load_samples, parse_pnm, read_size, save_image,
+)
 from patchmask.render import render_mask
 from patchmask.stats import stats_report
 
@@ -107,6 +109,12 @@ class TestLoadPatches:
         # calibrate normalize, they become the copy's
         assert grid.patches.tobytes() == expected.patches.tobytes()
         assert pixel_normalize(grid, in_place=True).patches.tobytes() == normalized.tobytes()
+        # the undivided samples, in the same layout, divide to the same bits
+        integers, file_maxval = load_samples(path, patch_size)
+        assert file_maxval == maxval
+        assert [getattr(integers, f) for f in fields] == [getattr(expected, f) for f in fields]
+        assert (integers.patches == np.round(integers.patches)).all()
+        assert (integers.patches / maxval).tobytes() == expected.patches.tobytes()
 
     @pytest.mark.parametrize("data, patch_size", [
         (b"P5\n2 2\n255\n" + bytes(3), 2),  # truncated
@@ -122,9 +130,10 @@ class TestLoadPatches:
         path.write_bytes(data)
         with pytest.raises(DataError) as expected:
             patchify(load_image(path), patch_size)
-        with pytest.raises(DataError) as raised:
-            load_patches(path, patch_size)
-        assert str(raised.value) == str(expected.value)
+        for load in (load_patches, load_samples):
+            with pytest.raises(DataError) as raised:
+                load(path, patch_size)
+            assert str(raised.value) == str(expected.value)
 
     def test_range_error_wins_over_patch_size(self, tmp_path):
         path = tmp_path / "a.pgm"

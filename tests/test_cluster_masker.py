@@ -34,7 +34,7 @@ from patchmask.cluster_masker import (
     random_mask,
 )
 from patchmask.errors import ConfigError, DataError
-from patchmask.patch_grid import Image, patchify, pixel_normalize
+from patchmask.patch_grid import Image, patchify, pixel_normalize, raster_patches
 from patchmask.similarity import blend, cosine_matrix, toy_patch_embedding
 
 
@@ -495,6 +495,46 @@ class TestMaskImage:
         assert mask.anchors.tobytes() == expected.anchors.tobytes()
         with pytest.raises(DataError, match="normalized"):
             record.emb_rows
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_a_record_of_integer_samples(self, rng, strategy):
+        # its masks are those of the record of the divided grid, at the
+        # default alpha; cluster-rgb's are decided without normalizing
+        samples = rng.integers(0, 256, size=(32, 32, 3))
+        config = MaskerConfig(strategy=strategy, threshold_r=0.4, kmeans_k=4, seed=3)
+        expected = mask_image(PreparedImage(raster_patches(samples, 8, 255.0), 3), config,
+                              np.random.default_rng(7))
+        record = PreparedImage(raster_patches(samples, 8), 3, 255)
+        mask = mask_image(record, config, np.random.default_rng(7))
+        assert mask.masked.tobytes() == expected.masked.tobytes()
+        assert mask.anchors.tobytes() == expected.anchors.tobytes()
+        assert (record.samples is None) == (strategy is Strategy.KMEANS)
+        with pytest.raises(DataError, match="integer samples"):
+            record.emb_rows
+
+    def test_an_undecided_record_is_normalized_as_a_loaded_grid(self, rng):
+        # at a threshold on one of its own cosines the screen defers; the
+        # record then holds load_patches' grid standardized in place, and
+        # serves that mask and the next from its cosine rows
+        samples = rng.integers(0, 65536, size=(24, 24, 1))
+        raw = raster_patches(samples, 4, 65535.0)
+        sim = cosine_matrix(pixel_normalize(raw))
+        anchors = draw_anchors(raw.n_patches, 0.1, np.random.default_rng(5))
+        record = PreparedImage(raster_patches(samples, 4), 0, 65535)
+        for r in (float(np.sort(sim[anchors], axis=None)[-10]), 0.5):
+            config = MaskerConfig(anchor_ratio=0.1, threshold_r=r)
+            mask = mask_image(record, config, np.random.default_rng(5))
+            expected = cluster_mask_from_anchors(sim[anchors], anchors, r)
+            assert mask.masked.tobytes() == expected.masked.tobytes()
+            assert record.samples is None
+        assert record.normalized.tobytes() == pixel_normalize(raw).patches.tobytes()
+
+    @pytest.mark.parametrize("maxval, message", [(0, "maxval"), (2.0, "maxval"),
+                                                 (255, "normalized")])
+    def test_a_record_checks_its_maxval(self, rng, maxval, message):
+        grid = pixel_normalize(patchify(Image(data=rng.random((8, 8, 3))), 4))
+        with pytest.raises((ConfigError, DataError), match=message):
+            PreparedImage(grid, 0, maxval)
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):

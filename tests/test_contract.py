@@ -75,6 +75,11 @@ def _real(d):
     return d.draw(st.sampled_from(REALS))
 
 
+def _maxval(d):
+    """None, as for a grid of intensities, or a maxval for a grid of samples."""
+    return d.draw(st.sampled_from([None, None, 1, 255] + COUNTS))
+
+
 def _vectors(d):
     shape = d.draw(st.sampled_from([(4, 3), (3, 2), (1, 3), (0, 3), (3, 0), (3,), ()]))
     return _array(d, shape)
@@ -141,7 +146,7 @@ CALLS = {
     "MaskerConfig": _config,
     "PatchGrid": _grid,
     "PreparedImage": lambda d: pm.PreparedImage(
-        _grid(d) if d.draw(st.booleans()) else _array(d, (4, 12)), _count(d)),
+        _grid(d) if d.draw(st.booleans()) else _array(d, (4, 12)), _count(d), _maxval(d)),
     "alpha_schedule": lambda d: pm.alpha_schedule(_count(d), _count(d), _real(d)),
     "blend": lambda d: pm.blend(_vectors(d), _vectors(d), _real(d)),
     "calibrate_threshold": _calibrate,
@@ -151,8 +156,8 @@ CALLS = {
     "info_nce": lambda d: pm.info_nce(_vectors(d)),
     "kmeans_cluster": lambda d: pm.kmeans_cluster(_vectors(d), _count(d), _count(d), _rng()),
     "kmeans_mask": lambda d: pm.kmeans_mask(_vectors(d), _count(d), _count(d), _real(d), _rng()),
-    "mask_image": lambda d: pm.mask_image(pm.PreparedImage(_grid(d), _count(d)), _config(d),
-                                          _rng(), _real(d)),
+    "mask_image": lambda d: pm.mask_image(pm.PreparedImage(_grid(d), _count(d), _maxval(d)),
+                                          _config(d), _rng(), _real(d)),
     "mask_ratio": lambda d: pm.mask_ratio(_mask(d)),
     "mean_mask_ratio": lambda d: pm.mean_mask_ratio(
         [_vectors(d) for _ in range(d.draw(st.integers(0, 2)))], _real(d)),
@@ -233,6 +238,9 @@ PROBES = [
     # NaN patches: cluster-rgb once masked 1 of 4 and K-Means all 4
     ("cluster-rgb-on-nan-patches", lambda: pm.mask_image(
         pm.PreparedImage(_nan_grid(), 0), _masker("cluster-rgb"), _rng()), DataError),
+    # the integer screen leaves a non-finite sample to the exact path
+    ("cluster-rgb-on-nan-samples", lambda: pm.mask_image(
+        pm.PreparedImage(_nan_grid(), 0, 255), _masker("cluster-rgb"), _rng()), DataError),
     ("kmeans-on-nan-patches", lambda: pm.mask_image(
         pm.PreparedImage(_nan_grid(), 0), _masker("kmeans"), _rng()), DataError),
     ("pixel-normalize-inf-patch", lambda: pm.pixel_normalize(_patches(4, INF)), DataError),

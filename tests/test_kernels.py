@@ -9,7 +9,8 @@ from hypothesis.extra import numpy as hnp
 from conftest import full_cosine
 from patchmask import _kernels
 from patchmask.cluster_masker import cluster_mask_from_anchors
-from patchmask.patch_grid import Image, patchify, pixel_normalize
+from patchmask.patch_grid import Image, PatchGrid, patchify, pixel_normalize
+from patchmask.similarity import CosineRows
 
 
 def broadcast_nearest(points, centroids):
@@ -431,6 +432,7 @@ class TestDistinctRows:
             tracemalloc.stop()
         assert peak < vectors.nbytes
 
+
 class TestMaskedByAnchors:
     def test_no_anchors_masks_nothing(self, rng):
         sim = full_cosine(rng.standard_normal((12, 4)))
@@ -438,3 +440,86 @@ class TestMaskedByAnchors:
         assert mask.length == 12
         assert not mask.masked.any()
         assert mask.anchors.size == 0
+
+
+def exact_anchor_rows(samples, maxval, anchors):
+    """The anchors' cosine rows as masking computes them from the samples
+    of a file: divided by maxval, standardized, then cosine_rows."""
+    length, d = samples.shape
+    grid = PatchGrid(rows=length, cols=1, patch_size=1, channels=d, patches=samples / maxval)
+    return CosineRows(pixel_normalize(grid).patches).rows(anchors)
+
+
+KINDS = ["noise", "constant", "one-off", "repeat"]
+
+
+@st.composite
+def integer_patches(draw):
+    """(L, d) float64 integer samples in [0, maxval] and maxval: rows of
+    noise, constant rows, rows one sample away from constant, and exact
+    repeats of an earlier row."""
+    maxval = draw(st.one_of(st.sampled_from([1, 2, 255, 256, 65535]), st.integers(1, 65535)))
+    d = draw(st.integers(1, 12))
+    kinds = draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    samples = rng.integers(0, maxval + 1, size=(len(kinds), d))
+    for i, kind in enumerate(kinds):
+        if kind in ("constant", "one-off"):
+            samples[i] = rng.integers(0, maxval + 1)
+        if kind == "one-off":
+            j, value = rng.integers(d), samples[i, 0]
+            samples[i, j] = value + 1 if value < maxval else value - 1
+        if kind == "repeat" and i:
+            samples[i] = samples[rng.integers(i)]
+    anchors = rng.choice(len(kinds), size=draw(st.integers(1, min(3, len(kinds)))),
+                         replace=False)
+    return samples.astype(np.float64), maxval, anchors
+
+
+class TestScreenedByAnchors:
+    @settings(max_examples=300, deadline=None)
+    @given(integer_patches(), st.data())
+    def test_a_decided_mask_is_the_exact_mask(self, patches, data):
+        # thresholds at the exact path's own cosines and their neighbours,
+        # where any error of the screen's bound would flip a patch
+        samples, maxval, anchors = patches
+        rows = exact_anchor_rows(samples, maxval, anchors)
+        value = float(data.draw(st.sampled_from(rows.ravel().tolist())))
+        thresholds = [value, np.nextafter(value, -np.inf), np.nextafter(value, np.inf),
+                      0.0, 1.0, data.draw(st.floats(-1.0, 1.05))]
+        for threshold in thresholds:
+            screened = _kernels.screened_by_anchors(samples, maxval, anchors, threshold)
+            if screened is not None:
+                expected = _kernels.masked_by_anchors(rows, anchors, threshold)
+                assert screened.tobytes() == expected.tobytes()
+
+    def test_decides_noise_constant_and_repeated_patches(self, rng):
+        samples = rng.integers(0, 256, size=(40, 48)).astype(np.float64)
+        samples[5:9] = 77.0
+        samples[9, 3] = 78.0
+        samples[10:14] = samples[20]
+        anchors = np.array([20, 6, 3])
+        rows = exact_anchor_rows(samples, 255, anchors)
+        for threshold in (-1.0, -0.2, 0.0, 0.3, 0.999, 1.05):
+            screened = _kernels.screened_by_anchors(samples, 255, anchors, threshold)
+            expected = _kernels.masked_by_anchors(rows, anchors, threshold)
+            assert screened is not None and screened.tobytes() == expected.tobytes()
+
+    def test_repeats_at_threshold_1_are_left_to_the_exact_path(self, rng):
+        # equal non-constant patches have cosine |x|^2 / (|x|^2 + 1e-8) < 1
+        samples = np.tile(rng.integers(0, 256, size=(1, 48)), (6, 1)).astype(np.float64)
+        assert not exact_anchor_rows(samples, 255, [0]).max() >= 1.0
+        assert _kernels.screened_by_anchors(samples, 255, np.array([0]), 1.0) is None
+
+    @pytest.mark.parametrize("shape, maxval", [
+        ((3, 1), 255),  # one sample per patch: no std to screen
+        ((3, 8), 2**24),  # d maxval**2 past 2**53: the sums stop being exact
+        ((3, 2), 2**31),  # d maxval past 2**31: the products overflow int64
+    ])
+    def test_defers_where_the_bound_does_not_hold(self, shape, maxval, rng):
+        samples = rng.integers(0, 2, size=shape).astype(np.float64)
+        assert _kernels.screened_by_anchors(samples, maxval, np.array([0]), 0.5) is None
+
+    def test_a_nan_threshold_is_left_to_the_exact_path(self, rng):
+        samples = rng.integers(0, 256, size=(6, 12)).astype(np.float64)
+        assert _kernels.screened_by_anchors(samples, 255, np.array([1]), float("nan")) is None
