@@ -140,7 +140,7 @@ def screened_by_anchors(samples, maxval, anchors, threshold):
     is not, or the margin's conditions fail for d and maxval, or threshold
     is NaN, or a sample is not finite, the result is None.
     """
-    length, d = samples.shape
+    d = samples.shape[1]
     if not _screen_holds(d, maxval):
         return None
     sums = samples.sum(axis=1)

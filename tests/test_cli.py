@@ -364,7 +364,9 @@ def test_one_float64_buffer_per_image(noise_96_dir, tmp_path, command, bound):
     # 3.82 and 4.37 with a normalized copy, 3.13, 3.12 and 4.37 with the
     # centring alone out of place, 2.69, 2.78 and 3.37 in place with the
     # last image held, and 2.13, 2.78 and 2.32 with it dropped (random:
-    # 2.69 held, 1.69 dropped)
+    # 2.69 held, 1.69 dropped). Masked from their integer samples,
+    # cluster-rgb peaks at 1.54 and cluster-embedding at alpha 1 at 1.37
+    # (3.14 with its raw grid and a normalized copy)
     args = [command[0], "--in", noise_96_dir, "--patch-size", "16", *command[1:]]
     if command[0] == "mask":
         args += ["--out", tmp_path / "out"]
