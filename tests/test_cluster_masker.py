@@ -512,7 +512,7 @@ class TestMaskImage:
         with pytest.raises(DataError, match="integer samples"):
             record.emb_rows
 
-    def test_an_undecided_record_is_normalized_as_a_loaded_grid(self, rng):
+    def test_an_undecided_record_is_normalized_as_a_loaded_grid(self, rng, prepare_calls):
         # at a threshold on one of its own cosines the screen defers; the
         # record then holds load_patches' grid standardized in place, and
         # serves that mask and the next from its cosine rows
@@ -521,12 +521,15 @@ class TestMaskImage:
         sim = cosine_matrix(pixel_normalize(raw))
         anchors = draw_anchors(raw.n_patches, 0.1, np.random.default_rng(5))
         record = PreparedImage(raster_patches(samples, 4), 0, 65535)
+        for calls in prepare_calls:
+            calls.clear()
         for r in (float(np.sort(sim[anchors], axis=None)[-10]), 0.5):
             config = MaskerConfig(anchor_ratio=0.1, threshold_r=r)
             mask = mask_image(record, config, np.random.default_rng(5))
             expected = cluster_mask_from_anchors(sim[anchors], anchors, r)
             assert mask.masked.tobytes() == expected.masked.tobytes()
             assert record.samples is None
+        assert prepared_counts(prepare_calls) == [1, 1, 0]
         assert record.normalized.tobytes() == pixel_normalize(raw).patches.tobytes()
 
     @pytest.mark.parametrize("maxval, message", [(0, "maxval"), (2.0, "maxval"),
